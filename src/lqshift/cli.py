@@ -39,7 +39,6 @@ from .model import (
     validate_instance,
 )
 from .model import ControlDomain
-from .operators import DENSE_DIMENSION_CAP, dense_dimension
 from .optimality import (
     DEFAULT_GENERAL_SMP_TOL,
     DEFAULT_MSA_MAX_ITER,
@@ -93,10 +92,7 @@ def _resolve_mu(args, inst):
     """Returns (mu, spectral dict or None)."""
     if args.mu is not None:
         return args.mu, None
-    report = lambda_max(inst, method=getattr(args, "method", "auto"),
-                        tol=getattr(args, "tol", DEFAULT_POWER_TOL),
-                        max_iter=getattr(args, "max_iter_power", DEFAULT_POWER_MAX_ITER),
-                        seed=getattr(args, "seed", 0))
+    report = lambda_max(inst)
     return report.mu, report.to_dict()
 
 
@@ -120,7 +116,8 @@ def cmd_spectrum(args) -> tuple[int, dict]:
     result = report.to_dict()
     if args.certify:
         t0 = time.perf_counter()
-        cert = certify_concavity(inst, report.mu, seed=args.seed)
+        top = report.lambda_max if report.method == "riccati" else None
+        cert = certify_concavity(inst, report.mu, top=top)
         timings["certify"] = time.perf_counter() - t0
         result["concavity"] = cert.to_dict()
     out = make_report("spectrum", result, digest=instance_digest(inst, domain),
@@ -218,8 +215,7 @@ def cmd_example5(args) -> tuple[int, dict]:
         inst = example5_instance(depth)
         ones = ControlProcess.constant(domain, inst.tree, np.ones(1), "binary")
         cost_ones = cost_direct(inst, ones)
-        method = "dense" if dense_dimension(inst) <= DENSE_DIMENSION_CAP else "power"
-        spectral = lambda_max(inst, method=method)
+        spectral = lambda_max(inst)
         zeros1 = np.zeros((1, 1))
         h_plus = float(hamiltonian_mu(inst, 0, zeros1, np.ones((1, 1)),
                                       zeros1, zeros1, spectral.mu)[0])
@@ -312,10 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="top eigenvalue and shift")
     _add_common(p)
-    p.add_argument("--method", choices=["auto", "dense", "power"], default="auto")
-    p.add_argument("--tol", type=float, default=DEFAULT_POWER_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_POWER_MAX_ITER)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--method", choices=["riccati", "dense", "power"], default="riccati")
+    p.add_argument("--tol", type=float, default=DEFAULT_POWER_TOL,
+                   help="power iteration only")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_POWER_MAX_ITER,
+                   help="power iteration only")
+    p.add_argument("--seed", type=int, default=0, help="power iteration only")
     p.add_argument("--certify", action="store_true",
                    help="also certify concavity of the shifted cost")
     p.set_defaults(func=cmd_spectrum)
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default=None, help="CSV control file to start from")
     p.add_argument("--control-out", default=None,
                    help="write the found control to this CSV file")
-    p.add_argument("--seed", type=int, default=0)
     _add_check_tols(p)
     p.set_defaults(func=cmd_solve)
 
@@ -335,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, mu=True)
     p.add_argument("--control", required=True, help="CSV control file")
     p.add_argument("--kind", choices=["binary", "relaxed"], default="binary")
-    p.add_argument("--seed", type=int, default=0)
     _add_check_tols(p)
     p.set_defaults(func=cmd_verify)
 

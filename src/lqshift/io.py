@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ControlFileError, InstanceFormatError
-from .model import ControlDomain, ControlProcess, LQInstance
+from .model import ControlDomain, ControlProcess, LQInstance, as_process
 from .tree import ScenarioTree
 
 PACKAGE_VERSION = "0.1.0"
@@ -244,7 +244,7 @@ def with_depth(inst: LQInstance, new_depth: int) -> LQInstance:
 
 
 def write_control_csv(path, control) -> None:
-    proc = control.process if isinstance(control, ControlProcess) else control
+    proc = as_process(control)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "index"] + [f"u{i + 1}" for i in range(proc.dim)])

@@ -359,6 +359,11 @@ class ControlProcess:
         return cls.constant(domain, tree, np.zeros(domain.k), "binary")
 
 
+def as_process(u) -> AdaptedProcess:
+    """The adapted process behind a :class:`ControlProcess`; others pass through."""
+    return u.process if isinstance(u, ControlProcess) else u
+
+
 @dataclass(frozen=True)
 class StatePath:
     """Forward state: running values on levels ``0 .. N-1`` plus the terminal slice."""
@@ -451,7 +456,7 @@ def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = Tru
 
 def forward_state(inst: LQInstance, u) -> StatePath:
     """Integrate the controlled dynamics from ``inst.x0`` along the tree."""
-    u_proc = u.process if isinstance(u, ControlProcess) else u
+    u_proc = as_process(u)
     if u_proc.tree != inst.tree or u_proc.dim != inst.k:
         raise ValueError("control does not match the instance tree or control dimension")
     x_levels, x_term = _forward_levels(inst, u_proc.levels, inst.x0)
@@ -484,7 +489,7 @@ def _cost_from_levels(inst: LQInstance, u_levels, x_levels, x_term):
 
 def cost_direct(inst: LQInstance, u) -> float:
     """Evaluate the cost by forward simulation and weighted summation."""
-    u_proc = u.process if isinstance(u, ControlProcess) else u
+    u_proc = as_process(u)
     path = forward_state(inst, u_proc)
     x_levels = [lvl for lvl in path.running.levels]
     return float(_cost_from_levels(inst, u_proc.levels, x_levels, path.terminal.leaves))

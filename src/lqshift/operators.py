@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ControlProcess, LQInstance, StatePath, _forward_levels
+from .model import LQInstance, StatePath, _forward_levels, as_process
 from .tree import (
     RUNNING,
     TERMINAL,
@@ -39,7 +39,7 @@ DENSE_DIMENSION_CAP = 4096
 
 def _control_levels(inst: LQInstance, u):
     """Accept a ControlProcess or running AdaptedProcess, return its level list."""
-    proc = u.process if isinstance(u, ControlProcess) else u
+    proc = as_process(u)
     if not isinstance(proc, AdaptedProcess) or proc.kind != RUNNING:
         raise TypeError("expected a running control process")
     if proc.tree != inst.tree or proc.dim != inst.k:
@@ -346,7 +346,7 @@ class DenseOperator:
         return [np.sqrt(self.tree.path_prob(m) * dt) for m in range(self.tree.depth)]
 
     def flatten(self, u) -> np.ndarray:
-        proc = u.process if isinstance(u, ControlProcess) else u
+        proc = as_process(u)
         w = self._weights()
         return np.concatenate([
             (proc.level(m) * w[m]).reshape(-1) for m in range(self.tree.depth)

@@ -25,6 +25,7 @@ from .model import (
     ControlProcess,
     LQInstance,
     StatePath,
+    as_process,
     cost_direct,
     forward_state,
 )
@@ -51,7 +52,7 @@ def solve_first_adjoint(inst: LQInstance, xbar: StatePath, ubar) -> BsdeSolution
     Solves the backward equation with driver ``xi = -(Q xbar + S^T ubar)``
     and terminal value ``eta = -G xbar_N``.
     """
-    u_proc = ubar.process if isinstance(ubar, ControlProcess) else ubar
+    u_proc = as_process(ubar)
     tree = inst.tree
     xi_levels = [
         -(xbar.running.level(m) @ inst.Q[m] + u_proc.level(m) @ inst.S[m])
@@ -106,7 +107,7 @@ def _gradient_levels(inst: LQInstance, mu: float, xbar: StatePath,
 
 
 def _trajectory(inst: LQInstance, ubar):
-    u_proc = ubar.process if isinstance(ubar, ControlProcess) else ubar
+    u_proc = as_process(ubar)
     xbar = forward_state(inst, u_proc)
     adj = solve_first_adjoint(inst, xbar, u_proc)
     return u_proc, xbar, adj

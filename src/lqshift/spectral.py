@@ -7,29 +7,39 @@ satisfies ``u_i^2 = u_i`` node-wise, the shifted cost
 
     J_mu(u) = J(u) + mu/2 <u, u> - mu/2 <1, u>
 
-agrees with J exactly on binary controls.  lambda_max comes either from a
-dense eigendecomposition (small trees) or shifted power iteration driven by
-operator applications only.
+agrees with J exactly on binary controls.
+
+lambda_max comes from a definiteness test: ``sI - N`` is positive definite
+exactly when its block LDL^T, taken in backward tree order, has positive
+pivots.  The coefficients depend on the level only, so every node of a
+level shares one k x k pivot, produced by a backward Riccati recursion
+(the discrete indefinite-LQ condition of Ait Rami, Chen and Zhou).  One
+test costs O(depth (n^3 + k^3)) and never builds the 2^N-node tree;
+bisection on s brackets lambda_max with a passing test at the upper end,
+so ``mu = -hi`` is certified, not estimated.  The dense eigendecomposition
+and power iteration remain as cross-checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .model import ControlProcess, LQInstance
+from .errors import ConvergenceError, LqshiftError
+from .model import LQInstance, as_process
 from .operators import (
-    DENSE_DIMENSION_CAP,
     _apply_N_levels,
     assemble_N_dense,
     dense_dimension,
 )
+from .tree import _weighted_dot_levels
 
 DEFAULT_POWER_TOL = 1e-9
 DEFAULT_POWER_MAX_ITER = 5000
 POWER_PROBES = 16
+RICCATI_REL_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -54,26 +64,100 @@ class SpectralReport:
         }
 
 
-def _level_dot(tree, a_levels, b_levels) -> float:
-    dt = tree.dt
-    total = 0.0
-    for m in range(tree.depth):
-        total += tree.path_prob(m) * float(np.sum(a_levels[m] * b_levels[m]))
-    return total * dt
+# -- Riccati definiteness test ---------------------------------------------------
 
 
-def _level_norm(tree, a_levels) -> float:
-    return float(np.sqrt(_level_dot(tree, a_levels, a_levels)))
+def _riccati_pd(inst: LQInstance, s: float, pivots: list | None = None):
+    """Whether ``sI - N`` is positive definite in the tree inner product.
+
+    Returns ``(ok, level)`` with ``level`` the tree level where the test
+    fails (None when it passes).  The recursion runs backward from
+    ``P = -G`` with ``F = I + dt A_m``:
+
+        Huu = dt (sI - R + D^T P D + dt B^T P B)
+        Hux = dt (-S + B^T P F + D^T P C)
+        Hxx = -dt Q + F^T P F + dt C^T P C
+        P  <- Hxx - Hux^T Huu^{-1} Hux
+
+    and fails when a Cholesky factorisation of Huu fails or P stops being
+    finite.  When ``pivots`` is a list, each ``Huu / dt`` is appended to it,
+    deepest level first.
+    """
+    n, k, dt = inst.n, inst.k, inst.tree.dt
+    # every product above is a block of W = M^T P M with M = [F C B D]
+    blocks = np.concatenate([np.eye(n) + dt * inst.A, inst.C, inst.B, inst.D], axis=2)
+    f, c = slice(0, n), slice(n, 2 * n)
+    b, d = slice(2 * n, 2 * n + k), slice(2 * n + k, None)
+    uu = dt * (s * np.eye(k) - inst.R)
+    ux = -dt * inst.S
+    xx = -dt * inst.Q
+    p = -inst.G
+    for m in reversed(range(inst.depth)):
+        w = blocks[m].T @ (p @ blocks[m])
+        huu = uu[m] + dt * (w[d, d] + dt * w[b, b])
+        hux = ux[m] + dt * (w[b, f] + w[d, c])
+        hxx = xx[m] + w[f, f] + dt * w[c, c]
+        if pivots is not None:
+            pivots.append(huu / dt)
+        try:
+            chol = np.linalg.cholesky(huu)
+        except np.linalg.LinAlgError:
+            return False, m
+        y = np.linalg.solve(chol, hux)
+        p = hxx - y.T @ y
+        p = 0.5 * (p + p.T)
+        # numpy's Cholesky passes NaN and inf through silently; they end up in P
+        if not np.isfinite(p).all():
+            return False, m
+    return True, None
+
+
+def _riccati_bisect(inst: LQInstance):
+    """Bracket lambda_max(N) by doubling, then bisect.
+
+    Returns ``(hi, width, chains)``: ``hi`` is the smallest tested ``s`` at
+    which the Riccati test passed, ``width`` the final bracket width and
+    ``chains`` the number of tests run.
+    """
+    chains = 0
+
+    def passes(s):
+        nonlocal chains
+        if not math.isfinite(s):
+            raise LqshiftError("the Riccati test gives no finite bracket for lambda_max")
+        chains += 1
+        return _riccati_pd(inst, s)[0]
+
+    if passes(1.0):
+        hi, lo = 1.0, 0.0
+        while passes(lo):
+            hi, lo = lo, lo - 2.0 * (hi - lo)
+    else:
+        lo, hi = 1.0, 2.0
+        while not passes(hi):
+            lo, hi = hi, hi + 2.0 * (hi - lo)
+    while hi - lo > RICCATI_REL_WIDTH * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, hi - lo, chains
+
+
+# -- power iteration (cross-check) ------------------------------------------------
 
 
 def _random_unit_levels(inst: LQInstance, rng) -> list:
     tree = inst.tree
     levels = [rng.standard_normal((tree.num_nodes(m), inst.k))
               for m in range(tree.depth)]
-    norm = _level_norm(tree, levels)
+    norm = math.sqrt(_weighted_dot_levels(tree, levels, levels))
     if norm == 0.0:
         levels = [np.ones((tree.num_nodes(m), inst.k)) for m in range(tree.depth)]
-        norm = _level_norm(tree, levels)
+        norm = math.sqrt(_weighted_dot_levels(tree, levels, levels))
     return [lvl / norm for lvl in levels]
 
 
@@ -87,11 +171,14 @@ def _power_iteration(inst: LQInstance, tol: float, max_iter: int, seed: int):
     """
     tree = inst.tree
     rng = np.random.default_rng(seed)
+
+    def norm(levels):
+        return math.sqrt(_weighted_dot_levels(tree, levels, levels))
+
     probe_norm = 0.0
     for _ in range(POWER_PROBES):
         v = _random_unit_levels(inst, rng)
-        nv = _apply_N_levels(inst, v)
-        probe_norm = max(probe_norm, _level_norm(tree, nv))
+        probe_norm = max(probe_norm, norm(_apply_N_levels(inst, v)))
     c = max(4.0 * probe_norm, 1e-12)
 
     v = _random_unit_levels(inst, rng)
@@ -99,9 +186,8 @@ def _power_iteration(inst: LQInstance, tol: float, max_iter: int, seed: int):
     for it in range(1, max_iter + 1):
         nv = _apply_N_levels(inst, v)
         w = [nv[m] + c * v[m] for m in range(tree.depth)]
-        rho = _level_dot(tree, w, v)
-        resid_levels = [w[m] - rho * v[m] for m in range(tree.depth)]
-        residual = _level_norm(tree, resid_levels)
+        rho = float(_weighted_dot_levels(tree, w, v))
+        residual = norm([w[m] - rho * v[m] for m in range(tree.depth)])
         scale = max(1.0, abs(rho))
         if rho_prev is not None and abs(rho - rho_prev) <= tol * scale \
                 and residual <= 10.0 * tol * scale:
@@ -112,29 +198,34 @@ def _power_iteration(inst: LQInstance, tol: float, max_iter: int, seed: int):
                     residual=residual, iterations=it)
             return rho - c, it, residual, c
         rho_prev = rho
-        norm = _level_norm(tree, w)
-        if norm == 0.0:
+        w_norm = norm(w)
+        if w_norm == 0.0:
             raise ConvergenceError(
                 "power iterate vanished; the offset cannot separate the spectrum",
                 residual=residual, iterations=it)
-        v = [w[m] / norm for m in range(tree.depth)]
+        v = [w[m] / w_norm for m in range(tree.depth)]
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations",
         residual=residual, iterations=max_iter)
 
 
-def lambda_max(inst: LQInstance, method: str = "auto",
+def lambda_max(inst: LQInstance, method: str = "riccati",
                tol: float = DEFAULT_POWER_TOL,
                max_iter: int = DEFAULT_POWER_MAX_ITER,
                seed: int = 0) -> SpectralReport:
     """Compute lambda_max(N) and the shift mu = -lambda_max.
 
-    ``method`` is ``"dense"``, ``"power"``, or ``"auto"`` (dense when the
-    flattened dimension fits the cap, power otherwise).
+    ``method`` is ``"riccati"`` (bisection on the Riccati test; ``iterations``
+    counts the tests and ``residual`` is the final bracket width),
+    ``"dense"`` (eigendecomposition of the assembled matrix, a test oracle)
+    or ``"power"`` (power iteration; ``tol``, ``max_iter`` and ``seed``
+    apply to it only).
     """
     dim = dense_dimension(inst)
-    if method == "auto":
-        method = "dense" if dim <= DENSE_DIMENSION_CAP else "power"
+    if method == "riccati":
+        top, width, chains = _riccati_bisect(inst)
+        return SpectralReport(lambda_max=top, mu=-top, method="riccati", dimension=dim,
+                              iterations=chains, residual=width)
     if method == "dense":
         op = assemble_N_dense(inst)
         top = float(np.linalg.eigvalsh(op.matrix)[-1])
@@ -166,7 +257,7 @@ def _shift_delta_levels(tree, u_levels):
 def shifted_cost(inst: LQInstance, u, mu: float, base_cost: float | None = None) -> float:
     from .model import cost_direct  # local import to avoid cycle noise
 
-    proc = u.process if isinstance(u, ControlProcess) else u
+    proc = as_process(u)
     if base_cost is None:
         base_cost = cost_direct(inst, proc)
     delta = _shift_delta_levels(inst.tree, proc.levels)
@@ -187,12 +278,21 @@ def shifted_cost_many(inst: LQInstance, u_levels, mu: float, base_costs=None):
 
 @dataclass(frozen=True)
 class ConcavityCertificate:
+    """Whether N + mu I is negative definite up to ``tol``.
+
+    ``worst`` is the top eigenvalue of N + mu I.  In Riccati mode
+    ``pivot_min`` is the smallest eigenvalue of the level pivots ``Huu / dt``
+    along the test chain at ``s = tol - mu`` and ``pivot_level`` is the
+    level where it occurs, or where the chain fails.
+    """
+
     mu: float
     mode: str
     ok: bool
     worst: float
     tol: float
-    samples: int = 0
+    pivot_min: float | None = None
+    pivot_level: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -201,37 +301,37 @@ class ConcavityCertificate:
             "ok": self.ok,
             "worst": self.worst,
             "tol": self.tol,
-            "samples": self.samples,
+            "pivot_min": self.pivot_min,
+            "pivot_level": self.pivot_level,
         }
 
 
-def certify_concavity(inst: LQInstance, mu: float, mode: str = "auto",
-                      tol: float = 1e-8, samples: int = 64,
-                      seed: int = 0) -> ConcavityCertificate:
-    """Check that N + mu I is negative semidefinite up to ``tol``.
+def certify_concavity(inst: LQInstance, mu: float, mode: str = "riccati",
+                      tol: float = 1e-8,
+                      top: float | None = None) -> ConcavityCertificate:
+    """Check that N + mu I is negative definite up to ``tol``.
 
-    Dense mode reports the top eigenvalue of the shifted matrix; sample mode
-    bounds Rayleigh quotients ``<(N + mu I) v, v>`` over random unit
-    directions, which certifies failure but only samples success.
+    Riccati mode runs the definiteness test on ``(tol - mu) I - N``, so
+    ``ok`` is a certificate either way; ``worst`` is ``lambda_max + mu``
+    with lambda_max from the Riccati bisection, or ``top`` when the caller
+    already ran it.  Dense mode reports the top eigenvalue of the assembled
+    shifted matrix.
     """
-    dim = dense_dimension(inst)
-    if mode == "auto":
-        mode = "dense" if dim <= DENSE_DIMENSION_CAP else "sample"
+    if mode == "riccati":
+        pivots = []
+        ok, fail_level = _riccati_pd(inst, tol - mu, pivots)
+        smallest = np.linalg.eigvalsh(np.stack(pivots))[:, 0]
+        at = int(np.argmin(smallest))
+        if top is None:
+            top, _, _ = _riccati_bisect(inst)
+        return ConcavityCertificate(
+            mu=mu, mode="riccati", ok=ok, worst=top + mu, tol=tol,
+            pivot_min=float(smallest[at]),
+            pivot_level=inst.depth - 1 - at if ok else fail_level)
     if mode == "dense":
         op = assemble_N_dense(inst)
-        shifted = op.matrix + mu * np.eye(dim)
+        shifted = op.matrix + mu * np.eye(op.dimension)
         worst = float(np.linalg.eigvalsh(shifted)[-1])
         return ConcavityCertificate(mu=mu, mode="dense", ok=worst <= tol,
                                     worst=worst, tol=tol)
-    if mode == "sample":
-        tree = inst.tree
-        rng = np.random.default_rng(seed)
-        worst = -np.inf
-        for _ in range(samples):
-            v = _random_unit_levels(inst, rng)
-            nv = _apply_N_levels(inst, v)
-            quot = _level_dot(tree, nv, v) + mu
-            worst = max(worst, float(quot))
-        return ConcavityCertificate(mu=mu, mode="sample", ok=worst <= tol,
-                                    worst=worst, tol=tol, samples=samples)
     raise ValueError(f"unknown mode {mode!r}")

@@ -54,10 +54,15 @@ def test_spectrum(capsys, bench_file):
     code, report = run_cli(capsys, "spectrum", bench_file)
     assert code == 0
     result = report["result"]
-    assert result["method"] == "dense"
+    assert result["method"] == "riccati"
     assert abs(result["lambda_max"] - 2.0) <= 1e-8
     assert result["mu"] == -result["lambda_max"]
     assert "timings" in report
+
+    code, report = run_cli(capsys, "spectrum", bench_file, "--method", "dense")
+    assert code == 0
+    assert report["result"]["method"] == "dense"
+    assert abs(report["result"]["lambda_max"] - 2.0) <= 1e-8
 
     code, report = run_cli(capsys, "spectrum", bench_file,
                            "--method", "power", "--certify")
@@ -83,7 +88,7 @@ def test_solve(capsys, bench_file, tmp_path, bench2, free1):
     assert result["search"]["status"] == "fixed-point"
     assert result["search"]["cost"] == 0.0
     assert result["checks"]["ok"] is True
-    assert result["spectral"]["method"] == "dense"
+    assert result["spectral"]["method"] == "riccati"
     assert report["parameters"]["mu"] == "auto"
     loaded = lq.load_control_csv(control_file, free1, bench2.tree)
     for m in range(2):

@@ -14,10 +14,13 @@ def test_top_eigenvalue_closed_form():
     for depth in (2, 4):
         inst = lq.example5_instance(depth)
         expected = 3.0 - 2.0 / depth
+        riccati = lq.lambda_max(inst)
         dense = lq.lambda_max(inst, method="dense")
         power = lq.lambda_max(inst, method="power", seed=0)
+        assert abs(riccati.lambda_max - expected) <= 1e-12
         assert abs(dense.lambda_max - expected) <= 1e-8
         assert abs(power.lambda_max - expected) <= 1e-8
+        assert riccati.mu == -riccati.lambda_max
         assert dense.mu == -dense.lambda_max
         assert power.mu == -power.lambda_max
 
@@ -35,10 +38,16 @@ def test_spectral_report_fields(bench2):
     d = power.to_dict()
     assert set(d) == {"lambda_max", "mu", "method", "dimension",
                       "iterations", "residual", "shift"}
-    # auto prefers the dense path while it fits
-    assert lq.lambda_max(bench2, method="auto").method == "dense"
-    with pytest.raises(ValueError):
-        lq.lambda_max(bench2, method="exact")
+    riccati = lq.lambda_max(bench2)
+    assert riccati.method == "riccati"
+    assert riccati.dimension == 3
+    assert riccati.iterations > 0
+    assert 0.0 < riccati.residual <= 1e-13 * max(1.0, riccati.lambda_max)
+    assert riccati.shift == 0.0
+    assert set(riccati.to_dict()) == set(d)
+    for retired in ("exact", "auto"):
+        with pytest.raises(ValueError):
+            lq.lambda_max(bench2, method=retired)
 
 
 def test_power_iteration_reports_non_convergence(bench2):
@@ -54,9 +63,19 @@ def test_negative_top_eigenvalue():
                                   R=1.0, G=-2.0)
     dense = lq.lambda_max(flip, method="dense")
     assert dense.lambda_max == pytest.approx(-1.0, abs=1e-12)
+    riccati = lq.lambda_max(flip)
+    assert riccati.lambda_max == pytest.approx(-1.0, abs=1e-12)
     power = lq.lambda_max(flip, method="power")
     assert power.lambda_max == pytest.approx(-1.0, abs=1e-8)
     assert power.mu == pytest.approx(1.0, abs=1e-8)
+
+
+def test_riccati_without_finite_bracket_raises():
+    # F = 1 + dt * 1e200 overflows P at every shift, so no bracket exists
+    inst = lq.LQInstance.constant(depth=2, n=1, k=1, A=1e200, B=1.0, G=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(lq.LqshiftError, match="no finite bracket"):
+            lq.lambda_max(inst)
 
 
 def test_shifted_cost_relaxed_benchmark(bench2):
@@ -96,22 +115,63 @@ def test_certify_concavity_dense(bench2):
     assert d["mode"] == "dense" and d["ok"] is False
 
 
-def test_certify_concavity_sampled(bench2):
-    good = lq.certify_concavity(bench2, mu=-2.0, mode="sample", samples=128, seed=0)
-    assert good.ok
-    assert good.samples == 128
-    # sampled Rayleigh quotients find the gap at mu = -1.5 with margin 0.5
-    bad = lq.certify_concavity(bench2, mu=-1.5, mode="sample", samples=256, seed=0)
+def test_certify_concavity_riccati(bench2):
+    good = lq.certify_concavity(bench2, mu=-2.0 - 1e-6)
+    assert good.ok and good.mode == "riccati"
+    assert good.worst == pytest.approx(-1e-6, abs=1e-12)
+    assert good.pivot_min > 0.0
+    assert 0 <= good.pivot_level < bench2.depth
+    # the shifted spectrum at mu = -1.5 tops out at 0.5, as in dense mode
+    bad = lq.certify_concavity(bench2, mu=-1.5)
     assert not bad.ok
-    assert 0.0 < bad.worst <= 0.5 + 1e-12
-    with pytest.raises(ValueError):
-        lq.certify_concavity(bench2, mu=-2.0, mode="montecarlo")
+    assert bad.worst == pytest.approx(0.5, abs=1e-12)
+    assert bad.pivot_min <= 0.0
+    assert 0 <= bad.pivot_level < bench2.depth
+    d = bad.to_dict()
+    assert d["mode"] == "riccati" and d["ok"] is False
+    assert d["pivot_level"] == bad.pivot_level
+    # the margins are deterministic, so reports stay byte-identical
+    assert lq.certify_concavity(bench2, mu=-1.5) == bad
+    assert lq.certify_concavity(bench2, mu=-2.0, mode="dense").pivot_min is None
+    for retired in ("montecarlo", "sample", "auto"):
+        with pytest.raises(ValueError):
+            lq.certify_concavity(bench2, mu=-2.0, mode=retired)
 
 
-def test_auto_method_switches_on_dimension(monkeypatch):
-    inst = lq.example5_instance(13)
-    assert lq.dense_dimension(inst) > 4096
-    report = lq.lambda_max(inst, method="auto", tol=1e-6)
-    assert report.method == "power"
-    # the closed form still holds at depth 13
-    assert abs(report.lambda_max - (3.0 - 2.0 / 13)) <= 1e-4
+def _random_cases(count):
+    for seed in range(count):
+        inst, _ = lq.random_instance(seed, n_max=3, k_max=3, depth_max=5,
+                                     with_sources=True)
+        yield seed, inst
+
+
+def test_riccati_matches_dense_on_random_instances():
+    for seed, inst in _random_cases(200):
+        riccati = lq.lambda_max(inst).lambda_max
+        dense = lq.lambda_max(inst, method="dense").lambda_max
+        scale = max(1.0, abs(dense))
+        assert abs(riccati - dense) <= 1e-12 * scale, f"seed {seed}"
+        # the upper end of the bracket passed the test, so it never undershoots
+        assert riccati >= dense - 1e-13 * scale, f"seed {seed}"
+
+
+def test_riccati_certificate_agrees_with_dense():
+    cases = [(None, lq.example5_instance(4))] + list(_random_cases(40))
+    for seed, inst in cases:
+        top = lq.lambda_max(inst, method="dense").lambda_max
+        for offset, expected in ((-1e-6, True), (1e-6, False)):
+            mu = -top + offset
+            dense = lq.certify_concavity(inst, mu, mode="dense")
+            riccati = lq.certify_concavity(inst, mu)
+            assert riccati.ok == dense.ok == expected, f"seed {seed}"
+            assert riccati.worst == pytest.approx(dense.worst, abs=1e-10)
+
+
+def test_riccati_closed_form_at_depth(monkeypatch):
+    # depth 200 would need 2^200 nodes, so passing shows none are built
+    monkeypatch.setenv("LQSHIFT_MAX_DEPTH", "200")
+    for depth in (2, 4, 8, 14, 200):
+        inst = lq.example5_instance(depth)
+        report = lq.lambda_max(inst)
+        assert report.lambda_max == pytest.approx(3.0 - 2.0 / depth, rel=1e-12), depth
+        assert lq.certify_concavity(inst, report.mu).ok, depth

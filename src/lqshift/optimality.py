@@ -11,6 +11,11 @@ evaluated with the conditional mean of the next-level adjoint as ``p``.
 That convention makes ``-grad_u H_mu`` the exact node gradient of the
 discrete shifted cost, so the first-order checks are sharp at brute-force
 optima instead of holding only up to discretization error.
+
+The second adjoint is one n x n matrix per level, from the Lyapunov part
+of the backward step the Riccati test in ``spectral`` runs.  With it the
+second-order spike test equals the exact cost change of a one-node
+switch, so all three checks run at rounding-level tolerances.
 """
 
 from __future__ import annotations
@@ -30,16 +35,12 @@ from .model import (
     forward_state,
 )
 from .operators import BsdeSolution, solve_linear_bsde
-from .spectral import shifted_cost
-from .tree import AdaptedProcess, ScenarioTree
+from .spectral import _step_blocks, shifted_cost
+from .tree import AdaptedProcess
 
 DEFAULT_STATIONARITY_TOL = 1e-8
 DEFAULT_REMARK1_TOL = 1e-8
-# Budget for the scheme drift of the second adjoint (an O(dt^2)-per-step
-# term the explicit recursion drops).  Worst observed deficit at exhaustive
-# optima over 600 random small instances was 0.072; genuine non-optima on
-# the closed-form benchmark show up at 0.5 and above.
-DEFAULT_GENERAL_SMP_TOL = 0.15
+DEFAULT_GENERAL_SMP_TOL = 1e-8
 DEFAULT_MSA_MAX_ITER = 200
 
 
@@ -205,99 +206,56 @@ def check_remark1_signs(inst: LQInstance, ubar: ControlProcess, mu: float,
 # -- second adjoint -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecondAdjoint:
-    """Matrix-valued backward pair for the second-order condition.
+def solve_second_adjoint(inst: LQInstance) -> np.ndarray:
+    """Second adjoint, one n x n matrix per level, shape ``(depth + 1, n, n)``.
 
-    ``P`` holds node values on running levels, ``P_mean`` the conditional
-    means of the next level, ``slope`` the martingale slopes.  Terminal
-    value is ``-G``; the running recursion is the explicit step
+    The terminal value ``-G`` is the same on every leaf and the coefficients
+    depend on the level only, so the martingale part vanishes and the exact
+    discrete step is the Lyapunov part of the Riccati recursion:
 
-        P_m = P_mean + (A^T P_mean + P_mean A + C^T P_mean C
-                        + slope C + C^T slope - Q) dt,
+        P_N = -G,    P_m = F^T P_{m+1} F + dt C^T P_{m+1} C - dt Q_m,
 
-    symmetrized after every step.
+    with ``F = I + dt A_m``.  It does not depend on the candidate control.
     """
-
-    tree: ScenarioTree
-    P: tuple
-    P_mean: tuple
-    slope: tuple
-    P_terminal: np.ndarray
-
-
-def solve_second_adjoint(inst: LQInstance, xbar: StatePath | None = None,
-                         ubar=None) -> SecondAdjoint:
-    """The pair does not depend on the candidate trajectory for these linear
-    dynamics; the arguments are accepted for call-site symmetry."""
-    tree = inst.tree
-    dt, s = tree.dt, tree.sqrt_dt
-    n = inst.n
-    leaves = tree.num_nodes(tree.depth)
-    p_term = np.broadcast_to(-inst.G, (leaves, n, n)).copy()
-    p = p_term
-    p_levels = [None] * tree.depth
-    mean_levels = [None] * tree.depth
-    slope_levels = [None] * tree.depth
-    for m in reversed(range(tree.depth)):
-        up, down = p[0::2], p[1::2]
-        mean = 0.5 * (up + down)
-        slope = (up - down) / (2.0 * s)
-        a, c, q = inst.A[m], inst.C[m], inst.Q[m]
-        step = (a.T @ mean + mean @ a + c.T @ mean @ c
-                + slope @ c + c.T @ slope - q)
-        p = mean + dt * step
-        p = 0.5 * (p + np.swapaxes(p, -1, -2))
-        p_levels[m] = p
-        mean_levels[m] = mean
-        slope_levels[m] = slope
-    return SecondAdjoint(
-        tree=tree, P=tuple(p_levels), P_mean=tuple(mean_levels),
-        slope=tuple(slope_levels), P_terminal=p_term,
-    )
+    dt = inst.tree.dt
+    blocks = _step_blocks(inst)
+    p = np.empty((inst.depth + 1, inst.n, inst.n))
+    p[-1] = -inst.G
+    for m in reversed(range(inst.depth)):
+        step = blocks(m, p[m + 1])[2] - dt * inst.Q[m]
+        p[m] = 0.5 * (step + step.T)
+    return p
 
 
 def check_general_smp(inst: LQInstance, ubar: ControlProcess,
                       tol: float = DEFAULT_GENERAL_SMP_TOL) -> CheckResult:
-    """Node-wise spike test against every admissible vertex:
+    """Node-wise spike test against every admissible vertex ``v``:
 
-        H0(ubar) - H0(v)
-            - 1/2 (ubar - v)^T (D^T P_mean D + dt B^T P_mean B) (ubar - v)
-        >= -tol,
+        H0(v) - H0(ubar) + 1/2 delta^T (D^T P D + dt B^T P B) delta <= tol,
 
-    with the unshifted Hamiltonian H0 at the conditional-mean adjoint and
-    ``P_mean`` the conditional mean of the next-level second adjoint.  A
-    one-node switch perturbs the next level by ``B delta dt + D delta dW``,
-    so both sandwich terms belong to the exact switch cost on the tree; the
-    left side then equals the (sign-flipped, weight-normalized) cost change
-    up to the scheme drift of P, which is what the default tolerance
-    budgets for.  Necessary at exhaustive binary optima.
+    with ``delta = v - ubar``, the unshifted Hamiltonian H0 at the
+    conditional-mean adjoint and ``P = P_{m+1}`` the next-level second
+    adjoint.  A one-node switch perturbs the next level by
+    ``B delta dt + D delta dW``, so the left side is exactly the cost
+    decrease of that switch divided by the node's path weight
+    ``2^-m dt``.  ``H0(v) - H0(ubar) = g0 . delta - 1/2 delta^T R delta``
+    with ``g0`` the unshifted gradient, so the test is a closed form in
+    ``delta``.  Necessary at exhaustive binary optima.
     """
     verts = ubar.domain.binary_vertices()
     if verts.shape[0] == 0:
         raise ValueError("the binary control set is empty")
     u_proc, xbar, adj = _trajectory(inst, ubar)
-    second = solve_second_adjoint(inst, xbar, u_proc)
-    dt = inst.tree.dt
+    grads = _gradient_levels(inst, 0.0, xbar, adj, u_proc)
+    second = solve_second_adjoint(inst)
+    blocks = _step_blocks(inst)
     worst = -math.inf
     where = (0, 0, verts[0])
-    for m in range(inst.depth):
-        x = xbar.running.level(m)
-        u = u_proc.level(m)
-        pbar = adj.p_mean.level(m)
-        q = adj.q.level(m)
-        h_own = hamiltonian_mu(inst, m, x, u, pbar, q, 0.0)
-        diff = u[:, None, :] - verts[None, :, :]
-        quad = (
-            np.einsum("ni,jnm,ml->jil", inst.D[m], second.P_mean[m], inst.D[m])
-            + dt * np.einsum("ni,jnm,ml->jil", inst.B[m], second.P_mean[m], inst.B[m])
-        )
-        quad_term = 0.5 * np.einsum("jvi,jil,jvl->jv", diff, quad, diff)
-        h_verts = np.stack([
-            hamiltonian_mu(inst, m, x, np.broadcast_to(v, u.shape), pbar, q, 0.0)
-            for v in verts
-        ], axis=-1)
-        deficit = h_verts + quad_term - h_own[:, None]
+    for m, g in enumerate(grads):
+        # the level's diagonal block of N: R minus the switch curvature
+        hess = inst.R[m] - blocks(m, second[m + 1])[0]
+        delta = verts[None, :, :] - u_proc.level(m)[:, None, :]
+        deficit = np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
         j, v = np.unravel_index(np.argmax(deficit), deficit.shape)
         if deficit[j, v] > worst:
             worst = float(deficit[j, v])

@@ -67,36 +67,58 @@ class SpectralReport:
 # -- Riccati definiteness test ---------------------------------------------------
 
 
+def _step_blocks(inst: LQInstance):
+    """The blocks of one backward step, as a function of the level.
+
+    Returns ``blocks(m, p)`` giving ``(uu, ux, xx)`` from ``W = M^T p M``,
+    ``M = [F C B D]`` and ``F = I + dt A_m``, for a next-level matrix ``p``:
+
+        uu = D^T p D + dt B^T p B
+        ux = B^T p F + D^T p C
+        xx = F^T p F + dt C^T p C
+
+    The Riccati test, the second adjoint (``xx - dt Q_m``) and the switch
+    curvature of the spike test (``uu``) all read their products here.
+    """
+    n, k, dt = inst.n, inst.k, inst.tree.dt
+    stack = np.concatenate([np.eye(n) + dt * inst.A, inst.C, inst.B, inst.D], axis=2)
+    f, c = slice(0, n), slice(n, 2 * n)
+    b, d = slice(2 * n, 2 * n + k), slice(2 * n + k, None)
+
+    def blocks(m: int, p: np.ndarray):
+        w = stack[m].T @ (p @ stack[m])
+        return w[d, d] + dt * w[b, b], w[b, f] + w[d, c], w[f, f] + dt * w[c, c]
+
+    return blocks
+
+
 def _riccati_pd(inst: LQInstance, s: float, pivots: list | None = None):
     """Whether ``sI - N`` is positive definite in the tree inner product.
 
     Returns ``(ok, level)`` with ``level`` the tree level where the test
     fails (None when it passes).  The recursion runs backward from
-    ``P = -G`` with ``F = I + dt A_m``:
+    ``P = -G`` on the blocks of ``_step_blocks``:
 
-        Huu = dt (sI - R + D^T P D + dt B^T P B)
-        Hux = dt (-S + B^T P F + D^T P C)
-        Hxx = -dt Q + F^T P F + dt C^T P C
+        Huu = dt (sI - R + uu)
+        Hux = dt (-S + ux)
+        Hxx = -dt Q + xx
         P  <- Hxx - Hux^T Huu^{-1} Hux
 
     and fails when a Cholesky factorisation of Huu fails or P stops being
     finite.  When ``pivots`` is a list, each ``Huu / dt`` is appended to it,
     deepest level first.
     """
-    n, k, dt = inst.n, inst.k, inst.tree.dt
-    # every product above is a block of W = M^T P M with M = [F C B D]
-    blocks = np.concatenate([np.eye(n) + dt * inst.A, inst.C, inst.B, inst.D], axis=2)
-    f, c = slice(0, n), slice(n, 2 * n)
-    b, d = slice(2 * n, 2 * n + k), slice(2 * n + k, None)
-    uu = dt * (s * np.eye(k) - inst.R)
-    ux = -dt * inst.S
-    xx = -dt * inst.Q
+    dt = inst.tree.dt
+    blocks = _step_blocks(inst)
+    uu0 = dt * (s * np.eye(inst.k) - inst.R)
+    ux0 = -dt * inst.S
+    xx0 = -dt * inst.Q
     p = -inst.G
     for m in reversed(range(inst.depth)):
-        w = blocks[m].T @ (p @ blocks[m])
-        huu = uu[m] + dt * (w[d, d] + dt * w[b, b])
-        hux = ux[m] + dt * (w[b, f] + w[d, c])
-        hxx = xx[m] + w[f, f] + dt * w[c, c]
+        uu, ux, xx = blocks(m, p)
+        huu = uu0[m] + dt * uu
+        hux = ux0[m] + dt * ux
+        hxx = xx0[m] + xx
         if pivots is not None:
             pivots.append(huu / dt)
         try:

@@ -118,28 +118,75 @@ def test_checks_skip_what_does_not_apply(bench2, free1):
 
 
 def test_second_adjoint_exponential_growth():
-    # A = 1, Q = 0, G = 1: the matrix doubles per backward step at dt = 1/2
+    # A = 1, Q = 0, G = 1 at dt = 1/2: F = 1.5 scales P by F^2 per step
     inst = lq.LQInstance.constant(depth=2, n=1, k=1, A=1.0, G=1.0)
     second = lq.solve_second_adjoint(inst)
-    np.testing.assert_allclose(second.P_terminal.ravel(), [-1, -1, -1, -1],
+    assert second.shape == (3, 1, 1)
+    np.testing.assert_allclose(second.ravel(), [-5.0625, -2.25, -1.0],
                                rtol=0, atol=1e-14)
-    np.testing.assert_allclose(second.P[1].ravel(), [-2.0, -2.0], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(second.P[0].ravel(), [-4.0], rtol=0, atol=1e-14)
 
 
 def test_second_adjoint_benchmark_is_linear_in_time(bench2):
     second = lq.solve_second_adjoint(bench2)
     tree = bench2.tree
-    # P(t) = 2t - 4 solves the scalar backward equation here
-    np.testing.assert_allclose(second.P[0].ravel(), [2 * tree.time(0) - 4],
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(second.P[1].ravel(),
-                               np.full(2, 2 * tree.time(1) - 4),
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(second.P_terminal.ravel(), np.full(4, -2.0),
-                               rtol=0, atol=1e-12)
-    for m in range(tree.depth):
-        assert np.max(np.abs(second.slope[m])) <= 1e-12
+    # A = C = 0, so P(t) = 2t - 4 solves the discrete step exactly
+    expected = [2 * tree.time(m) - 4 for m in range(tree.depth + 1)]
+    np.testing.assert_allclose(second.ravel(), expected, rtol=0, atol=1e-12)
+
+
+def test_second_adjoint_gives_the_dense_diagonal_blocks():
+    """Each node's diagonal block of N is R_m - (D^T P D + dt B^T P B) at
+    P = P_{m+1}: the curvature of a one-node switch, read off the dense
+    oracle."""
+    for seed in range(30):
+        inst, _ = lq.random_instance(seed, n_max=3, k_max=3, depth_max=4,
+                                     with_sources=bool(seed % 2))
+        dense = lq.assemble_N_dense(inst).matrix
+        second = lq.solve_second_adjoint(inst)
+        k, dt = inst.k, inst.tree.dt
+        offset = 0
+        for m in range(inst.depth):
+            b, d, p = inst.B[m], inst.D[m], second[m + 1]
+            block = inst.R[m] - (d.T @ p @ d + dt * b.T @ p @ b)
+            for j in range(inst.tree.num_nodes(m)):
+                at = slice(offset + j * k, offset + (j + 1) * k)
+                np.testing.assert_allclose(dense[at, at], block, rtol=0, atol=1e-12,
+                                           err_msg=f"seed {seed}, node ({m}, {j})")
+            offset += inst.tree.num_nodes(m) * k
+
+
+def test_second_order_check_is_the_exact_one_switch_gain():
+    """The spike deficit is the cost decrease of a one-node switch per unit
+    path weight, so the check rejects exactly the controls that some
+    one-node switch improves."""
+    rng = np.random.default_rng(11)
+    flagged = 0
+    for seed in range(30):
+        inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=3)
+        tree, verts = inst.tree, domain.binary_vertices()
+        for _ in range(10):
+            levels = [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
+                      for m in range(tree.depth)]
+            control = lq.ControlProcess.from_levels(domain, tree, levels, "binary")
+            base = lq.cost_direct(inst, control)
+            # every one-node switch, costed by brute force
+            gains = {}
+            for m in range(tree.depth):
+                weight = tree.path_prob(m) * tree.dt
+                for j in range(tree.num_nodes(m)):
+                    batch = [np.repeat(lvl[None], len(verts), axis=0) for lvl in levels]
+                    batch[m][:, j] = verts
+                    costs = lq.cost_many(inst, batch)
+                    for v, cost in enumerate(costs):
+                        gains[m, j, tuple(verts[v])] = (base - cost) / weight
+            result = lq.check_general_smp(inst, control)
+            witness = gains[result.level, result.index, result.witness]
+            assert abs(result.violation - witness) <= 1e-12 * max(1.0, abs(witness))
+            best = max(gains.values())
+            assert abs(result.violation - best) <= 1e-12 * max(1.0, abs(best))
+            assert result.ok == (best <= result.tol), f"seed {seed}: gain {best}"
+            flagged += not result.ok
+    assert 0 < flagged < 300  # both verdicts occur
 
 
 def test_second_order_check_accepts_exhaustive_optima():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -243,60 +244,150 @@ def with_depth(inst: LQInstance, new_depth: int) -> LQInstance:
 # -- control tables ---------------------------------------------------------------
 
 
+def _control_header(k: int) -> list:
+    return ["level", "index"] + [f"u{i + 1}" for i in range(k)]
+
+
 def write_control_csv(path, control) -> None:
+    """One ``level,index,u1..uk`` row per node, values as ``repr``, CRLF ends.
+
+    Each distinct value (bit pattern, so ``-0.0`` stays apart from ``0.0``)
+    is formatted once and the rows index into those strings.
+    """
     proc = as_process(control)
+    depth = proc.tree.depth
+    values = np.concatenate(proc.levels)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    inverse = inverse.reshape(values.shape)
+    numbers = list(map(str, range(1 << (depth - 1))))
+    columns = [list(chain.from_iterable(repeat(str(m), 1 << m) for m in range(depth))),
+               list(chain.from_iterable(numbers[:1 << m] for m in range(depth)))]
+    columns += [list(map(text.__getitem__, inverse[:, i].tolist()))
+                for i in range(proc.dim)]
+    lines = [",".join(_control_header(proc.dim))]
+    lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "index"] + [f"u{i + 1}" for i in range(proc.dim)])
-        for m in range(proc.tree.depth):
-            lvl = proc.level(m)
-            for j in range(lvl.shape[0]):
-                writer.writerow([m, j] + [repr(float(v)) for v in lvl[j]])
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _range_error(m: int, j: int, depth: int) -> str | None:
+    if not 0 <= m < depth:
+        return f"level {m} outside 0..{depth - 1}"
+    if not 0 <= j < 1 << m:
+        return f"index {j} outside 0..{(1 << m) - 1}"
+    return None
+
+
+def _unparsed_row_error(row: str, width: int, depth: int) -> str:
+    """Why one row the bulk parser refused is bad, in the row-by-row terms."""
+    fields = next(csv.reader([row]), [])
+    if len(fields) != width:
+        return f"expected {width} fields"
+    try:
+        m, j = int(fields[0]), int(fields[1])
+        for value in fields[2:]:
+            float(value)
+    except ValueError:
+        return "non-numeric field"
+    # an integer too wide for int64 is out of range; other literals only
+    # Python reads (``1_0``, non-ASCII digits) stay non-numeric
+    return _range_error(m, j, depth) or "non-numeric field"
+
+
+def _validate_rows(table, depth: int):
+    """Rows per node, and the first row breaking a per-row rule as
+    ``(row, message)`` or None; the rules apply in the order level range,
+    index range, node given twice, non-finite value."""
+    level, index = table["level"], table["index"]
+    level_ok = (level >= 0) & (level < depth)
+    start = np.left_shift(1, np.where(level_ok, level, 0))
+    placed = level_ok & (index >= 0) & (index < start)
+    node = np.where(placed, start - 1 + index, -1)
+    counts = np.bincount(node[placed], minlength=(1 << depth) - 1)
+    bad = ~placed | ~np.all(np.isfinite(table["u"]), axis=1)
+    again = np.zeros_like(bad)  # rows naming a node an earlier row named
+    if counts.max(initial=0) > 1:
+        _, first = np.unique(node, return_index=True)
+        again[placed] = True
+        again[first] = False
+        bad |= again
+    if not bad.any():
+        return counts, None
+    r = int(np.argmax(bad))
+    m, j = int(level[r]), int(index[r])
+    message = _range_error(m, j, depth) or (
+        f"node ({m}, {j}) given twice" if again[r] else "non-finite value")
+    return counts, (r, message)
 
 
 def load_control_csv(path, domain: ControlDomain, tree: ScenarioTree,
                      kind: str = "binary") -> ControlProcess:
+    """Read a control table; see FORMAT.md for the accepted syntax.
+
+    The body is parsed in one ``np.loadtxt`` call and validated as whole
+    arrays.  Row-level problems name the file line: blank lines are skipped
+    but counted.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except FileNotFoundError:
         raise ControlFileError(f"file not found: {path}")
-    if not rows:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ControlFileError(f"cannot read {path}: {exc}")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise ControlFileError("empty control file")
-    header = [h.strip() for h in rows[0]]
-    expected = ["level", "index"] + [f"u{i + 1}" for i in range(domain.k)]
+    header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
+    expected = _control_header(domain.k)
     if header != expected:
         raise ControlFileError(
             f"header {header} does not match expected {expected}")
-    levels = [np.full((tree.num_nodes(m), domain.k), np.nan)
-              for m in range(tree.depth)]
-    filled = [np.zeros(tree.num_nodes(m), dtype=bool) for m in range(tree.depth)]
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise ControlFileError(f"line {line_no}: expected {len(expected)} fields")
-        try:
-            m = int(row[0])
-            j = int(row[1])
-            values = [float(v) for v in row[2:]]
-        except ValueError:
-            raise ControlFileError(f"line {line_no}: non-numeric field")
-        if not 0 <= m < tree.depth:
-            raise ControlFileError(f"line {line_no}: level {m} outside 0..{tree.depth - 1}")
-        if not 0 <= j < tree.num_nodes(m):
-            raise ControlFileError(
-                f"line {line_no}: index {j} outside 0..{tree.num_nodes(m) - 1}")
-        if filled[m][j]:
-            raise ControlFileError(f"line {line_no}: node ({m}, {j}) given twice")
-        if not all(np.isfinite(values)):
-            raise ControlFileError(f"line {line_no}: non-finite value")
-        levels[m][j] = values
-        filled[m][j] = True
-    for m, mask in enumerate(filled):
-        if not np.all(mask):
-            j = int(np.flatnonzero(~mask)[0])
-            raise ControlFileError(f"node ({m}, {j}) is missing")
+    body = lines[1:]
+    rows = list(filter(None, body))
+    dtype = np.dtype([("level", np.int64), ("index", np.int64),
+                      ("u", np.float64, (domain.k,))])
+
+    def parse(chunk):
+        if not chunk:
+            return np.zeros(0, dtype=dtype)
+        return np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+
+    def fail(r, message):
+        line = int(np.flatnonzero(list(map(bool, body)))[r]) + 2
+        raise ControlFileError(f"line {line}: {message}")
+
+    try:
+        table = parse(rows)
+    except ValueError:
+        # bisect for the first row the parser refuses; earlier rows go first
+        good, bad = 0, len(rows)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                parse(rows[:mid])
+                good = mid
+            except ValueError:
+                bad = mid
+        _, error = _validate_rows(parse(rows[:good]), tree.depth)
+        if error is None:
+            error = good, _unparsed_row_error(rows[good], len(expected), tree.depth)
+        fail(*error)
+    counts, error = _validate_rows(table, tree.depth)
+    if error:
+        fail(*error)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        node = int(missing[0]) + 1
+        m = node.bit_length() - 1
+        raise ControlFileError(f"node ({m}, {node - (1 << m)}) is missing")
+    values = np.empty((counts.size, domain.k))
+    start = np.left_shift(1, table["level"])
+    values[start - 1 + table["index"]] = table["u"]
+    levels = [values[(1 << m) - 1:(1 << (m + 1)) - 1] for m in range(tree.depth)]
     try:
         return ControlProcess.from_levels(domain, tree, levels, kind)
     except ValueError as exc:

@@ -233,13 +233,23 @@ class ControlDomain:
         return ok
 
     def contains_binary(self, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """Boolean mask over ``(..., k)`` points for membership in ``U``."""
+        """Boolean mask over ``(..., k)`` points for membership in ``U``.
+
+        For ``tol < 0.5`` the only corner within ``tol`` of a point is the
+        nearest one, so a point belongs to U exactly when it lies within
+        ``tol`` of its rounded corner and that corner is a binary vertex.
+        """
+        if not 0.0 <= tol < 0.5:
+            raise ValueError("binary membership needs 0 <= tol < 0.5")
         pts = np.asarray(points, dtype=float)
-        verts = self.binary_vertices()
-        if verts.shape[0] == 0:
-            return np.zeros(pts.shape[:-1], dtype=bool)
-        dist = np.abs(pts[..., None, :] - verts).max(axis=-1)
-        return dist.min(axis=-1) <= tol
+        corner = np.rint(pts)
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, hence not a member
+            near = np.abs(pts - corner) <= tol
+        ok = np.all(near & ((corner == 0.0) | (corner == 1.0)), axis=-1)
+        corner[~ok] = 0.0  # keeps nan and inf out of the halfspace products
+        for g, h in self.halfspaces:
+            ok &= corner @ g <= h + MEMBERSHIP_TOL
+        return ok
 
 
 def enumerate_binary_vertices(domain: ControlDomain) -> np.ndarray:

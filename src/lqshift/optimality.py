@@ -30,6 +30,7 @@ from .model import (
     ControlProcess,
     LQInstance,
     StatePath,
+    _cost_from_levels,
     as_process,
     cost_direct,
     forward_state,
@@ -95,23 +96,43 @@ def hamiltonian_mu_gradient(inst: LQInstance, level: int, x, u, p, q,
             - (u @ inst.R[m] + mu * u))
 
 
-def _gradient_levels(inst: LQInstance, mu: float, xbar: StatePath,
-                     adj: BsdeSolution, u_proc) -> list:
-    """grad_u H_mu at every node, with p taken as the conditional mean."""
-    return [
-        hamiltonian_mu_gradient(
-            inst, m, xbar.running.level(m), u_proc.level(m),
-            adj.p_mean.level(m), adj.q.level(m), mu,
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """One candidate's forward state, first adjoint and gradient base.
+
+    Built once per control with one forward and one backward sweep; the
+    cost and every check read it.  ``base[m]`` is the control-independent
+    part ``pbar B + q D - x S^T`` of the shifted Hamiltonian gradient at
+    level ``m``, with ``pbar`` the conditional-mean adjoint.
+    """
+
+    control: AdaptedProcess
+    state: StatePath
+    adjoint: BsdeSolution
+    base: tuple
+
+    @classmethod
+    def of(cls, inst: LQInstance, ubar) -> "Trajectory":
+        u_proc = as_process(ubar)
+        xbar = forward_state(inst, u_proc)
+        adj = solve_first_adjoint(inst, xbar, u_proc)
+        base = tuple(
+            adj.p_mean.level(m) @ inst.B[m] + adj.q.level(m) @ inst.D[m]
+            - xbar.running.level(m) @ inst.S[m].T
+            for m in range(inst.depth)
         )
-        for m in range(inst.depth)
-    ]
+        return cls(u_proc, xbar, adj, base)
 
+    def cost(self, inst: LQInstance) -> float:
+        return float(_cost_from_levels(inst, self.control.levels,
+                                       self.state.running.levels,
+                                       self.state.terminal.leaves))
 
-def _trajectory(inst: LQInstance, ubar):
-    u_proc = as_process(ubar)
-    xbar = forward_state(inst, u_proc)
-    adj = solve_first_adjoint(inst, xbar, u_proc)
-    return u_proc, xbar, adj
+    def gradient(self, inst: LQInstance, mu: float) -> list:
+        """grad_u H_mu at every node, in the float order of
+        :func:`hamiltonian_mu_gradient`."""
+        return [(g + 0.5 * mu) - (u @ inst.R[m] + mu * u)
+                for m, (g, u) in enumerate(zip(self.base, self.control.levels))]
 
 
 # -- checkers -------------------------------------------------------------------
@@ -148,22 +169,23 @@ class CheckResult:
 
 
 def check_stationarity(inst: LQInstance, ubar: ControlProcess, mu: float,
-                       tol: float = DEFAULT_STATIONARITY_TOL) -> CheckResult:
+                       tol: float = DEFAULT_STATIONARITY_TOL, *,
+                       trajectory: Trajectory | None = None) -> CheckResult:
     """First-order maximum condition ``<grad H_mu, v - ubar> <= tol`` over U.
 
     Linear functionals attain their polytope maximum at vertices, so only
     the binary vertices are tested; this is exact, not a sampling check.
+    ``trajectory``, when given, is ``Trajectory.of(inst, ubar)``.
     """
     verts = ubar.domain.binary_vertices()
     if verts.shape[0] == 0:
         raise ValueError("the binary control set is empty")
-    u_proc, xbar, adj = _trajectory(inst, ubar)
-    grads = _gradient_levels(inst, mu, xbar, adj, u_proc)
+    traj = trajectory or Trajectory.of(inst, ubar)
     worst = -math.inf
     where = (0, 0, verts[0])
-    for m, g in enumerate(grads):
+    for m, g in enumerate(traj.gradient(inst, mu)):
         scores = g @ verts.T
-        own = np.sum(g * u_proc.level(m), axis=-1)
+        own = np.sum(g * traj.control.level(m), axis=-1)
         gap = scores - own[:, None]
         j, v = np.unravel_index(np.argmax(gap), gap.shape)
         if gap[j, v] > worst:
@@ -176,7 +198,8 @@ def check_stationarity(inst: LQInstance, ubar: ControlProcess, mu: float,
 
 
 def check_remark1_signs(inst: LQInstance, ubar: ControlProcess, mu: float,
-                        tol: float = DEFAULT_REMARK1_TOL) -> CheckResult:
+                        tol: float = DEFAULT_REMARK1_TOL, *,
+                        trajectory: Trajectory | None = None) -> CheckResult:
     """Componentwise sign test for binary controls on the free cube.
 
     At a shifted optimum each component must satisfy ``grad_i <= 0`` where
@@ -186,12 +209,11 @@ def check_remark1_signs(inst: LQInstance, ubar: ControlProcess, mu: float,
     """
     if ubar.kind != "binary":
         raise ValueError("the sign test applies to binary controls")
-    u_proc, xbar, adj = _trajectory(inst, ubar)
-    grads = _gradient_levels(inst, mu, xbar, adj, u_proc)
+    traj = trajectory or Trajectory.of(inst, ubar)
     worst = -math.inf
     where = (0, 0, 0)
-    for m, g in enumerate(grads):
-        u = u_proc.level(m)
+    for m, g in enumerate(traj.gradient(inst, mu)):
+        u = traj.control.level(m)
         signed = (1.0 - 2.0 * u) * g
         j, i = np.unravel_index(np.argmax(signed), signed.shape)
         if signed[j, i] > worst:
@@ -228,7 +250,8 @@ def solve_second_adjoint(inst: LQInstance) -> np.ndarray:
 
 
 def check_general_smp(inst: LQInstance, ubar: ControlProcess,
-                      tol: float = DEFAULT_GENERAL_SMP_TOL) -> CheckResult:
+                      tol: float = DEFAULT_GENERAL_SMP_TOL, *,
+                      trajectory: Trajectory | None = None) -> CheckResult:
     """Node-wise spike test against every admissible vertex ``v``:
 
         H0(v) - H0(ubar) + 1/2 delta^T (D^T P D + dt B^T P B) delta <= tol,
@@ -245,16 +268,15 @@ def check_general_smp(inst: LQInstance, ubar: ControlProcess,
     verts = ubar.domain.binary_vertices()
     if verts.shape[0] == 0:
         raise ValueError("the binary control set is empty")
-    u_proc, xbar, adj = _trajectory(inst, ubar)
-    grads = _gradient_levels(inst, 0.0, xbar, adj, u_proc)
+    traj = trajectory or Trajectory.of(inst, ubar)
     second = solve_second_adjoint(inst)
     blocks = _step_blocks(inst)
     worst = -math.inf
     where = (0, 0, verts[0])
-    for m, g in enumerate(grads):
+    for m, g in enumerate(traj.gradient(inst, 0.0)):
         # the level's diagonal block of N: R minus the switch curvature
         hess = inst.R[m] - blocks(m, second[m + 1])[0]
-        delta = verts[None, :, :] - u_proc.level(m)[:, None, :]
+        delta = verts[None, :, :] - traj.control.level(m)[:, None, :]
         deficit = np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
         j, v = np.unravel_index(np.argmax(deficit), deficit.shape)
         if deficit[j, v] > worst:
@@ -305,17 +327,20 @@ def run_checks(inst: LQInstance, ubar: ControlProcess, mu: float, *,
     """All applicable optimality checks for one candidate control.
 
     The sign test runs only for binary controls on an uncut domain, the
-    second-order test only for binary controls.
+    second-order test only for binary controls.  One :class:`Trajectory`
+    feeds the costs and every check.
     """
-    base = cost_direct(inst, ubar)
+    traj = Trajectory.of(inst, ubar)
+    base = traj.cost(inst)
     shifted = shifted_cost(inst, ubar, mu, base_cost=base)
-    stationarity = check_stationarity(inst, ubar, mu, stationarity_tol)
+    stationarity = check_stationarity(inst, ubar, mu, stationarity_tol,
+                                      trajectory=traj)
     remark1 = None
     if ubar.kind == "binary" and not ubar.domain.halfspaces:
-        remark1 = check_remark1_signs(inst, ubar, mu, remark1_tol)
+        remark1 = check_remark1_signs(inst, ubar, mu, remark1_tol, trajectory=traj)
     smp = None
     if second_order and ubar.kind == "binary":
-        smp = check_general_smp(inst, ubar, smp_tol)
+        smp = check_general_smp(inst, ubar, smp_tol, trajectory=traj)
     return MPReport(mu=mu, cost=base, cost_shifted=shifted,
                     stationarity=stationarity, remark1=remark1, general_smp=smp)
 
@@ -348,7 +373,8 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
                          damping: float = 1.0) -> MsaResult:
     """Iterate node-wise Hamiltonian maximization over the binary vertices.
 
-    Each sweep linearizes H_mu at the current control and moves every node
+    Each sweep builds the current control's :class:`Trajectory`, which gives
+    its shifted cost and the linearization of H_mu, and moves every node
     to the vertex maximizing the linearization, breaking ties toward the
     lexicographically smallest vertex.  ``damping`` in (0, 1] updates only
     that fraction of the changing nodes per sweep, largest linearized gain
@@ -371,7 +397,8 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
 
     seen = set()
     best_shifted = math.inf
-    best_control = current
+    best_control, best_cost = current, None
+    current_cost = None  # cost of ``current`` once its trajectory is built
     history = []
     status = "max-iter"
     iterations = 0
@@ -380,17 +407,18 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         key = b"".join(lvl.tobytes() for lvl in current.levels)
         if key in seen:
             status = "cycle"
-            current = best_control
+            current, current_cost = best_control, best_cost
             break
         seen.add(key)
-        shifted = shifted_cost(inst, current, mu)
+        traj = Trajectory.of(inst, current)
+        current_cost = traj.cost(inst)
+        shifted = shifted_cost(inst, current, mu, base_cost=current_cost)
         history.append(shifted)
         if shifted < best_shifted:
-            best_shifted = shifted
-            best_control = current
+            best_shifted, best_control, best_cost = shifted, current, current_cost
 
-        u_proc, xbar, adj = _trajectory(inst, current)
-        grads = _gradient_levels(inst, mu, xbar, adj, u_proc)
+        u_proc = traj.control
+        grads = traj.gradient(inst, mu)
         proposals = []
         gains = []
         changed = []
@@ -425,8 +453,9 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         else:
             new_levels = proposals
         current = ControlProcess.from_levels(domain, tree, new_levels, "binary")
+        current_cost = None
 
-    final_cost = cost_direct(inst, current)
+    final_cost = cost_direct(inst, current) if current_cost is None else current_cost
     final_shifted = shifted_cost(inst, current, mu, base_cost=final_cost)
     return MsaResult(control=current, cost=final_cost, cost_shifted=final_shifted,
                      status=status, iterations=iterations, history=tuple(history))

@@ -140,6 +140,21 @@ def test_verify_bad_control_file(capsys, bench_file, tmp_path):
     assert report["error"] == "bad-control-file"
 
 
+def test_unreadable_control_files_exit_5(capsys, bench_file, tmp_path):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("level,index,u1\n0,0,0.0\n1,0,0.0\n1,1,0.0\n# \xe9\n"
+                      .encode("latin-1"))
+    for path in (folder, latin):
+        for argv in (("verify", bench_file, "--control", str(path)),
+                     ("solve", bench_file, "--start", str(path))):
+            code, report = run_cli(capsys, *argv)
+            assert code == 5, argv
+            assert report["error"] == "bad-control-file"
+            assert report["message"].startswith(f"cannot read {path}")
+
+
 def test_equivalence(capsys, bench_file):
     code, report = run_cli(capsys, "equivalence", bench_file,
                            "--samples", "256")

@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 
@@ -188,6 +189,116 @@ def test_control_csv_error_modes(tmp_path, bench2, free1):
     # a syntactically clean file can still violate the declared value set
     message = attempt("level,index,u1\n0,0,0.5\n1,0,0.0\n1,1,0.0\n")
     assert "outside" in message
+
+
+def _load_text(tmp_path, tree, domain, data):
+    path = tmp_path / "control.csv"
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data, newline="")
+    return lq.load_control_csv(path, domain, tree)
+
+
+def _load_error(tmp_path, tree, domain, data):
+    with pytest.raises(lq.ControlFileError) as excinfo:
+        _load_text(tmp_path, tree, domain, data)
+    return str(excinfo.value)
+
+
+def test_control_csv_diagnostics_name_the_file_line(tmp_path, bench2, free1):
+    """Blank lines are skipped but counted, so the named line is the file line."""
+    head = "level,index,u1\n"
+    cases = [
+        ("0,0,0.0\n1,0\n1,1,0.0\n", "line 3: expected 3 fields"),
+        ("0,0,0.0\n\n1,0\n1,1,0.0\n", "line 4: expected 3 fields"),
+        ("0,0,0.0\n1,0,0.0,1.0\n", "line 3: expected 3 fields"),
+        ("0,0,0.0\n   \n", "line 3: expected 3 fields"),
+        ("\n\n0,0,x\n", "line 4: non-numeric field"),
+        ("0,0,0.0\n1,,0.0\n", "line 3: non-numeric field"),
+        ("1.0,0,0.0\n", "line 2: non-numeric field"),
+        ("0,0,0.0\n\n2,0,0.0\n", "line 4: level 2 outside 0..1"),
+        ("-1,0,0.0\n", "line 2: level -1 outside 0..1"),
+        ("99999999999999999999,0,0.0\n",
+         "line 2: level 99999999999999999999 outside 0..1"),
+        ("\n1,2,0.0\n", "line 3: index 2 outside 0..1"),
+        ("0,-1,0.0\n", "line 2: index -1 outside 0..0"),
+        ("0,0,0.0\n1,1,0.0\n\n1,1,1.0\n", "line 5: node (1, 1) given twice"),
+        ("0,0,0.0\n\n1,0,nan\n", "line 4: non-finite value"),
+        ("0,0,-inf\n", "line 2: non-finite value"),
+        # the first offending row wins, whichever rule it breaks
+        ("0,0,0.0\n5,0,0.0\n1,0,x\n", "line 3: level 5 outside 0..1"),
+        ("0,0,0.0\n1,0,x\n5,0,0.0\n", "line 3: non-numeric field"),
+        ("0,0,nan\n0,0,0.0\n", "line 2: non-finite value"),
+        ("0,0,0.0\n0,0,nan\n", "line 3: node (0, 0) given twice"),
+    ]
+    for body, expected in cases:
+        assert _load_error(tmp_path, bench2.tree, free1, head + body) == expected, body
+
+
+def test_control_csv_accepted_syntax(tmp_path, bench2, free1):
+    # surrounding spaces and CRLF line ends
+    crlf = b" level , index , u1 \r\n 0 , 0 , 1.0 \r\n\r\n1,0,0.0\r\n1 ,1, 1\r\n"
+    loaded = _load_text(tmp_path, bench2.tree, free1, crlf)
+    np.testing.assert_array_equal(loaded.process.level(0), [[1.0]])
+    np.testing.assert_array_equal(loaded.process.level(1), [[0.0], [1.0]])
+    # no final newline, and signed literals
+    loaded = _load_text(tmp_path, bench2.tree, free1,
+                        "level,index,u1\n+0,0,-0.0\n1,0,1e0\n1,1,0")
+    assert str(loaded.process.level(0)[0, 0]) == "-0.0"
+    np.testing.assert_array_equal(loaded.process.level(1), [[1.0], [0.0]])
+
+
+def test_control_csv_rejected_syntax(tmp_path, bench2, free1):
+    assert _load_error(tmp_path, bench2.tree, free1, "") == "empty control file"
+    # a header alone leaves every node missing
+    assert _load_error(tmp_path, bench2.tree, free1, "level,index,u1\n") == \
+        "node (0, 0) is missing"
+    assert _load_error(tmp_path, bench2.tree, free1, "level,index,u1\n\n\n") == \
+        "node (0, 0) is missing"
+    # '#' starts no comment: the row is checked like any other
+    assert _load_error(tmp_path, bench2.tree, free1,
+                       "level,index,u1\n# written by hand\n") == \
+        "line 2: expected 3 fields"
+    assert _load_error(tmp_path, bench2.tree, free1,
+                       "level,index,u1\n#0,0,0.0\n1,0,0.0\n1,1,0.0\n") == \
+        "line 2: non-numeric field"
+    assert _load_error(tmp_path, bench2.tree, free1,
+                       "level,index,u1\n0,0,0.0\n1,0,0.0\n") == \
+        "node (1, 1) is missing"
+
+
+def _csv_module_table(path, control):
+    """The table as ``csv.writer`` writes it, one ``writerow`` per node."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["level", "index"] + [f"u{i + 1}" for i in range(control.process.dim)])
+        for m, lvl in enumerate(control.levels):
+            for j, row in enumerate(lvl):
+                writer.writerow([m, j] + [repr(float(v)) for v in row])
+
+
+def test_control_csv_writer_matches_csv_module(tmp_path):
+    tree = lq.LQInstance.constant(depth=10, n=1, k=2).tree
+    domain = lq.ControlDomain(k=2, halfspaces=(([1.0, 1.0], 1.5),))
+    rng = np.random.default_rng(2)
+    verts = domain.binary_vertices()
+    binary = lq.ControlProcess.from_levels(
+        domain, tree, [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
+                       for m in range(tree.depth)], "binary")
+    levels = [rng.uniform(0.0, 0.75, size=(tree.num_nodes(m), 2))
+              for m in range(tree.depth)]
+    levels[9][:4] = [[0.1 + 0.2, 5e-324], [-0.0, 1 - 2 ** -53], [1 - 2 ** -53, 0.0],
+                     [0.0, -0.0]]
+    relaxed = lq.ControlProcess.from_levels(domain, tree, levels, "relaxed")
+    for control in (binary, relaxed):
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        lq.write_control_csv(ours, control)
+        _csv_module_table(reference, control)
+        assert ours.read_bytes() == reference.read_bytes()
+        back = lq.load_control_csv(ours, domain, tree, kind=control.kind)
+        for got, want in zip(back.levels, control.levels):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_packaged_example_matches_builder(bench2, free1):

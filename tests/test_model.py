@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+from lqshift.model import MEMBERSHIP_TOL
 
 from conftest import all_scalar_binary_controls
 
@@ -132,6 +133,33 @@ def test_free_domain_vertices():
     assert not dom.contains_binary(np.array([[0.5, 1.0]]))[0]
     assert dom.contains_relaxed(np.array([[0.5, 0.5]]))[0]
     assert not dom.contains_relaxed(np.array([[1.2, 0.0]]))[0]
+
+
+def test_binary_membership_matches_the_vertex_distance():
+    """The nearest-corner test agrees with the distance to every vertex."""
+    rng = np.random.default_rng(4)
+    tol = MEMBERSHIP_TOL
+    domains = [lq.ControlDomain.free(3),
+               lq.ControlDomain(k=3, halfspaces=(([1.0, 1.0, 1.0], 1.5),)),
+               lq.ControlDomain(k=3, halfspaces=(([1.0, -1.0, 0.0], -0.5),
+                                                 ([0.0, 0.0, 1.0], 0.25))),
+               lq.ControlDomain(k=3, halfspaces=(([1.0, 1.0, 1.0], -1.0),))]
+    corners = rng.integers(0, 2, size=(4000, 3)).astype(float)
+    offsets = rng.choice([0.0, tol, -tol, 2 * tol, -2 * tol, 0.5 * tol, 0.3, 0.5, -1.0],
+                         size=corners.shape)
+    points = np.concatenate([corners + offsets, rng.uniform(-0.5, 1.5, size=(2000, 3))])
+    points[:40, 1] = [np.nan, np.inf, -np.inf, tol] * 10
+    for dom in domains:
+        verts = dom.binary_vertices()
+        dist = np.abs(points[:, None, :] - verts).max(axis=-1)
+        expected = dist.min(axis=-1) <= tol if len(verts) else np.zeros(len(points), bool)
+        got = dom.contains_binary(points)
+        np.testing.assert_array_equal(got, expected)
+        assert not got[:3].any()  # nan and inf are never members
+        np.testing.assert_array_equal(dom.contains_binary(points.reshape(2, -1, 3)),
+                                      expected.reshape(2, -1))
+    with pytest.raises(ValueError):
+        domains[0].contains_binary(points, tol=0.5)
 
 
 def test_cut_domain_vertices():

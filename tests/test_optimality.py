@@ -266,3 +266,73 @@ def test_msa_damping_changes_the_path_not_the_destination(bench2, free1):
     assert slow.cost == 0.0
     # one node flips per sweep at this damping, so it takes longer
     assert slow.iterations > 2
+
+
+@pytest.fixture
+def sweep_counter(monkeypatch):
+    """Count forward and backward sweeps by wrapping the two level loops."""
+    import lqshift.model as model
+    import lqshift.operators as operators
+
+    calls = {"forward": 0, "backward": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(model, "_forward_levels",
+                        counting("forward", model._forward_levels))
+    monkeypatch.setattr(operators, "_bsde_levels",
+                        counting("backward", operators._bsde_levels))
+    return calls
+
+
+def test_one_trajectory_per_candidate(sweep_counter):
+    """run_checks sweeps once each way, and its report equals the one built
+    from a separate forward state and first adjoint per check."""
+    rng = np.random.default_rng(5)
+    for seed in range(20):
+        inst, domain = lq.random_instance(seed)
+        mu = lq.lambda_max(inst).mu
+        tree, verts = inst.tree, domain.binary_vertices()
+        levels = [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
+                  for m in range(tree.depth)]
+        control = lq.ControlProcess.from_levels(domain, tree, levels, "binary")
+        sweep_counter.update(forward=0, backward=0)
+        report = lq.run_checks(inst, control, mu)
+        assert sweep_counter == {"forward": 1, "backward": 1}, f"seed {seed}"
+
+        xbar = lq.forward_state(inst, control)
+        adj = lq.solve_first_adjoint(inst, xbar, control)
+        traj = lq.Trajectory.of(inst, control)
+        for m in range(tree.depth):
+            expected = lq.hamiltonian_mu_gradient(
+                inst, m, xbar.running.level(m), control.process.level(m),
+                adj.p_mean.level(m), adj.q.level(m), mu)
+            np.testing.assert_array_equal(traj.gradient(inst, mu)[m], expected)
+        cost = lq.cost_direct(inst, control)
+        separate = lq.MPReport(
+            mu=mu, cost=cost, cost_shifted=lq.shifted_cost(inst, control, mu),
+            stationarity=lq.check_stationarity(inst, control, mu),
+            remark1=lq.check_remark1_signs(inst, control, mu),
+            general_smp=lq.check_general_smp(inst, control))
+        assert report.to_dict() == separate.to_dict(), f"seed {seed}"
+
+
+def test_msa_sweeps_once_per_iteration(sweep_counter, bench2, free1):
+    for seed in range(20):
+        inst, domain = lq.random_instance(seed)
+        for mu in (0.0, lq.lambda_max(inst).mu):
+            sweep_counter.update(forward=0, backward=0)
+            result = lq.msa_candidate_search(inst, domain, mu)
+            assert result.status in ("fixed-point", "cycle")
+            assert sweep_counter["forward"] <= result.iterations
+            assert sweep_counter["backward"] <= result.iterations
+    # at the cap the last iterate is costed, with one forward sweep only
+    ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
+    sweep_counter.update(forward=0, backward=0)
+    capped = lq.msa_candidate_search(bench2, free1, mu=-2.0, start=ones, max_iter=1)
+    assert capped.status == "max-iter"
+    assert sweep_counter == {"forward": 2, "backward": 1}

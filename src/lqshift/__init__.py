@@ -32,8 +32,6 @@ from .model import (
     ControlDomain,
     ControlProcess,
     LQInstance,
-    StatePath,
-    ValidationReport,
     cost_direct,
     cost_many,
     example5_instance,
@@ -42,12 +40,6 @@ from .model import (
     validate_instance,
 )
 from .operators import (
-    AdjointImage,
-    BsdeSolution,
-    DenseOperator,
-    FundamentalMatrices,
-    QuadraticCost,
-    StateDecomposition,
     adjoint_apply,
     apply_N,
     assemble_N_dense,
@@ -58,9 +50,7 @@ from .operators import (
     solve_linear_bsde,
 )
 from .optimality import (
-    CheckResult,
     MPReport,
-    MsaResult,
     Trajectory,
     check_general_smp,
     check_remark1_signs,
@@ -73,15 +63,11 @@ from .optimality import (
     solve_second_adjoint,
 )
 from .oracle import (
-    EquivalenceCertificate,
-    OracleResult,
     brute_force_binary,
     equivalence_check,
     random_instance,
 )
 from .spectral import (
-    ConcavityCertificate,
-    SpectralReport,
     certify_concavity,
     lambda_max,
     shifted_cost,
@@ -89,7 +75,6 @@ from .spectral import (
 )
 from .tree import (
     AdaptedProcess,
-    ScenarioTree,
     build_tree,
     conditional_expectation,
     inner_product_running,
@@ -101,32 +86,17 @@ __version__ = PACKAGE_VERSION
 
 __all__ = [
     "AdaptedProcess",
-    "AdjointImage",
-    "BsdeSolution",
     "BudgetExceededError",
-    "CheckResult",
-    "ConcavityCertificate",
     "ControlDomain",
     "ControlFileError",
     "ControlProcess",
     "ConvergenceError",
     "DegenerateDomainError",
-    "DenseOperator",
-    "EquivalenceCertificate",
-    "FundamentalMatrices",
     "InstanceFormatError",
     "LQInstance",
     "LqshiftError",
     "MPReport",
-    "MsaResult",
-    "OracleResult",
-    "QuadraticCost",
-    "ScenarioTree",
-    "SpectralReport",
-    "StateDecomposition",
-    "StatePath",
     "Trajectory",
-    "ValidationReport",
     "VertexEnumerationError",
     "adjoint_apply",
     "apply_N",

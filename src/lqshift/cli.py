@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 
@@ -66,9 +67,22 @@ def _parse_mu(text: str) -> float | None:
     if text == "auto":
         return None
     try:
-        return float(text)
+        mu = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("mu must be a number or 'auto'")
+    if not math.isfinite(mu):
+        raise argparse.ArgumentTypeError("mu must be finite")
+    return mu
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -311,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["riccati", "dense", "power"], default="riccati")
     p.add_argument("--tol", type=float, default=DEFAULT_POWER_TOL,
                    help="power iteration only")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_POWER_MAX_ITER,
+    p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_POWER_MAX_ITER,
                    help="power iteration only")
     p.add_argument("--seed", type=int, default=0, help="power iteration only")
     p.add_argument("--certify", action="store_true",
@@ -320,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="search for a binary optimum")
     _add_common(p, mu=True)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MSA_MAX_ITER)
+    p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MSA_MAX_ITER)
     p.add_argument("--damping", type=float, default=1.0)
     p.add_argument("--start", default=None, help="CSV control file to start from")
     p.add_argument("--control-out", default=None,
@@ -338,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equivalence",
                        help="certify the shifted problem against enumeration")
     _add_common(p, mu=True)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--control-out", default=None,

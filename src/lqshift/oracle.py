@@ -25,7 +25,7 @@ from .model import (
 )
 from .optimality import check_stationarity, DEFAULT_STATIONARITY_TOL
 from .spectral import lambda_max, shifted_cost_many
-from .tree import ScenarioTree
+from .tree import ScenarioTree, _weighted_dot_levels
 
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 4
@@ -90,7 +90,9 @@ class OracleResult:
 
     ``ties`` lists every enumerated control attaining the exact same float
     minimum (capped), lexicographically smallest first; ``control`` is
-    ``ties[0]``.
+    ``ties[0]``.  ``max_penalty`` is the largest ``|<u, u> - <1, u>|`` over
+    the enumerated controls, the factor the shift ``mu/2`` multiplies; it
+    is exactly 0.0 on 0/1 vertices and is left out of ``to_dict``.
     """
 
     control: ControlProcess
@@ -98,6 +100,7 @@ class OracleResult:
     enumerated: int
     ties: tuple
     tie_count: int
+    max_penalty: float
 
     def to_dict(self) -> dict:
         return {
@@ -123,12 +126,15 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
         raise BudgetExceededError(required=total, budget=budget)
 
     best = math.inf
+    max_penalty = 0.0
     tie_codes: list[int] = []
     tie_count = 0
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         levels = _decode_levels(tree, verts, codes)
         costs = cost_many(inst, levels)
+        penalty = _weighted_dot_levels(tree, levels, [lvl - 1.0 for lvl in levels])
+        max_penalty = max(max_penalty, float(np.max(np.abs(penalty))))
         lo = float(np.min(costs))
         if lo < best:
             best = lo
@@ -147,7 +153,7 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
         for i in range(len(tie_codes))
     )
     return OracleResult(control=ties[0], cost=best, enumerated=total,
-                        ties=ties, tie_count=tie_count)
+                        ties=ties, tie_count=tie_count, max_penalty=max_penalty)
 
 
 # -- equivalence certificate -----------------------------------------------------
@@ -158,10 +164,12 @@ class EquivalenceCertificate:
     """Evidence that minimizing the shifted cost solves the binary problem.
 
     Three ingredients: the shifted and raw costs agree on every enumerated
-    binary control; no sampled relaxed control beats the binary minimum of
-    the shifted cost; and the binary minimizer passes the first-order
-    check.  ``warnings`` flags domains whose relaxation has non-binary
-    vertices, where vertex attainment arguments weaken.
+    binary control (``binary_max_shift_gap`` is ``|mu|/2`` times the
+    oracle's ``max_penalty``, from the pass that finds the optimum); no
+    sampled relaxed control beats the binary minimum of the shifted cost;
+    and the binary minimizer passes the first-order check.  ``warnings``
+    flags domains whose relaxation has non-binary vertices, where vertex
+    attainment arguments weaken.
     """
 
     mu: float
@@ -211,7 +219,6 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
                       relaxed_tol: float = RELAXED_MARGIN_TOL,
                       stationarity_tol: float = DEFAULT_STATIONARITY_TOL,
                       ) -> tuple[EquivalenceCertificate, OracleResult]:
-    tree = inst.tree
     if mu is None:
         report = lambda_max(inst)
         mu_val, lam, method = report.mu, report.lambda_max, report.method
@@ -220,25 +227,15 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
 
     oracle = brute_force_binary(inst, domain, budget=budget)
     best = oracle.cost
-    best_control = oracle.control
-
-    verts = domain.binary_vertices()
-    total = oracle.enumerated
-    max_gap = 0.0
-    for start in range(0, total, ENUM_CHUNK):
-        codes = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
-        levels = _decode_levels(tree, verts, codes)
-        base = cost_many(inst, levels)
-        shifted = shifted_cost_many(inst, levels, mu_val, base_costs=base)
-        max_gap = max(max_gap, float(np.max(np.abs(shifted - base))))
+    max_gap = 0.5 * abs(mu_val) * oracle.max_penalty
 
     rng = np.random.default_rng(seed)
-    relaxed = sample_relaxed_levels(domain, tree, samples, rng)
+    relaxed = sample_relaxed_levels(domain, inst.tree, samples, rng)
     relaxed_shifted = shifted_cost_many(inst, relaxed, mu_val)
     relaxed_min = float(np.min(relaxed_shifted))
     margin = relaxed_min - best
 
-    stat = check_stationarity(inst, best_control, mu_val, stationarity_tol)
+    stat = check_stationarity(inst, oracle.control, mu_val, stationarity_tol)
 
     warnings = []
     if domain.halfspaces:
@@ -250,7 +247,7 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
     ok = (max_gap <= binary_tol and margin >= -relaxed_tol and stat.ok)
     cert = EquivalenceCertificate(
         mu=mu_val, lambda_max=lam, spectral_method=method,
-        binary_enumerated=total, binary_best_cost=best,
+        binary_enumerated=oracle.enumerated, binary_best_cost=best,
         binary_max_shift_gap=max_gap,
         relaxed_samples=samples, relaxed_min_cost=relaxed_min,
         relaxed_margin=float(margin),

@@ -262,37 +262,24 @@ def lambda_max(inst: LQInstance, method: str = "riccati",
 # -- shifted cost --------------------------------------------------------------
 
 
-def _shift_delta_levels(tree, u_levels):
-    """<u, u> - <1, u> summed as one pass over u*(u-1).
-
-    For binary node values both 0*(0-1) and 1*(1-1) are exactly 0.0, so the
-    shifted and raw costs agree bit for bit on binary controls.
-    """
-    dt = tree.dt
-    total = 0.0
-    for m in range(tree.depth):
-        u = u_levels[m]
-        total = total + tree.path_prob(m) * np.sum(u * (u - 1.0), axis=(-2, -1))
-    return total * dt
-
-
 def shifted_cost(inst: LQInstance, u, mu: float, base_cost: float | None = None) -> float:
     from .model import cost_direct  # local import to avoid cycle noise
 
     proc = as_process(u)
     if base_cost is None:
         base_cost = cost_direct(inst, proc)
-    delta = _shift_delta_levels(inst.tree, proc.levels)
-    return float(base_cost + 0.5 * mu * delta)
+    levels = proc.levels
+    penalty = _weighted_dot_levels(inst.tree, levels, [lvl - 1.0 for lvl in levels])
+    return float(base_cost + 0.5 * mu * penalty)
 
 
-def shifted_cost_many(inst: LQInstance, u_levels, mu: float, base_costs=None):
+def shifted_cost_many(inst: LQInstance, u_levels, mu: float):
     from .model import cost_many
 
-    if base_costs is None:
-        base_costs = cost_many(inst, u_levels)
-    delta = _shift_delta_levels(inst.tree, u_levels)
-    return base_costs + 0.5 * mu * delta
+    # <u, u> - <1, u> as one weighted sum of u * (u - 1), which is exactly
+    # 0.0 on 0/1 node values, so binary controls keep their cost bit for bit
+    penalty = _weighted_dot_levels(inst.tree, u_levels, [lvl - 1.0 for lvl in u_levels])
+    return cost_many(inst, u_levels) + 0.5 * mu * penalty
 
 
 # -- concavity certificate ------------------------------------------------------

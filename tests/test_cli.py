@@ -206,3 +206,38 @@ def test_argparse_contract(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["example5", "--depths", "0,2"])
+
+
+def _exit_code(capsys, *argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    capsys.readouterr()
+    return excinfo.value.code
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_mu_is_rejected(capsys, bench_file, tmp_path, value):
+    control = tmp_path / "ones.csv"
+    for argv in (("verify", bench_file, "--control", str(control)),
+                 ("solve", bench_file),
+                 ("equivalence", bench_file)):
+        assert _exit_code(capsys, *argv, f"--mu={value}") == 2, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--method", "power", "--max-iter", "0"),
+    ("solve", "--max-iter", "0"),
+    ("solve", "--max-iter", "-3"),
+    ("equivalence", "--samples", "0"),
+    ("equivalence", "--samples", "-1"),
+    ("equivalence", "--samples", "1.5"),
+])
+def test_count_options_must_be_positive(capsys, bench_file, argv):
+    command, *options = argv
+    assert _exit_code(capsys, command, bench_file, *options) == 2
+
+
+def test_smallest_counts_run(capsys, bench_file):
+    code, report = run_cli(capsys, "equivalence", bench_file, "--samples", "1")
+    assert code == 0
+    assert report["result"]["relaxed"]["samples"] == 1

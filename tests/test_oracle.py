@@ -97,6 +97,33 @@ def test_equivalence_on_random_instances():
         assert cert.relaxed_margin >= -1e-9
 
 
+def test_each_binary_control_is_enumerated_once(monkeypatch):
+    """One pass gives both the optimum and the shift gap of the certificate."""
+    import lqshift.oracle as oracle_mod
+
+    rows = []
+    counted = oracle_mod.cost_many
+
+    def counting(inst, levels):
+        costs = counted(inst, levels)
+        rows.append(int(np.size(costs)))
+        return costs
+
+    monkeypatch.setattr(oracle_mod, "cost_many", counting)
+    for seed in range(6):
+        inst, domain = lq.random_instance(seed, depth_max=3)
+        rows.clear()
+        cert, oracle = lq.equivalence_check(inst, domain, samples=64, seed=seed)
+        assert sum(rows) == cert.binary_enumerated == oracle.enumerated, f"seed {seed}"
+        assert oracle.max_penalty == 0.0
+        assert cert.binary_max_shift_gap == 0.0
+        assert set(cert.to_dict()) == {"mu", "lambda_max", "spectral_method", "binary",
+                                       "relaxed", "stationarity", "warnings", "ok"}
+        assert set(cert.to_dict()["binary"]) == {"enumerated", "best_cost",
+                                                 "max_shift_gap"}
+        assert set(oracle.to_dict()) == {"cost", "enumerated", "tie_count"}
+
+
 def test_shift_is_needed_for_vertex_optimality(free1):
     """With a convex cost the relaxed problem beats every binary control.
 
@@ -113,7 +140,7 @@ def test_shift_is_needed_for_vertex_optimality(free1):
     rng = np.random.default_rng(7)
     levels = lq.sample_relaxed_levels(free1, inst.tree, 4000, rng)
     raw = lq.cost_many(inst, levels)
-    shifted = lq.shifted_cost_many(inst, levels, report.mu, base_costs=raw)
+    shifted = lq.shifted_cost_many(inst, levels, report.mu)
     assert float(np.min(raw)) < oracle.cost - 5e-3
     assert float(np.min(shifted)) >= oracle.cost - 1e-9
     cert, _ = lq.equivalence_check(inst, free1, samples=2000, seed=3)

@@ -99,7 +99,7 @@ def test_shift_is_bitwise_invisible_on_binary_controls():
               for m in range(tree.depth)]
     base = lq.cost_many(inst, levels)
     for mu in (-3.7, 0.0, 5.1):
-        shifted = lq.shifted_cost_many(inst, levels, mu, base_costs=base)
+        shifted = lq.shifted_cost_many(inst, levels, mu)
         # u * (u - 1) vanishes exactly in floating point on 0/1 values
         np.testing.assert_array_equal(shifted, base)
 

@@ -40,13 +40,9 @@ from .model import (
     validate_instance,
 )
 from .operators import (
-    adjoint_apply,
     apply_N,
     assemble_N_dense,
-    decompose_state,
     dense_dimension,
-    fundamental_matrices,
-    quadratic_functional,
     solve_linear_bsde,
 )
 from .optimality import (
@@ -98,7 +94,6 @@ __all__ = [
     "MPReport",
     "Trajectory",
     "VertexEnumerationError",
-    "adjoint_apply",
     "apply_N",
     "assemble_N_dense",
     "brute_force_binary",
@@ -110,13 +105,11 @@ __all__ = [
     "conditional_expectation",
     "cost_direct",
     "cost_many",
-    "decompose_state",
     "dense_dimension",
     "dump_instance",
     "equivalence_check",
     "example5_instance",
     "forward_state",
-    "fundamental_matrices",
     "hamiltonian_mu",
     "hamiltonian_mu_gradient",
     "inner_product_running",
@@ -128,7 +121,6 @@ __all__ = [
     "make_report",
     "martingale_representation",
     "msa_candidate_search",
-    "quadratic_functional",
     "random_instance",
     "report_json",
     "run_checks",

@@ -97,7 +97,7 @@ def _parse_depths(text: str) -> list[int]:
 
 def _load(args) -> tuple:
     inst, domain = load_instance(args.instance)
-    if getattr(args, "depth", None):
+    if getattr(args, "depth", None) is not None:
         inst = with_depth(inst, args.depth)
     return inst, domain
 
@@ -159,7 +159,8 @@ def cmd_solve(args) -> tuple[int, dict]:
                         second_order=not args.no_second_order,
                         stationarity_tol=args.stationarity_tol,
                         remark1_tol=args.remark1_tol,
-                        smp_tol=args.smp_tol)
+                        smp_tol=args.smp_tol,
+                        trajectory=search.trajectory)
     timings["checks"] = time.perf_counter() - t0
     if args.control_out:
         write_control_csv(args.control_out, search.control)
@@ -291,7 +292,7 @@ def cmd_example5(args) -> tuple[int, dict]:
 def _add_common(parser, *, instance=True, mu=False):
     if instance:
         parser.add_argument("instance", help="path to an instance JSON file")
-        parser.add_argument("--depth", type=int, default=None,
+        parser.add_argument("--depth", type=_positive_int, default=None,
                             help="re-discretize to this tree depth")
     if mu:
         parser.add_argument("--mu", type=_parse_mu, default=None,

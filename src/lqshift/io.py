@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ControlFileError, InstanceFormatError
 from .model import ControlDomain, ControlProcess, LQInstance, as_process
-from .tree import ScenarioTree
+from .tree import ScenarioTree, check_node_memory
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -345,6 +345,8 @@ def load_control_csv(path, domain: ControlDomain, tree: ScenarioTree,
     if header != expected:
         raise ControlFileError(
             f"header {header} does not match expected {expected}")
+    # k values and one row count per node, sized from the depth
+    check_node_memory(tree.num_nodes(tree.depth) - 1, domain.k + 1)
     body = lines[1:]
     rows = list(filter(None, body))
     dtype = np.dtype([("level", np.int64), ("index", np.int64),

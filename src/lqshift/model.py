@@ -29,6 +29,7 @@ from .tree import (
     AdaptedProcess,
     ScenarioTree,
     build_tree,
+    check_node_memory,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -438,6 +439,8 @@ def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = Tru
     (levels ``0 .. N-1``) and the terminal array.
     """
     tree = inst.tree
+    # running levels plus leaves, for one control
+    check_node_memory(2 * tree.num_nodes(tree.depth) - 1, inst.n)
     dt, s = tree.dt, tree.sqrt_dt
     x = np.asarray(x0, dtype=float)
     if x.ndim == 1:
@@ -523,6 +526,7 @@ def sample_relaxed_levels(domain: ControlDomain, tree: ScenarioTree, count: int,
     rejected (acceptance below 0.1 percent).
     """
     nodes = tree.num_nodes(tree.depth) - 1
+    check_node_memory(int(count) * nodes, domain.k)
     draw = rng.uniform(size=(count, nodes, domain.k))
     if domain.halfspaces:
         accepted_first = int(np.sum(domain.contains_relaxed(draw, tol=0.0)))

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LQInstance, StatePath, _forward_levels, as_process
+from .model import LQInstance, _forward_levels, as_process
 from .tree import (
     RUNNING,
     TERMINAL,
     AdaptedProcess,
     ScenarioTree,
-    inner_product_running,
-    inner_product_terminal,
+    check_node_memory,
     martingale_representation,
 )
 
@@ -47,105 +46,6 @@ def _control_levels(inst: LQInstance, u):
     return proc.levels
 
 
-# -- fundamental matrices ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FundamentalMatrices:
-    """Node-wise propagators of the homogeneous dynamics and their inverses.
-
-    ``phi[m][j]`` maps the initial state to the state at node ``(m, j)``
-    under ``u = 0, b = sigma = 0``.  ``phi_inv`` integrates the companion
-    inverse equation; ``phi_inv @ phi`` drifts from the identity at a rate
-    set by the coefficient sizes, so ``max_inverse_defect`` is a diagnostic,
-    not an invariant.
-    """
-
-    tree: ScenarioTree
-    phi: tuple
-    phi_inv: tuple
-    max_inverse_defect: float
-    degenerate: bool
-
-
-def fundamental_matrices(inst: LQInstance, singular_tol: float = 1e-10) -> FundamentalMatrices:
-    tree = inst.tree
-    n, dt, s = inst.n, tree.dt, tree.sqrt_dt
-    eye = np.eye(n)
-    phi = [np.broadcast_to(eye, (1, n, n)).copy()]
-    psi = [np.broadcast_to(eye, (1, n, n)).copy()]
-    for m in range(tree.depth):
-        step_up = eye + dt * inst.A[m] + s * inst.C[m]
-        step_dn = eye + dt * inst.A[m] - s * inst.C[m]
-        c_sq = inst.C[m] @ inst.C[m]
-        inv_up = eye + dt * (c_sq - inst.A[m]) - s * inst.C[m]
-        inv_dn = eye + dt * (c_sq - inst.A[m]) + s * inst.C[m]
-        cur, cur_inv = phi[-1], psi[-1]
-        nxt = np.empty((2 * cur.shape[0], n, n))
-        nxt[0::2] = step_up @ cur
-        nxt[1::2] = step_dn @ cur
-        nxt_inv = np.empty_like(nxt)
-        nxt_inv[0::2] = cur_inv @ inv_up
-        nxt_inv[1::2] = cur_inv @ inv_dn
-        phi.append(nxt)
-        psi.append(nxt_inv)
-    defect = 0.0
-    min_det = np.inf
-    for p, pi in zip(phi, psi):
-        defect = max(defect, float(np.max(np.abs(pi @ p - eye))))
-        min_det = min(min_det, float(np.min(np.abs(np.linalg.det(p)))))
-    return FundamentalMatrices(
-        tree=tree,
-        phi=tuple(p.copy() for p in phi),
-        phi_inv=tuple(p.copy() for p in psi),
-        max_inverse_defect=defect,
-        degenerate=bool(min_det < singular_tol),
-    )
-
-
-# -- affine state decomposition ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class StateDecomposition:
-    """The three affine pieces of the state, each at running and terminal times.
-
-    ``from_initial + from_control + source`` reproduces the full state
-    exactly (the scheme is affine, so the split is not approximate).
-    """
-
-    from_initial: AdaptedProcess
-    from_initial_terminal: AdaptedProcess
-    from_control: AdaptedProcess
-    from_control_terminal: AdaptedProcess
-    source: AdaptedProcess
-    source_terminal: AdaptedProcess
-
-    def state(self) -> StatePath:
-        return StatePath(
-            running=self.from_initial + self.from_control + self.source,
-            terminal=self.from_initial_terminal + self.from_control_terminal
-            + self.source_terminal,
-        )
-
-
-def decompose_state(inst: LQInstance, u) -> StateDecomposition:
-    u_levels = _control_levels(inst, u)
-    tree = inst.tree
-    zero0 = np.zeros(inst.n)
-    hom_run, hom_term = _forward_levels(inst, None, inst.x0, inhomogeneous=False)
-    ctl_run, ctl_term = _forward_levels(inst, u_levels, zero0, inhomogeneous=False)
-    src_run, src_term = _forward_levels(inst, None, zero0, inhomogeneous=True)
-    return StateDecomposition(
-        from_initial=AdaptedProcess.running(tree, hom_run),
-        from_initial_terminal=AdaptedProcess.terminal(tree, hom_term),
-        from_control=AdaptedProcess.running(tree, ctl_run),
-        from_control_terminal=AdaptedProcess.terminal(tree, ctl_term),
-        source=AdaptedProcess.running(tree, src_run),
-        source_terminal=AdaptedProcess.terminal(tree, src_term),
-    )
-
-
 # -- backward equation --------------------------------------------------------
 
 
@@ -157,8 +57,8 @@ class BsdeSolution:
         p_m = E[p_{m+1} | F_m] + (A_m^T E[p_{m+1} | F_m] + C_m^T q_m + xi_m) dt,
 
     where ``(E[p_{m+1}|F_m], q_m)`` is the martingale representation of the
-    next level.  ``p_mean`` stores that conditional mean; the adjoint
-    identities below pair it, not ``p`` itself, with the controls.
+    next level.  ``p_mean`` stores that conditional mean; the adjoints of
+    the state maps pair it, not ``p`` itself, with the controls.
     """
 
     p: AdaptedProcess
@@ -200,6 +100,7 @@ def solve_linear_bsde(inst: LQInstance, xi=None, eta=None) -> BsdeSolution:
     """
     tree = inst.tree
     if eta is None:
+        check_node_memory(tree.num_nodes(tree.depth), inst.n)
         eta_arr = np.zeros((tree.num_nodes(tree.depth), inst.n))
     else:
         if eta.kind != TERMINAL or eta.tree != tree or eta.dim != inst.n:
@@ -216,37 +117,6 @@ def solve_linear_bsde(inst: LQInstance, xi=None, eta=None) -> BsdeSolution:
         p_mean=AdaptedProcess.running(tree, pbar_levels),
         q=AdaptedProcess.running(tree, q_levels),
         p_terminal=AdaptedProcess.terminal(tree, eta_arr),
-    )
-
-
-@dataclass(frozen=True)
-class AdjointImage:
-    """Image of ``(xi, eta)`` under the adjoints of the state maps.
-
-    ``control`` is ``L* xi + Lhat* eta`` (a control-dimension running
-    process) and ``initial`` is ``Gamma* xi + Gammahat* eta`` (a state
-    vector), so that exactly, in the tree inner products,
-
-        <L u, xi> + <Lhat u, eta> = <u, control>,
-        <Gamma x, xi> + <Gammahat x, eta> = <x, initial>.
-    """
-
-    control: AdaptedProcess
-    initial: np.ndarray
-    solution: BsdeSolution
-
-
-def adjoint_apply(inst: LQInstance, xi=None, eta=None) -> AdjointImage:
-    sol = solve_linear_bsde(inst, xi, eta)
-    tree = inst.tree
-    out = [
-        sol.p_mean.level(m) @ inst.B[m] + sol.q.level(m) @ inst.D[m]
-        for m in range(tree.depth)
-    ]
-    return AdjointImage(
-        control=AdaptedProcess.running(tree, out),
-        initial=sol.initial,
-        solution=sol,
     )
 
 
@@ -276,47 +146,6 @@ def apply_N(inst: LQInstance, u) -> AdaptedProcess:
     """Apply ``N = R + L* Q L + S L + L* S^T + Lhat* G Lhat`` to a control."""
     u_levels = _control_levels(inst, u)
     return AdaptedProcess.running(inst.tree, _apply_N_levels(inst, u_levels))
-
-
-@dataclass(frozen=True)
-class QuadraticCost:
-    """The cost as an explicit quadratic in the control:
-
-        J(u) = 1/2 <N u, u> + <linear, u> + 1/2 constant,
-
-    with ``linear`` and ``constant`` collecting the initial-state and source
-    contributions.  Agrees with direct simulation to rounding.
-    """
-
-    instance: LQInstance
-    linear: AdaptedProcess
-    constant: float
-
-    def value(self, u) -> float:
-        u_levels = _control_levels(self.instance, u)
-        proc = AdaptedProcess.running(self.instance.tree, u_levels)
-        nu = apply_N(self.instance, proc)
-        return float(
-            0.5 * inner_product_running(nu, proc)
-            + inner_product_running(self.linear, proc)
-            + 0.5 * self.constant
-        )
-
-
-def quadratic_functional(inst: LQInstance) -> QuadraticCost:
-    tree = inst.tree
-    z_run_levels, z_term = _forward_levels(inst, None, inst.x0, inhomogeneous=True)
-    z = AdaptedProcess.running(tree, z_run_levels)
-    qz = AdaptedProcess.running(tree, [z_run_levels[m] @ inst.Q[m]
-                                       for m in range(tree.depth)])
-    gz = AdaptedProcess.terminal(tree, z_term @ inst.G)
-    zhat = AdaptedProcess.terminal(tree, z_term)
-    image = adjoint_apply(inst, xi=qz, eta=gz)
-    sz = AdaptedProcess.running(tree, [z_run_levels[m] @ inst.S[m].T
-                                       for m in range(tree.depth)])
-    linear = image.control + sz
-    constant = inner_product_running(qz, z) + inner_product_terminal(gz, zhat)
-    return QuadraticCost(instance=inst, linear=linear, constant=float(constant))
 
 
 # -- dense representation ------------------------------------------------------

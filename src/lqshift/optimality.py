@@ -323,14 +323,16 @@ def run_checks(inst: LQInstance, ubar: ControlProcess, mu: float, *,
                second_order: bool = True,
                stationarity_tol: float = DEFAULT_STATIONARITY_TOL,
                remark1_tol: float = DEFAULT_REMARK1_TOL,
-               smp_tol: float = DEFAULT_GENERAL_SMP_TOL) -> MPReport:
+               smp_tol: float = DEFAULT_GENERAL_SMP_TOL,
+               trajectory: Trajectory | None = None) -> MPReport:
     """All applicable optimality checks for one candidate control.
 
     The sign test runs only for binary controls on an uncut domain, the
     second-order test only for binary controls.  One :class:`Trajectory`
-    feeds the costs and every check.
+    feeds the costs and every check; ``trajectory``, when given, is
+    ``Trajectory.of(inst, ubar)``.
     """
-    traj = Trajectory.of(inst, ubar)
+    traj = trajectory or Trajectory.of(inst, ubar)
     base = traj.cost(inst)
     shifted = shifted_cost(inst, ubar, mu, base_cost=base)
     stationarity = check_stationarity(inst, ubar, mu, stationarity_tol,
@@ -350,12 +352,18 @@ def run_checks(inst: LQInstance, ubar: ControlProcess, mu: float, *,
 
 @dataclass(frozen=True)
 class MsaResult:
+    """The control a search ends on.  ``trajectory`` is that control's
+    :class:`Trajectory` when the search built it (at a fixed point or a
+    cycle), and None at the iteration cap, where the last iterate is never
+    swept; it is left out of ``to_dict``."""
+
     control: ControlProcess
     cost: float
     cost_shifted: float
     status: str
     iterations: int
     history: tuple
+    trajectory: Trajectory | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -397,8 +405,8 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
 
     seen = set()
     best_shifted = math.inf
-    best_control, best_cost = current, None
-    current_cost = None  # cost of ``current`` once its trajectory is built
+    best_control, best_cost, best_traj = current, None, None
+    current_cost = traj = None  # set once ``current``'s trajectory is built
     history = []
     status = "max-iter"
     iterations = 0
@@ -407,7 +415,7 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         key = b"".join(lvl.tobytes() for lvl in current.levels)
         if key in seen:
             status = "cycle"
-            current, current_cost = best_control, best_cost
+            current, current_cost, traj = best_control, best_cost, best_traj
             break
         seen.add(key)
         traj = Trajectory.of(inst, current)
@@ -415,7 +423,8 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         shifted = shifted_cost(inst, current, mu, base_cost=current_cost)
         history.append(shifted)
         if shifted < best_shifted:
-            best_shifted, best_control, best_cost = shifted, current, current_cost
+            best_shifted, best_control, best_cost, best_traj = \
+                shifted, current, current_cost, traj
 
         u_proc = traj.control
         grads = traj.gradient(inst, mu)
@@ -453,9 +462,10 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         else:
             new_levels = proposals
         current = ControlProcess.from_levels(domain, tree, new_levels, "binary")
-        current_cost = None
+        current_cost = traj = None
 
     final_cost = cost_direct(inst, current) if current_cost is None else current_cost
     final_shifted = shifted_cost(inst, current, mu, base_cost=final_cost)
     return MsaResult(control=current, cost=final_cost, cost_shifted=final_shifted,
-                     status=status, iterations=iterations, history=tuple(history))
+                     status=status, iterations=iterations, history=tuple(history),
+                     trajectory=traj)

@@ -25,7 +25,7 @@ from .model import (
 )
 from .optimality import check_stationarity, DEFAULT_STATIONARITY_TOL
 from .spectral import lambda_max, shifted_cost_many
-from .tree import ScenarioTree, _weighted_dot_levels
+from .tree import ScenarioTree, _weighted_dot_levels, check_node_memory
 
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 4
@@ -124,6 +124,8 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     total = v_count ** nodes
     if total > budget:
         raise BudgetExceededError(required=total, budget=budget)
+    # the budget bounds the batch, but not one control: one vertex gives total 1
+    check_node_memory(nodes, inst.k)
 
     best = math.inf
     max_penalty = 0.0

@@ -34,7 +34,7 @@ from .operators import (
     assemble_N_dense,
     dense_dimension,
 )
-from .tree import _weighted_dot_levels
+from .tree import _weighted_dot_levels, check_node_memory
 
 DEFAULT_POWER_TOL = 1e-9
 DEFAULT_POWER_MAX_ITER = 5000
@@ -174,6 +174,7 @@ def _riccati_bisect(inst: LQInstance):
 
 def _random_unit_levels(inst: LQInstance, rng) -> list:
     tree = inst.tree
+    check_node_memory(tree.num_nodes(tree.depth) - 1, inst.k)
     levels = [rng.standard_normal((tree.num_nodes(m), inst.k))
               for m in range(tree.depth)]
     norm = math.sqrt(_weighted_dot_levels(tree, levels, levels))

@@ -19,13 +19,13 @@ depend on branches below its node.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_MAX_DEPTH = 14
-MAX_DEPTH_ENV = "LQSHIFT_MAX_DEPTH"
+# Per-node arrays double with every level, so the guard bounds their bytes,
+# not the depth: code that builds no such array runs at any depth.
+NODE_BYTES_BOUND = 256 * 2 ** 20
 
 RUNNING = "running"
 TERMINAL = "terminal"
@@ -68,42 +68,40 @@ class ScenarioTree:
         """
         if level < 1 or level > self.depth:
             raise ValueError(f"level {level} has no incoming increment")
+        check_node_memory(self.num_nodes(level), 1)
         signs = np.ones(self.num_nodes(level))
         signs[1::2] = -1.0
         return signs
 
 
-def _max_depth(override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(MAX_DEPTH_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{MAX_DEPTH_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_DEPTH
+def check_node_memory(nodes: int, width: int) -> None:
+    """Refuse an allocation of per-node values before it is made.
+
+    ``nodes`` nodes with ``width`` float64 values each take
+    ``8 * nodes * width`` bytes; a ``ValueError`` naming that size and
+    :data:`NODE_BYTES_BOUND` is raised when it exceeds the bound.
+    """
+    needed = 8 * int(nodes) * int(width)
+    if needed > NODE_BYTES_BOUND:
+        raise ValueError(
+            f"per-node values need {needed} bytes, above the memory bound of "
+            f"{NODE_BYTES_BOUND} bytes"
+        )
 
 
-def build_tree(depth: int, horizon: float, max_depth: int | None = None) -> ScenarioTree:
+def build_tree(depth: int, horizon: float) -> ScenarioTree:
     """Build a binary scenario tree with ``2**depth`` leaves.
 
-    ``depth`` must be a positive integer no larger than the configured
-    maximum (default 14, overridable through the ``LQSHIFT_MAX_DEPTH``
-    environment variable or the ``max_depth`` argument); ``horizon`` must be
-    a positive finite float.
+    ``depth`` must be a positive integer and ``horizon`` a positive finite
+    float.  The tree itself stores no per-node data, so any depth is
+    accepted; code that allocates per-node values calls
+    :func:`check_node_memory` first.
     """
     if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool):
         raise ValueError(f"depth must be an integer, got {depth!r}")
     depth = int(depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    limit = _max_depth(max_depth)
-    if depth > limit:
-        raise ValueError(
-            f"depth {depth} exceeds the maximum {limit}; "
-            f"raise {MAX_DEPTH_ENV} to override"
-        )
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0.0:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -176,6 +174,7 @@ class AdaptedProcess:
 
     @classmethod
     def zeros(cls, tree: ScenarioTree, dim: int, kind: str = RUNNING) -> "AdaptedProcess":
+        check_node_memory(tree.num_nodes(tree.depth), dim)
         if kind == TERMINAL:
             return cls(tree, kind, np.zeros((tree.num_nodes(tree.depth), dim)))
         return cls(tree, kind, [np.zeros((tree.num_nodes(n), dim)) for n in range(tree.depth)])
@@ -183,6 +182,7 @@ class AdaptedProcess:
     @classmethod
     def constant(cls, tree: ScenarioTree, value, kind: str = RUNNING) -> "AdaptedProcess":
         v = np.atleast_1d(np.asarray(value, dtype=float))
+        check_node_memory(tree.num_nodes(tree.depth), v.size)
         if kind == TERMINAL:
             return cls(tree, kind, np.tile(v, (tree.num_nodes(tree.depth), 1)))
         return cls(tree, kind, [np.tile(v, (tree.num_nodes(n), 1)) for n in range(tree.depth)])

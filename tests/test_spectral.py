@@ -167,9 +167,8 @@ def test_riccati_certificate_agrees_with_dense():
             assert riccati.worst == pytest.approx(dense.worst, abs=1e-10)
 
 
-def test_riccati_closed_form_at_depth(monkeypatch):
+def test_riccati_closed_form_at_depth():
     # depth 200 would need 2^200 nodes, so passing shows none are built
-    monkeypatch.setenv("LQSHIFT_MAX_DEPTH", "200")
     for depth in (2, 4, 8, 14, 200):
         inst = lq.example5_instance(depth)
         report = lq.lambda_max(inst)

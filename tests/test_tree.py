@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.tree import RUNNING, TERMINAL
+from lqshift.tree import NODE_BYTES_BOUND, RUNNING, TERMINAL, check_node_memory
 
 
 def test_tree_geometry():
@@ -37,18 +37,43 @@ def test_build_tree_rejects_bad_arguments():
             lq.build_tree(2, horizon)
 
 
-def test_max_depth_guard(monkeypatch):
-    monkeypatch.delenv("LQSHIFT_MAX_DEPTH", raising=False)
-    with pytest.raises(ValueError, match="exceeds the maximum"):
-        lq.build_tree(15, 1.0)
-    # explicit argument wins over the default
-    assert lq.build_tree(15, 1.0, max_depth=15).depth == 15
-    # and the environment variable raises the default
-    monkeypatch.setenv("LQSHIFT_MAX_DEPTH", "16")
-    assert lq.build_tree(16, 1.0).depth == 16
-    monkeypatch.setenv("LQSHIFT_MAX_DEPTH", "junk")
-    with pytest.raises(ValueError):
-        lq.build_tree(2, 1.0)
+def test_memory_guard(tmp_path):
+    # the bound itself: one more value than fits is refused, naming both sizes
+    check_node_memory(NODE_BYTES_BOUND // 8, 1)
+    with pytest.raises(ValueError, match=f"{NODE_BYTES_BOUND + 8} bytes.*"
+                                         f"memory bound of {NODE_BYTES_BOUND} bytes"):
+        check_node_memory(NODE_BYTES_BOUND // 8 + 1, 1)
+
+    # the tree and the instance hold no per-node data, so any depth builds
+    assert lq.build_tree(200, 1.0).depth == 200
+    inst = lq.example5_instance(40)
+    tree = inst.tree
+    free = lq.ControlDomain.free(1)
+    one_vertex = lq.ControlDomain(k=1, halfspaces=(([1.0], 0.0),))
+    control = tmp_path / "control.csv"
+    lq.write_control_csv(control, lq.ControlProcess.zero(free, lq.build_tree(2, 1.0)))
+    rng = np.random.default_rng(0)
+    # depth 40 needs terabytes per array: each call must refuse before allocating
+    guarded = {
+        "zeros": lambda: lq.AdaptedProcess.zeros(tree, 1),
+        "zeros terminal": lambda: lq.AdaptedProcess.zeros(tree, 1, kind=TERMINAL),
+        "constant": lambda: lq.AdaptedProcess.constant(tree, [1.0]),
+        "control constant": lambda: lq.ControlProcess.constant(free, tree, np.ones(1)),
+        "control zero": lambda: lq.ControlProcess.zero(free, tree),
+        "increment signs": lambda: tree.increment_signs(40),
+        "forward sweep": lambda: lq.model._forward_levels(inst, None, inst.x0),
+        "bsde": lambda: lq.solve_linear_bsde(inst),
+        "control csv": lambda: lq.load_control_csv(control, free, tree),
+        "relaxed samples": lambda: lq.sample_relaxed_levels(free, tree, 1, rng),
+        "relaxed sample count": lambda: lq.sample_relaxed_levels(
+            free, lq.build_tree(2, 1.0), 10 ** 9, rng),
+        "one-vertex enumeration": lambda: lq.brute_force_binary(inst, one_vertex),
+        "power start": lambda: lq.spectral._random_unit_levels(inst, rng),
+    }
+    for name, call in guarded.items():
+        with pytest.raises(ValueError, match="memory bound"):
+            call()
+            pytest.fail(name)
 
 
 def test_adapted_process_validation():

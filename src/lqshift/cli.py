@@ -75,6 +75,16 @@ def _parse_mu(text: str) -> float | None:
     return mu
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -149,7 +159,9 @@ def cmd_solve(args) -> tuple[int, dict]:
     timings["spectrum"] = time.perf_counter() - t0
     start = None
     if args.start:
+        t0 = time.perf_counter()
         start = load_control_csv(args.start, domain, inst.tree, kind="binary")
+        timings["load_control"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     search = msa_candidate_search(inst, domain, mu, start=start,
                                   max_iter=args.max_iter, damping=args.damping)
@@ -181,8 +193,9 @@ def cmd_solve(args) -> tuple[int, dict]:
 
 def cmd_verify(args) -> tuple[int, dict]:
     inst, domain = _load(args)
+    t0 = time.perf_counter()
     control = load_control_csv(args.control, domain, inst.tree, kind=args.kind)
-    timings = {}
+    timings = {"load_control": time.perf_counter() - t0}
     t0 = time.perf_counter()
     mu, spectral = _resolve_mu(args, inst)
     timings["spectrum"] = time.perf_counter() - t0
@@ -324,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="top eigenvalue and shift")
     _add_common(p)
     p.add_argument("--method", choices=["riccati", "dense", "power"], default="riccati")
-    p.add_argument("--tol", type=float, default=DEFAULT_POWER_TOL,
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_POWER_TOL,
                    help="power iteration only")
     p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_POWER_MAX_ITER,
                    help="power iteration only")

@@ -20,6 +20,8 @@ from .model import (
     ControlDomain,
     ControlProcess,
     LQInstance,
+    _cost_from_levels,
+    _forward_levels,
     cost_many,
     sample_relaxed_levels,
 )
@@ -67,21 +69,109 @@ def random_instance(seed: int, *, n_max: int = 2, k_max: int = 2,
     return inst, ControlDomain.free(k)
 
 
+def _decode_digits(tree: ScenarioTree, v_count: int, codes: np.ndarray):
+    """Mixed-radix digits of control codes, one ``(codes, 2**m)`` array per level."""
+    nodes = tree.num_nodes(tree.depth) - 1
+    digits = []
+    for m in range(tree.depth):
+        first = tree.num_nodes(m) - 1  # nodes on the levels above m
+        place = nodes - 1 - np.arange(first, first + tree.num_nodes(m))
+        digits.append(codes[:, None] // np.power(v_count, place) % v_count)
+    return digits
+
+
 def _decode_levels(tree: ScenarioTree, verts: np.ndarray, codes: np.ndarray):
     """Mixed-radix decode of control indices into per-level vertex arrays."""
-    v_count = verts.shape[0]
-    nodes = tree.num_nodes(tree.depth) - 1
-    levels = []
-    consumed = 0
-    for m in range(tree.depth):
-        count = tree.num_nodes(m)
-        digits = np.empty((codes.shape[0], count), dtype=np.int64)
-        for j in range(count):
-            place = nodes - 1 - (consumed + j)
-            digits[:, j] = (codes // v_count ** place) % v_count
-        levels.append(verts[digits])
-        consumed += count
-    return levels
+    return [verts[d] for d in _decode_digits(tree, verts.shape[0], codes)]
+
+
+def _stage(inst: LQInstance, m: int, x, u):
+    """Per-node running cost ``<Q x, x> + 2 <S x, u> + <R u, u>`` at level ``m``."""
+    return (np.sum((x @ inst.Q[m]) * x, axis=-1)
+            + 2.0 * np.sum((x @ inst.S[m].T) * u, axis=-1)
+            + np.sum((u @ inst.R[m]) * u, axis=-1))
+
+
+def _node_penalty(tree: ScenarioTree, verts: np.ndarray) -> np.ndarray:
+    """Each vertex's share of ``<u, u> - <1, u>`` at one last-level node."""
+    return (tree.path_prob(tree.depth - 1) * tree.dt
+            * np.sum(verts * (verts - 1.0), axis=-1))
+
+
+def _cost_tables(inst: LQInstance, verts: np.ndarray, codes: np.ndarray, lead: int):
+    """Cost and penalty tables of the units whose first controls are ``codes``.
+
+    A unit fixes levels ``0 .. N-2`` and the first ``lead`` nodes of the
+    last running level.  The control that extends unit ``p`` by vertex
+    ``v_j`` at each remaining node ``j`` costs ``head[p] + sum_j
+    table[p, j, v_j]`` in exact arithmetic: a last-level node adds its
+    stage term and the terminal terms of its two leaves, which depend on
+    nothing else.  One forward sweep, batched over the units and the
+    vertices, gives every state involved.  The penalty ``<u, u> - <1, u>``
+    splits the same way, into ``shared[p]`` plus one
+    :func:`_node_penalty` entry per remaining node.
+    """
+    tree = inst.tree
+    last = tree.depth - 1
+    digits = _decode_digits(tree, verts.shape[0], codes)
+    fixed = digits.pop()[:, :lead]
+    prefix = [verts[d] for d in digits]
+    shape = (codes.shape[0], verts.shape[0], tree.num_nodes(last))
+    u_last = np.broadcast_to(verts[:, None, :], shape + (inst.k,))
+    x_levels, x_term = _forward_levels(
+        inst, [lvl[:, None] for lvl in prefix] + [u_last], inst.x0)
+    part = 0.0
+    for m in range(last):
+        level = np.sum(_stage(inst, m, x_levels[m], prefix[m][:, None]), axis=(-2, -1))
+        part = part + tree.path_prob(m) * level
+    leaf = np.sum((x_term @ inst.G) * x_term, axis=-1)
+    table = 0.5 * (tree.dt * tree.path_prob(last)
+                   * _stage(inst, last, x_levels[last], verts[:, None, :])
+                   + tree.path_prob(tree.depth) * (leaf[..., 0::2] + leaf[..., 1::2]))
+    table = np.broadcast_to(table, shape).transpose(0, 2, 1)
+    head = 0.5 * tree.dt * part + np.sum(
+        np.take_along_axis(table[:, :lead], fixed[..., None], -1), axis=(1, 2))
+    shared = (_weighted_dot_levels(tree, prefix, [lvl - 1.0 for lvl in prefix])
+              + np.sum(_node_penalty(tree, verts)[fixed], axis=-1))
+    return head, table[:, lead:], shared
+
+
+def _outer_sum(head: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """``head[p] + sum_j tables[p, j, v_j]`` for every digit tuple, in code order.
+
+    Returns ``(P, V ** F)`` for ``tables`` of shape ``(P, F, V)``; the
+    first digit is the most significant.
+    """
+    units, free, v_count = tables.shape
+    if v_count == 1:
+        return (head + np.sum(tables, axis=(1, 2)))[:, None]
+    out = head[:, None]
+    for j in range(free):
+        out = (out[:, :, None] + tables[:, j, None, :]).reshape(units, -1)
+    return out
+
+
+def _cost_bound(inst: LQInstance) -> float:
+    """Bound on the absolute terms of the cost of any binary control.
+
+    This is the cost of the all-ones control with every coefficient and
+    ``x0`` replaced by its absolute value, and the noise folded into the
+    drift (``dt |C| / sqrt(dt) = sqrt(dt) |C|``): both children of a node
+    then carry ``X + dt (|A| X + |B| 1 + |b|) + sqrt(dt) (|C| X + |D| 1 +
+    |sigma|)``, which bounds the absolute terms each state expands into.
+    """
+    s = inst.tree.sqrt_dt
+    mag = LQInstance(
+        n=inst.n, k=inst.k, T=inst.T, depth=inst.depth,
+        A=np.abs(inst.A) + np.abs(inst.C) / s, B=np.abs(inst.B) + np.abs(inst.D) / s,
+        C=np.zeros_like(inst.C), D=np.zeros_like(inst.D),
+        b=np.abs(inst.b) + np.abs(inst.sigma) / s, sigma=np.zeros_like(inst.sigma),
+        Q=np.abs(inst.Q), S=np.abs(inst.S), R=np.abs(inst.R), G=np.abs(inst.G),
+        x0=np.abs(inst.x0),
+    )
+    ones = [np.ones((inst.tree.num_nodes(m), inst.k)) for m in range(inst.depth)]
+    x_levels, x_term = _forward_levels(mag, ones, mag.x0)
+    return float(_cost_from_levels(mag, ones, x_levels, x_term))
 
 
 @dataclass(frozen=True)
@@ -92,7 +182,8 @@ class OracleResult:
     minimum (capped), lexicographically smallest first; ``control`` is
     ``ties[0]``.  ``max_penalty`` is the largest ``|<u, u> - <1, u>|`` over
     the enumerated controls, the factor the shift ``mu/2`` multiplies; it
-    is exactly 0.0 on 0/1 vertices and is left out of ``to_dict``.
+    is exactly 0.0 on 0/1 vertices.  ``recosted`` counts the controls
+    whose cost was evaluated exactly.  Neither is in ``to_dict``.
     """
 
     control: ControlProcess
@@ -101,6 +192,7 @@ class OracleResult:
     ties: tuple
     tie_count: int
     max_penalty: float
+    recosted: int
 
     def to_dict(self) -> dict:
         return {
@@ -113,11 +205,26 @@ class OracleResult:
 def brute_force_binary(inst: LQInstance, domain: ControlDomain,
                        budget: int = DEFAULT_BUDGET,
                        chunk: int = ENUM_CHUNK) -> OracleResult:
+    """Minimum of the cost over every binary control, by enumeration.
+
+    Every control gets its own screened total, in batches of at most
+    ``chunk`` controls.  A unit fixes the levels ``0 .. N-2`` and the
+    leading digits of the last running level; its controls form one
+    contiguous code range and share all but the last-level terms of the
+    cost, so each total is the unit's head plus one table entry per free
+    last-level node.  A screened total is within ``delta``, a running
+    error bound, of the cost ``cost_many`` gives, so only controls
+    screened within ``2 delta`` of the screened minimum can attain the
+    exact minimum.  Those are recosted with ``cost_many`` in code order,
+    which gives the result that costing every control exactly gives.
+    """
     verts = domain.binary_vertices()
     if verts.shape[0] == 0:
         raise ValueError("the binary control set is empty")
     if verts.shape[1] != inst.k:
         raise ValueError("domain dimension does not match the instance")
+    if chunk < 1:
+        raise ValueError("chunk must be a positive number of controls")
     tree = inst.tree
     nodes = tree.num_nodes(tree.depth) - 1
     v_count = verts.shape[0]
@@ -127,26 +234,61 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     # the budget bounds the batch, but not one control: one vertex gives total 1
     check_node_memory(nodes, inst.k)
 
+    free = tree.num_nodes(tree.depth - 1)
+    while v_count ** free > chunk:
+        free -= 1
+    block = v_count ** free
+    lead = tree.num_nodes(tree.depth - 1) - free
+    units = total // block
+    # Each term of the cost passes through at most this many roundings in
+    # either evaluation: dot products and Euler updates on every level for
+    # the two state factors, then the node and leaf sums taken as
+    # sequential.  Doubled, which also covers rounding in the bound itself.
+    width = inst.n + inst.k
+    rounds = 2 * (2 * tree.depth * (width + 4) + 2 ** (tree.depth + 1) * width + 16)
+    unit_roundoff = np.finfo(float).eps / 2
+    gamma = rounds * unit_roundoff / (1.0 - rounds * unit_roundoff)
+    delta = 2.0 * gamma * _cost_bound(inst)
+    node_penalty = _node_penalty(tree, verts)
+    penalty_range = free * np.array([np.min(node_penalty), np.max(node_penalty)])
+
     best = math.inf
-    max_penalty = 0.0
     tie_codes: list[int] = []
     tie_count = 0
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        levels = _decode_levels(tree, verts, codes)
-        costs = cost_many(inst, levels)
-        penalty = _weighted_dot_levels(tree, levels, [lvl - 1.0 for lvl in levels])
-        max_penalty = max(max_penalty, float(np.max(np.abs(penalty))))
-        lo = float(np.min(costs))
-        if lo < best:
-            best = lo
-            tie_codes = []
-            tie_count = 0
-        if lo <= best:
-            hits = codes[costs == best]
-            tie_count += int(hits.shape[0])
-            for code in hits[: max(0, TIE_CAP - len(tie_codes))]:
-                tie_codes.append(int(code))
+    recosted = 0
+    screened_min = math.inf
+    max_penalty = 0.0
+    # a sweep over chunk // V units allocates about what chunk controls do
+    step = max(1, chunk // block)
+    sweep = step * max(1, chunk // v_count // step)
+    for first in range(0, units, sweep):
+        ids = np.arange(first, min(first + sweep, units), dtype=np.int64)
+        head, table, shared = _cost_tables(inst, verts, ids * block, lead)
+        # each unit's cheapest extension is a screened total of one control
+        cheapest = head + np.sum(np.min(table, axis=-1), axis=-1)
+        screened_min = min(screened_min, float(np.min(cheapest)))
+        reach = np.abs(shared[:, None] + penalty_range)
+        max_penalty = max(max_penalty, float(np.max(reach)))
+
+        for at in range(0, ids.shape[0], step):
+            screened = _outer_sum(head[at:at + step], table[at:at + step])
+            screened_min = min(screened_min, float(np.min(screened)))
+            p, offset = np.nonzero(~(screened > screened_min + 2.0 * delta))
+            if p.shape[0] == 0:
+                continue
+            codes = ids[at + p] * block + offset
+            recosted += codes.shape[0]
+            costs = cost_many(inst, _decode_levels(tree, verts, codes))
+            lo = float(np.min(costs))
+            if lo < best:
+                best = lo
+                tie_codes = []
+                tie_count = 0
+            if lo <= best:
+                hits = codes[costs == best]
+                tie_count += int(hits.shape[0])
+                for code in hits[: max(0, TIE_CAP - len(tie_codes))]:
+                    tie_codes.append(int(code))
 
     tie_levels = _decode_levels(tree, verts, np.asarray(tie_codes, dtype=np.int64))
     ties = tuple(
@@ -155,7 +297,8 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
         for i in range(len(tie_codes))
     )
     return OracleResult(control=ties[0], cost=best, enumerated=total,
-                        ties=ties, tie_count=tie_count, max_penalty=max_penalty)
+                        ties=ties, tie_count=tie_count, max_penalty=max_penalty,
+                        recosted=recosted)
 
 
 # -- equivalence certificate -----------------------------------------------------

@@ -4,20 +4,35 @@ These build explicitly what the library only applies: the fundamental
 matrices of the homogeneous dynamics, the affine split of the state, the
 adjoint images ``L* xi + Lhat* eta`` and the cost as a quadratic in the
 control.  The tests compare the library's sweeps and the operator N
-against them; the library itself never calls them.
+against them; the library itself never calls them.  The binary
+enumeration keeps its plain form here too: every control decoded digit
+by digit and costed with ``cost_many``, the reference for the screened
+enumeration of ``lqshift.oracle``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
-from lqshift.model import LQInstance, StatePath, _forward_levels
+from lqshift.errors import BudgetExceededError
+from lqshift.model import (
+    ControlDomain,
+    ControlProcess,
+    LQInstance,
+    StatePath,
+    _forward_levels,
+    cost_many,
+)
+from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, TIE_CAP, OracleResult
 from lqshift.operators import BsdeSolution, _control_levels, apply_N, solve_linear_bsde
 from lqshift.tree import (
     AdaptedProcess,
     ScenarioTree,
+    _weighted_dot_levels,
     inner_product_running,
     inner_product_terminal,
 )
@@ -198,3 +213,66 @@ def quadratic_functional(inst: LQInstance) -> QuadraticCost:
     linear = image.control + sz
     constant = inner_product_running(qz, z) + inner_product_terminal(gz, zhat)
     return QuadraticCost(instance=inst, linear=linear, constant=float(constant))
+
+
+# -- binary enumeration ------------------------------------------------------
+
+
+def decode_levels_reference(tree: ScenarioTree, verts: np.ndarray, codes: np.ndarray):
+    """Mixed-radix decode of control indices, one digit at a time."""
+    v_count = verts.shape[0]
+    nodes = tree.num_nodes(tree.depth) - 1
+    levels = []
+    consumed = 0
+    for m in range(tree.depth):
+        count = tree.num_nodes(m)
+        digits = np.empty((codes.shape[0], count), dtype=np.int64)
+        for j in range(count):
+            place = nodes - 1 - (consumed + j)
+            digits[:, j] = (codes // v_count ** place) % v_count
+        levels.append(verts[digits])
+        consumed += count
+    return levels
+
+
+def brute_force_reference(inst: LQInstance, domain: ControlDomain,
+                          budget: int = DEFAULT_BUDGET,
+                          chunk: int = ENUM_CHUNK) -> OracleResult:
+    """Every binary control costed exactly with ``cost_many``, in code order."""
+    verts = domain.binary_vertices()
+    tree = inst.tree
+    nodes = tree.num_nodes(tree.depth) - 1
+    total = verts.shape[0] ** nodes
+    if total > budget:
+        raise BudgetExceededError(required=total, budget=budget)
+
+    best = math.inf
+    max_penalty = 0.0
+    tie_codes: list[int] = []
+    tie_count = 0
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        levels = decode_levels_reference(tree, verts, codes)
+        costs = cost_many(inst, levels)
+        penalty = _weighted_dot_levels(tree, levels, [lvl - 1.0 for lvl in levels])
+        max_penalty = max(max_penalty, float(np.max(np.abs(penalty))))
+        lo = float(np.min(costs))
+        if lo < best:
+            best = lo
+            tie_codes = []
+            tie_count = 0
+        if lo <= best:
+            hits = codes[costs == best]
+            tie_count += int(hits.shape[0])
+            for code in hits[: max(0, TIE_CAP - len(tie_codes))]:
+                tie_codes.append(int(code))
+
+    tie_levels = decode_levels_reference(tree, verts, np.asarray(tie_codes, dtype=np.int64))
+    ties = tuple(
+        ControlProcess.from_levels(
+            domain, tree, [lvl[i] for lvl in tie_levels], "binary")
+        for i in range(len(tie_codes))
+    )
+    return OracleResult(control=ties[0], cost=best, enumerated=total,
+                        ties=ties, tie_count=tie_count, max_penalty=max_penalty,
+                        recosted=total)

@@ -92,6 +92,7 @@ def test_solve(capsys, bench_file, tmp_path, bench2, free1):
     assert result["checks"]["ok"] is True
     assert result["spectral"]["method"] == "riccati"
     assert report["parameters"]["mu"] == "auto"
+    assert set(report["timings"]) == {"spectrum", "search", "checks"}
     loaded = lq.load_control_csv(control_file, free1, bench2.tree)
     for m in range(2):
         assert not np.any(loaded.process.level(m))
@@ -106,6 +107,7 @@ def test_solve_iteration_cap_exit_code(capsys, bench_file, tmp_path,
                            "--start", str(start), "--max-iter", "1")
     assert code == 3
     assert report["result"]["search"]["status"] == "max-iter"
+    assert set(report["timings"]) == {"spectrum", "load_control", "search", "checks"}
 
 
 def test_verify(capsys, bench_file, tmp_path, bench2, free1):
@@ -116,6 +118,7 @@ def test_verify(capsys, bench_file, tmp_path, bench2, free1):
     assert report["result"]["ok"] is True
     assert set(report["result"]["checks"]) == \
         {"stationarity", "remark1_signs", "general_smp"}
+    assert set(report["timings"]) == {"load_control", "spectrum", "checks"}
 
     ones = tmp_path / "ones.csv"
     lq.write_control_csv(
@@ -241,6 +244,12 @@ def test_non_finite_mu_is_rejected(capsys, bench_file, tmp_path, value):
 def test_count_options_must_be_positive(capsys, bench_file, argv):
     command, *options = argv
     assert _exit_code(capsys, command, bench_file, *options) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3", "tiny"])
+def test_power_tolerance_must_be_positive_and_finite(capsys, bench_file, value):
+    argv = ("spectrum", bench_file, "--method", "power", f"--tol={value}")
+    assert _exit_code(capsys, *argv) == 2
 
 
 def test_smallest_counts_run(capsys, bench_file):

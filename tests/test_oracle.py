@@ -3,6 +3,8 @@ import pytest
 
 import lqshift as lq
 
+import oracles
+
 
 def test_brute_force_benchmark(bench2, free1):
     result = lq.brute_force_binary(bench2, free1)
@@ -32,6 +34,8 @@ def test_brute_force_chunking_is_invisible(free1):
     for m in range(inst.depth):
         np.testing.assert_array_equal(small.control.process.level(m),
                                       large.control.process.level(m))
+    with pytest.raises(ValueError, match="chunk"):
+        lq.brute_force_binary(inst, domain, chunk=0)
 
 
 def test_tie_enumeration_order_and_cap(free1):
@@ -98,23 +102,38 @@ def test_equivalence_on_random_instances():
 
 
 def test_each_binary_control_is_enumerated_once(monkeypatch):
-    """One pass gives both the optimum and the shift gap of the certificate."""
+    """One pass totals every control once and recosts only the contenders.
+
+    The screen forms one total per control; ``cost_many`` sees only the
+    ``recosted`` controls, fewer than all on these instances, and the same
+    pass gives the certificate's shift gap.
+    """
     import lqshift.oracle as oracle_mod
 
+    totals = []
     rows = []
+    screen = oracle_mod._outer_sum
     counted = oracle_mod.cost_many
+
+    def counting_screen(head, tables):
+        out = screen(head, tables)
+        totals.append(int(np.size(out)))
+        return out
 
     def counting(inst, levels):
         costs = counted(inst, levels)
         rows.append(int(np.size(costs)))
         return costs
 
+    monkeypatch.setattr(oracle_mod, "_outer_sum", counting_screen)
     monkeypatch.setattr(oracle_mod, "cost_many", counting)
     for seed in range(6):
         inst, domain = lq.random_instance(seed, depth_max=3)
+        totals.clear()
         rows.clear()
         cert, oracle = lq.equivalence_check(inst, domain, samples=64, seed=seed)
-        assert sum(rows) == cert.binary_enumerated == oracle.enumerated, f"seed {seed}"
+        assert sum(totals) == cert.binary_enumerated == oracle.enumerated, f"seed {seed}"
+        assert sum(rows) == oracle.recosted < oracle.enumerated, f"seed {seed}"
         assert oracle.max_penalty == 0.0
         assert cert.binary_max_shift_gap == 0.0
         assert set(cert.to_dict()) == {"mu", "lambda_max", "spectral_method", "binary",
@@ -122,6 +141,64 @@ def test_each_binary_control_is_enumerated_once(monkeypatch):
         assert set(cert.to_dict()["binary"]) == {"enumerated", "best_cost",
                                                  "max_shift_gap"}
         assert set(oracle.to_dict()) == {"cost", "enumerated", "tie_count"}
+
+
+def _assert_same_oracle(got, want, label):
+    assert got.cost == want.cost, label
+    assert got.tie_count == want.tie_count, label
+    assert got.max_penalty == want.max_penalty, label
+    assert got.to_dict() == want.to_dict(), label
+    assert len(got.ties) == len(want.ties), label
+    for a, b in zip(got.ties, want.ties):
+        for m in range(a.tree.depth):
+            np.testing.assert_array_equal(a.process.level(m), b.process.level(m),
+                                          err_msg=label)
+
+
+def test_decode_matches_digit_loop():
+    rng = np.random.default_rng(3)
+    for depth, v_count in ((1, 3), (2, 7), (3, 2), (3, 4), (4, 2), (12, 1)):
+        tree = lq.build_tree(depth, 1.0)
+        verts = np.arange(v_count, dtype=float)[:, None]
+        total = v_count ** (tree.num_nodes(depth) - 1)
+        codes = rng.integers(0, total, size=64, dtype=np.int64)
+        got = lq.oracle._decode_levels(tree, verts, codes)
+        want = oracles.decode_levels_reference(tree, verts, codes)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_screened_oracle_matches_reference():
+    """Screened totals plus exact recosting give the plain enumeration's result."""
+    cases = []
+    for seed in range(200):
+        inst, free = lq.random_instance(seed, n_max=3, k_max=3, depth_max=4)
+        cut = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 1.0),))
+        cases += [(f"seed {seed} free", inst, free), (f"seed {seed} cut", inst, cut)]
+    free1 = lq.ControlDomain.free(1)
+    for depth in (1, 2, 3, 4):
+        cases.append((f"example 5 depth {depth}", lq.example5_instance(depth), free1))
+    for depth in (2, 3):
+        flat = lq.LQInstance.constant(depth=depth, n=1, k=1, D=1.0)
+        cases.append((f"all ties depth {depth}", flat, free1))
+
+    compared = small = 0
+    for label, inst, domain in cases:
+        try:
+            want = oracles.brute_force_reference(inst, domain)
+        except lq.BudgetExceededError:
+            continue
+        compared += 1
+        _assert_same_oracle(lq.brute_force_binary(inst, domain), want, label)
+        if want.enumerated <= 128:
+            small += 1
+            for chunk in (1, 3, 7):
+                got = lq.brute_force_binary(inst, domain, chunk=chunk)
+                _assert_same_oracle(got, want, f"{label} chunk {chunk}")
+    assert compared > 300 and small > 150
+    flat = lq.brute_force_binary(lq.LQInstance.constant(depth=3, n=1, k=1, D=1.0), free1)
+    assert flat.tie_count == flat.recosted == flat.enumerated == 128
+    assert len(flat.ties) == 16
 
 
 def test_shift_is_needed_for_vertex_optimality(free1):

@@ -75,13 +75,27 @@ def _parse_mu(text: str) -> float | None:
     return mu
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError("must be positive and finite")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
+
+
+def _damping(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError("must lie in (0, 1]")
     return value
 
 
@@ -315,10 +329,10 @@ def _add_common(parser, *, instance=True, mu=False):
 
 
 def _add_check_tols(parser):
-    parser.add_argument("--stationarity-tol", type=float,
+    parser.add_argument("--stationarity-tol", type=_finite_float,
                         default=DEFAULT_STATIONARITY_TOL)
-    parser.add_argument("--remark1-tol", type=float, default=DEFAULT_REMARK1_TOL)
-    parser.add_argument("--smp-tol", type=float, default=DEFAULT_GENERAL_SMP_TOL)
+    parser.add_argument("--remark1-tol", type=_finite_float, default=DEFAULT_REMARK1_TOL)
+    parser.add_argument("--smp-tol", type=_finite_float, default=DEFAULT_GENERAL_SMP_TOL)
     parser.add_argument("--no-second-order", action="store_true",
                         help="skip the second-order spike test")
 
@@ -349,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="search for a binary optimum")
     _add_common(p, mu=True)
     p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MSA_MAX_ITER)
-    p.add_argument("--damping", type=float, default=1.0)
+    p.add_argument("--damping", type=_damping, default=1.0)
     p.add_argument("--start", default=None, help="CSV control file to start from")
     p.add_argument("--control-out", default=None,
                    help="write the found control to this CSV file")
@@ -367,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify the shifted problem against enumeration")
     _add_common(p, mu=True)
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--control-out", default=None,
                    help="write the enumerated optimum to this CSV file")
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example5", help="closed-form benchmark study")
     _add_common(p, instance=False)
     p.add_argument("--depths", type=_parse_depths, default=[2, 4, 8, 10])
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--csv", default=None, help="write a per-depth table to this file")
     p.set_defaults(func=cmd_example5)
 

@@ -208,11 +208,12 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     """Minimum of the cost over every binary control, by enumeration.
 
     Every control gets its own screened total, in batches of at most
-    ``chunk`` controls.  A unit fixes the levels ``0 .. N-2`` and the
-    leading digits of the last running level; its controls form one
-    contiguous code range and share all but the last-level terms of the
-    cost, so each total is the unit's head plus one table entry per free
-    last-level node.  A screened total is within ``delta``, a running
+    ``chunk`` controls; the tables behind them are built in sweeps sized
+    for at least ``ENUM_CHUNK`` controls.  A unit fixes the levels
+    ``0 .. N-2`` and the leading digits of the last running level; its
+    controls form one contiguous code range and share all but the
+    last-level terms of the cost, so each total is the unit's head plus
+    one table entry per free last-level node.  A screened total is within ``delta``, a running
     error bound, of the cost ``cost_many`` gives, so only controls
     screened within ``2 delta`` of the screened minimum can attain the
     exact minimum.  Those are recosted with ``cost_many`` in code order,
@@ -258,9 +259,11 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     recosted = 0
     screened_min = math.inf
     max_penalty = 0.0
-    # a sweep over chunk // V units allocates about what chunk controls do
+    # A table sweep over c // V units allocates about what c controls do.
+    # It is sized for the larger of chunk and ENUM_CHUNK controls, so a small
+    # chunk splits the outer sums but not the forward sweeps behind them.
     step = max(1, chunk // block)
-    sweep = step * max(1, chunk // v_count // step)
+    sweep = step * max(1, max(chunk, ENUM_CHUNK) // v_count // step)
     for first in range(0, units, sweep):
         ids = np.arange(first, min(first + sweep, units), dtype=np.int64)
         head, table, shared = _cost_tables(inst, verts, ids * block, lead)

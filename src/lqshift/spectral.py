@@ -14,10 +14,18 @@ exactly when its block LDL^T, taken in backward tree order, has positive
 pivots.  The coefficients depend on the level only, so every node of a
 level shares one k x k pivot, produced by a backward Riccati recursion
 (the discrete indefinite-LQ condition of Ait Rami, Chen and Zhou).  One
-test costs O(depth (n^3 + k^3)) and never builds the 2^N-node tree;
-bisection on s brackets lambda_max with a passing test at the upper end,
-so ``mu = -hi`` is certified, not estimated.  The dense eigendecomposition
-and power iteration remain as cross-checks.
+test costs O(depth (n^3 + k^3)) and never builds the 2^N-node tree.
+
+Each test also returns a margin, the smallest pivot eigenvalue where it
+fails (over all levels where it passes), which near lambda_max is
+continuous in s and changes sign there.  The search brackets lambda_max
+by doubling, then closes in on the margin's root by regula falsi with the
+Illinois rule, bisecting where the margins cannot be trusted (Brent's
+safeguards in spirit); it takes about 10 tests where bisection to the
+same width takes 46.  The result is the upper end of the final bracket,
+a shift where the test passed, within ``RICCATI_REL_WIDTH`` (relative)
+of one where it failed, so ``mu = -hi`` is certified, not estimated.
+The dense eigendecomposition and power iteration remain as cross-checks.
 """
 
 from __future__ import annotations
@@ -92,11 +100,10 @@ def _step_blocks(inst: LQInstance):
     return blocks
 
 
-def _riccati_pd(inst: LQInstance, s: float, pivots: list | None = None):
+def _riccati_pd(inst: LQInstance, s: float):
     """Whether ``sI - N`` is positive definite in the tree inner product.
 
-    Returns ``(ok, level)`` with ``level`` the tree level where the test
-    fails (None when it passes).  The recursion runs backward from
+    Returns ``(ok, level, margin)``.  The recursion runs backward from
     ``P = -G`` on the blocks of ``_step_blocks``:
 
         Huu = dt (sI - R + uu)
@@ -105,8 +112,11 @@ def _riccati_pd(inst: LQInstance, s: float, pivots: list | None = None):
         P  <- Hxx - Hux^T Huu^{-1} Hux
 
     and fails when a Cholesky factorisation of Huu fails or P stops being
-    finite.  When ``pivots`` is a list, each ``Huu / dt`` is appended to it,
-    deepest level first.
+    finite.  ``margin`` is the smallest eigenvalue of the pivot ``Huu / dt``
+    at the level where the test fails, or over all levels when it passes,
+    and -inf once P is not finite; ``level`` is where the test fails, or
+    where the smallest pivot sits when it passes.  Near lambda_max the
+    margin is continuous in ``s`` and changes sign there.
     """
     dt = inst.tree.dt
     blocks = _step_blocks(inst)
@@ -114,58 +124,86 @@ def _riccati_pd(inst: LQInstance, s: float, pivots: list | None = None):
     ux0 = -dt * inst.S
     xx0 = -dt * inst.Q
     p = -inst.G
+    pivots = []
     for m in reversed(range(inst.depth)):
         uu, ux, xx = blocks(m, p)
         huu = uu0[m] + dt * uu
         hux = ux0[m] + dt * ux
         hxx = xx0[m] + xx
-        if pivots is not None:
-            pivots.append(huu / dt)
+        pivots.append(huu / dt)
         try:
             chol = np.linalg.cholesky(huu)
         except np.linalg.LinAlgError:
-            return False, m
+            return False, m, float(np.linalg.eigvalsh(pivots[-1])[0])
         y = np.linalg.solve(chol, hux)
         p = hxx - y.T @ y
         p = 0.5 * (p + p.T)
         # numpy's Cholesky passes NaN and inf through silently; they end up in P
         if not np.isfinite(p).all():
-            return False, m
-    return True, None
+            return False, m, -math.inf
+    smallest = np.linalg.eigvalsh(np.stack(pivots))[:, 0]
+    at = int(np.argmin(smallest))
+    return True, inst.depth - 1 - at, float(smallest[at])
 
 
-def _riccati_bisect(inst: LQInstance):
-    """Bracket lambda_max(N) by doubling, then bisect.
+def _riccati_secant(inst: LQInstance):
+    """Bracket lambda_max(N) by doubling, then close in on the margin's root.
 
+    The steps are regula falsi on the margin of :func:`_riccati_pd`, with
+    the Illinois rule halving the margin of an end kept twice in a row.  A
+    step bisects instead when the failing end's margin is not finite, when
+    the two ends' margins come from different levels (they are then values
+    of different functions of ``s``), or when the bracket has not halved in
+    two steps.  Every trial stays ``0.45 tol`` inside the bracket, so once a
+    trial lands next to the root the following one closes the other end.
     Returns ``(hi, width, chains)``: ``hi`` is the smallest tested ``s`` at
     which the Riccati test passed, ``width`` the final bracket width and
     ``chains`` the number of tests run.
     """
     chains = 0
 
-    def passes(s):
+    def test(s):
         nonlocal chains
         if not math.isfinite(s):
             raise LqshiftError("the Riccati test gives no finite bracket for lambda_max")
         chains += 1
-        return _riccati_pd(inst, s)[0]
+        ok, level, margin = _riccati_pd(inst, s)
+        # a margin whose sign disagrees with the test is rounding at the root
+        return ok, max(margin, 0.0) if ok else min(margin, 0.0), level
 
-    if passes(1.0):
-        hi, lo = 1.0, 0.0
-        while passes(lo):
-            hi, lo = lo, lo - 2.0 * (hi - lo)
-    else:
-        lo, hi = 1.0, 2.0
-        while not passes(hi):
-            lo, hi = hi, hi + 2.0 * (hi - lo)
-    while hi - lo > RICCATI_REL_WIDTH * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    # step down from s = 1 while the test passes, up while it fails
+    s, step, ends = 1.0, 1.0, {}
+    while len(ends) < 2:
+        ok, f, level = test(s)
+        ends[ok] = (s, f, level)
+        s += -step if ok else step
+        step *= 2.0
+    (hi, f_hi, at_hi), (lo, f_lo, at_lo) = ends[True], ends[False]
+    kept = None  # the end the last step kept
+    widths = [math.inf, math.inf]  # bracket widths two steps and one step back
+    while True:
+        tol = RICCATI_REL_WIDTH * max(1.0, abs(hi))
+        width = hi - lo
+        if width <= tol:
             break
-        if passes(mid):
-            hi = mid
+        if (-math.inf < f_lo < f_hi and at_lo == at_hi
+                and width <= 0.5 * widths[0]):
+            s = hi - f_hi * (width / (f_hi - f_lo))
         else:
-            lo = mid
+            s = lo + 0.5 * width
+        s = min(max(s, lo + 0.45 * tol), hi - 0.45 * tol)
+        widths = [widths[1], width]
+        ok, f, level = test(s)
+        if ok:
+            hi, f_hi, at_hi = s, f, level
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo, at_lo = s, f, level
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
     return hi, hi - lo, chains
 
 
@@ -238,15 +276,16 @@ def lambda_max(inst: LQInstance, method: str = "riccati",
                seed: int = 0) -> SpectralReport:
     """Compute lambda_max(N) and the shift mu = -lambda_max.
 
-    ``method`` is ``"riccati"`` (bisection on the Riccati test; ``iterations``
-    counts the tests and ``residual`` is the final bracket width),
+    ``method`` is ``"riccati"`` (a safeguarded secant search on the Riccati
+    test; ``iterations`` counts the tests and ``residual`` is the final
+    bracket width),
     ``"dense"`` (eigendecomposition of the assembled matrix, a test oracle)
     or ``"power"`` (power iteration; ``tol``, ``max_iter`` and ``seed``
     apply to it only).
     """
     dim = dense_dimension(inst)
     if method == "riccati":
-        top, width, chains = _riccati_bisect(inst)
+        top, width, chains = _riccati_secant(inst)
         return SpectralReport(lambda_max=top, mu=-top, method="riccati", dimension=dim,
                               iterations=chains, residual=width)
     if method == "dense":
@@ -291,9 +330,10 @@ class ConcavityCertificate:
     """Whether N + mu I is negative definite up to ``tol``.
 
     ``worst`` is the top eigenvalue of N + mu I.  In Riccati mode
-    ``pivot_min`` is the smallest eigenvalue of the level pivots ``Huu / dt``
-    along the test chain at ``s = tol - mu`` and ``pivot_level`` is the
-    level where it occurs, or where the chain fails.
+    ``pivot_min`` and ``pivot_level`` are the margin and level of the test
+    chain at ``s = tol - mu`` (see :func:`_riccati_pd`): the smallest
+    eigenvalue of the level pivots ``Huu / dt`` and where it occurs, or the
+    pivot's smallest eigenvalue where the chain fails.
     """
 
     mu: float
@@ -323,21 +363,17 @@ def certify_concavity(inst: LQInstance, mu: float, mode: str = "riccati",
 
     Riccati mode runs the definiteness test on ``(tol - mu) I - N``, so
     ``ok`` is a certificate either way; ``worst`` is ``lambda_max + mu``
-    with lambda_max from the Riccati bisection, or ``top`` when the caller
+    with lambda_max from the Riccati search, or ``top`` when the caller
     already ran it.  Dense mode reports the top eigenvalue of the assembled
     shifted matrix.
     """
     if mode == "riccati":
-        pivots = []
-        ok, fail_level = _riccati_pd(inst, tol - mu, pivots)
-        smallest = np.linalg.eigvalsh(np.stack(pivots))[:, 0]
-        at = int(np.argmin(smallest))
+        ok, level, margin = _riccati_pd(inst, tol - mu)
         if top is None:
-            top, _, _ = _riccati_bisect(inst)
+            top, _, _ = _riccati_secant(inst)
         return ConcavityCertificate(
             mu=mu, mode="riccati", ok=ok, worst=top + mu, tol=tol,
-            pivot_min=float(smallest[at]),
-            pivot_level=inst.depth - 1 - at if ok else fail_level)
+            pivot_min=margin, pivot_level=level)
     if mode == "dense":
         op = assemble_N_dense(inst)
         shifted = op.matrix + mu * np.eye(op.dimension)

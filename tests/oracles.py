@@ -7,7 +7,9 @@ control.  The tests compare the library's sweeps and the operator N
 against them; the library itself never calls them.  The binary
 enumeration keeps its plain form here too: every control decoded digit
 by digit and costed with ``cost_many``, the reference for the screened
-enumeration of ``lqshift.oracle``.
+enumeration of ``lqshift.oracle``.  So does the lambda_max search: plain
+bisection on the Riccati test, the reference for the secant search of
+``lqshift.spectral``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from lqshift.errors import BudgetExceededError
+from lqshift.errors import BudgetExceededError, LqshiftError
 from lqshift.model import (
     ControlDomain,
     ControlProcess,
@@ -29,6 +31,7 @@ from lqshift.model import (
 )
 from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, TIE_CAP, OracleResult
 from lqshift.operators import BsdeSolution, _control_levels, apply_N, solve_linear_bsde
+from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd
 from lqshift.tree import (
     AdaptedProcess,
     ScenarioTree,
@@ -276,3 +279,41 @@ def brute_force_reference(inst: LQInstance, domain: ControlDomain,
     return OracleResult(control=ties[0], cost=best, enumerated=total,
                         ties=ties, tie_count=tie_count, max_penalty=max_penalty,
                         recosted=total)
+
+
+# -- lambda_max by bisection ---------------------------------------------------
+
+
+def riccati_bisect_reference(inst: LQInstance):
+    """Bracket lambda_max(N) by doubling, then bisect on the Riccati test.
+
+    Returns ``(hi, width, chains)`` as the library's search does: ``hi`` is
+    the smallest tested ``s`` at which the test passed, ``width`` the final
+    bracket width and ``chains`` the number of tests run.
+    """
+    chains = 0
+
+    def passes(s):
+        nonlocal chains
+        if not math.isfinite(s):
+            raise LqshiftError("the Riccati test gives no finite bracket for lambda_max")
+        chains += 1
+        return _riccati_pd(inst, s)[0]
+
+    if passes(1.0):
+        hi, lo = 1.0, 0.0
+        while passes(lo):
+            hi, lo = lo, lo - 2.0 * (hi - lo)
+    else:
+        lo, hi = 1.0, 2.0
+        while not passes(hi):
+            lo, hi = hi, hi + 2.0 * (hi - lo)
+    while hi - lo > RICCATI_REL_WIDTH * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, hi - lo, chains

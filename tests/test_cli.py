@@ -252,6 +252,40 @@ def test_power_tolerance_must_be_positive_and_finite(capsys, bench_file, value):
     assert _exit_code(capsys, *argv) == 2
 
 
+@pytest.mark.parametrize("options", [
+    ("solve", "--damping", "nan"),
+    ("solve", "--damping", "0"),
+    ("solve", "--damping", "-0.5"),
+    ("solve", "--damping", "1.5"),
+    ("solve", "--damping", "inf"),
+    ("solve", "--stationarity-tol", "nan"),
+    ("solve", "--remark1-tol", "inf"),
+    ("solve", "--smp-tol", "-inf"),
+    ("verify", "--smp-tol", "nan"),
+    ("verify", "--smp-tol", "inf"),
+    ("verify", "--stationarity-tol", "-inf"),
+    ("verify", "--remark1-tol", "nan"),
+    ("equivalence", "--budget", "-5"),
+    ("equivalence", "--budget", "0"),
+    ("example5", "--budget", "-5"),
+])
+def test_option_values_are_checked(capsys, bench_file, tmp_path, options):
+    command, *rest = options
+    argv = {"verify": (command, bench_file, "--control", str(tmp_path / "u.csv")),
+            "example5": (command,)}.get(command, (command, bench_file))
+    assert _exit_code(capsys, *argv, *rest) == 2
+
+
+def test_option_bounds_are_accepted(capsys, bench_file):
+    code, report = run_cli(capsys, "solve", bench_file, "--damping", "1",
+                           "--smp-tol", "0", "--stationarity-tol=-1e-300")
+    assert code == 0
+    assert report["parameters"]["damping"] == 1.0
+    code, report = run_cli(capsys, "example5", "--depths", "2", "--budget", "1")
+    assert code == 0
+    assert report["result"]["depths"][0]["optimum"] is None
+
+
 def test_smallest_counts_run(capsys, bench_file):
     code, report = run_cli(capsys, "equivalence", bench_file, "--samples", "1")
     assert code == 0

@@ -38,6 +38,23 @@ def test_brute_force_chunking_is_invisible(free1):
         lq.brute_force_binary(inst, domain, chunk=0)
 
 
+def test_small_chunks_split_batches_not_table_sweeps(monkeypatch, free1):
+    """Example 5 at depth 3 has 32 units of 4 controls, and one table sweep
+    covers them all whatever the chunk; a chunk of 7 splits only the batches."""
+    import lqshift.oracle as oracle
+
+    calls = []
+    original = oracle._cost_tables
+    monkeypatch.setattr(oracle, "_cost_tables",
+                        lambda *args: calls.append(1) or original(*args))
+    inst = lq.example5_instance(3)
+    want = lq.brute_force_binary(inst, free1)
+    for chunk in (1, 3, 7):
+        calls.clear()
+        _assert_same_oracle(lq.brute_force_binary(inst, free1, chunk=chunk), want, chunk)
+        assert len(calls) == 1, chunk
+
+
 def test_tie_enumeration_order_and_cap(free1):
     # a cost of zero everywhere makes every control a minimizer
     flat = lq.LQInstance.constant(depth=2, n=1, k=1, D=1.0)

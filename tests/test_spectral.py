@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+from lqshift.spectral import _riccati_pd
+
+import oracles
 
 
 def scalar_relaxed(inst, value):
@@ -145,14 +148,50 @@ def _random_cases(count):
         yield seed, inst
 
 
-def test_riccati_matches_dense_on_random_instances():
+@pytest.fixture(scope="module")
+def search_cases():
+    """``(label, inst, report, reference, top)`` on Example 5 and random instances.
+
+    ``reference`` is the bisection oracle's ``(hi, width, chains)`` and
+    ``top`` the dense top eigenvalue, or Example 5's closed form
+    ``3 - 2 / depth`` where the dense matrix would not fit.
+    """
+    cases = []
+    for depth in list(range(2, 15)) + [200]:
+        inst = lq.example5_instance(depth)
+        top = (lq.lambda_max(inst, method="dense").lambda_max if depth <= 10
+               else 3.0 - 2.0 / depth)
+        cases.append((f"example 5 depth {depth}", inst, top))
     for seed, inst in _random_cases(200):
-        riccati = lq.lambda_max(inst).lambda_max
-        dense = lq.lambda_max(inst, method="dense").lambda_max
-        scale = max(1.0, abs(dense))
-        assert abs(riccati - dense) <= 1e-12 * scale, f"seed {seed}"
+        cases.append((f"seed {seed}", inst, lq.lambda_max(inst, method="dense").lambda_max))
+    return [(label, inst, lq.lambda_max(inst), oracles.riccati_bisect_reference(inst), top)
+            for label, inst, top in cases]
+
+
+def test_riccati_search_is_a_certificate(search_cases):
+    for label, inst, report, (bisected, _, _), top in search_cases:
+        hi, width = report.lambda_max, report.residual
+        # both ends of the final bracket were tested: hi passes, the other end fails
+        assert _riccati_pd(inst, hi)[0], label
+        assert not _riccati_pd(inst, hi - width)[0], label
+        assert 0.0 < width <= 1e-13 * max(1.0, abs(hi)), label
+        scale = max(1.0, abs(top))
+        assert abs(hi - bisected) <= 2e-13 * scale, label
+        assert abs(hi - top) <= 1e-12 * scale, label
         # the upper end of the bracket passed the test, so it never undershoots
-        assert riccati >= dense - 1e-13 * scale, f"seed {seed}"
+        assert hi >= top - 1e-13 * scale, label
+
+
+def test_riccati_search_runs_few_chains(search_cases):
+    for label, inst, report, _, _ in search_cases:
+        if label.startswith("example 5") and inst.depth <= 14:
+            assert report.iterations <= 16, label
+    random = [(label, report.iterations, chains)
+              for label, _, report, (_, _, chains), _ in search_cases
+              if label.startswith("seed")]
+    assert np.mean([count for _, count, _ in random]) <= 20
+    for label, count, bisected in random:
+        assert count <= 2 * bisected, label
 
 
 def test_riccati_certificate_agrees_with_dense():

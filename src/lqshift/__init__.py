@@ -74,7 +74,6 @@ from .tree import (
     build_tree,
     conditional_expectation,
     inner_product_running,
-    inner_product_terminal,
     martingale_representation,
 )
 
@@ -113,7 +112,6 @@ __all__ = [
     "hamiltonian_mu",
     "hamiltonian_mu_gradient",
     "inner_product_running",
-    "inner_product_terminal",
     "instance_digest",
     "lambda_max",
     "load_control_csv",

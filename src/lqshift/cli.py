@@ -99,14 +99,20 @@ def _damping(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="power iteration only")
     p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_POWER_MAX_ITER,
                    help="power iteration only")
-    p.add_argument("--seed", type=int, default=0, help="power iteration only")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="power iteration only")
     p.add_argument("--certify", action="store_true",
                    help="also certify concavity of the shifted cost")
     p.set_defaults(func=cmd_spectrum)
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, mu=True)
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--control-out", default=None,
                    help="write the enumerated optimum to this CSV file")
     p.set_defaults(func=cmd_equivalence)

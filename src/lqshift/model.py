@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDomainError, VertexEnumerationError
-from .tree import (
-    RUNNING,
-    AdaptedProcess,
-    ScenarioTree,
-    build_tree,
-    check_node_memory,
-)
+from .tree import AdaptedProcess, ScenarioTree, build_tree, check_node_memory
 
 SYMMETRY_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
@@ -328,8 +322,6 @@ class ControlProcess:
     kind: str = "binary"
 
     def __post_init__(self):
-        if self.process.kind != RUNNING:
-            raise ValueError("controls are running processes")
         if self.process.dim != self.domain.k:
             raise ValueError(
                 f"control dimension {self.process.dim} does not match domain k={self.domain.k}"
@@ -358,12 +350,12 @@ class ControlProcess:
     @classmethod
     def from_levels(cls, domain: ControlDomain, tree: ScenarioTree, levels,
                     kind: str = "binary") -> "ControlProcess":
-        return cls(AdaptedProcess.running(tree, levels), domain, kind)
+        return cls(AdaptedProcess(tree, levels), domain, kind)
 
     @classmethod
     def constant(cls, domain: ControlDomain, tree: ScenarioTree, value,
                  kind: str = "binary") -> "ControlProcess":
-        return cls(AdaptedProcess.constant(tree, value, RUNNING), domain, kind)
+        return cls(AdaptedProcess.constant(tree, value), domain, kind)
 
     @classmethod
     def zero(cls, domain: ControlDomain, tree: ScenarioTree) -> "ControlProcess":
@@ -373,14 +365,6 @@ class ControlProcess:
 def as_process(u) -> AdaptedProcess:
     """The adapted process behind a :class:`ControlProcess`; others pass through."""
     return u.process if isinstance(u, ControlProcess) else u
-
-
-@dataclass(frozen=True)
-class StatePath:
-    """Forward state: running values on levels ``0 .. N-1`` plus the terminal slice."""
-
-    running: AdaptedProcess
-    terminal: AdaptedProcess
 
 
 @dataclass(frozen=True)
@@ -436,7 +420,7 @@ def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = Tru
     """Explicit Euler sweep; ``u_levels`` may be None for the zero control.
 
     All arrays may carry leading batch axes.  Returns the running level list
-    (levels ``0 .. N-1``) and the terminal array.
+    (levels ``0 .. N-1``) and the leaf array.
     """
     tree = inst.tree
     # running levels plus leaves, for one control
@@ -467,16 +451,16 @@ def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = Tru
     return x_levels, x
 
 
-def forward_state(inst: LQInstance, u) -> StatePath:
-    """Integrate the controlled dynamics from ``inst.x0`` along the tree."""
+def forward_state(inst: LQInstance, u):
+    """Integrate the controlled dynamics from ``inst.x0`` along the tree.
+
+    Returns ``(x_levels, x_term)``: the state on levels ``0 .. N-1`` as a
+    list of ``(2**m, n)`` arrays, and the ``(2**N, n)`` leaf array.
+    """
     u_proc = as_process(u)
     if u_proc.tree != inst.tree or u_proc.dim != inst.k:
         raise ValueError("control does not match the instance tree or control dimension")
-    x_levels, x_term = _forward_levels(inst, u_proc.levels, inst.x0)
-    return StatePath(
-        running=AdaptedProcess.running(inst.tree, x_levels),
-        terminal=AdaptedProcess.terminal(inst.tree, x_term),
-    )
+    return _forward_levels(inst, u_proc.levels, inst.x0)
 
 
 def _cost_from_levels(inst: LQInstance, u_levels, x_levels, x_term):
@@ -503,9 +487,8 @@ def _cost_from_levels(inst: LQInstance, u_levels, x_levels, x_term):
 def cost_direct(inst: LQInstance, u) -> float:
     """Evaluate the cost by forward simulation and weighted summation."""
     u_proc = as_process(u)
-    path = forward_state(inst, u_proc)
-    x_levels = [lvl for lvl in path.running.levels]
-    return float(_cost_from_levels(inst, u_proc.levels, x_levels, path.terminal.leaves))
+    x_levels, x_term = forward_state(inst, u_proc)
+    return float(_cost_from_levels(inst, u_proc.levels, x_levels, x_term))
 
 
 def cost_many(inst: LQInstance, u_levels):

@@ -24,51 +24,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LQInstance, _forward_levels, as_process
-from .tree import (
-    RUNNING,
-    TERMINAL,
-    AdaptedProcess,
-    ScenarioTree,
-    check_node_memory,
-    martingale_representation,
-)
+from .tree import AdaptedProcess, ScenarioTree, check_node_memory, martingale_representation
 
 DENSE_DIMENSION_CAP = 4096
 
 
 def _control_levels(inst: LQInstance, u):
-    """Accept a ControlProcess or running AdaptedProcess, return its level list."""
+    """Accept a ControlProcess or AdaptedProcess, return its level list."""
     proc = as_process(u)
-    if not isinstance(proc, AdaptedProcess) or proc.kind != RUNNING:
-        raise TypeError("expected a running control process")
+    if not isinstance(proc, AdaptedProcess):
+        raise TypeError("expected a control process")
     if proc.tree != inst.tree or proc.dim != inst.k:
         raise ValueError("control does not match the instance tree or control dimension")
     return proc.levels
 
 
 # -- backward equation --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BsdeSolution:
-    """Solution of the linear backward equation
-
-        p_N = eta,
-        p_m = E[p_{m+1} | F_m] + (A_m^T E[p_{m+1} | F_m] + C_m^T q_m + xi_m) dt,
-
-    where ``(E[p_{m+1}|F_m], q_m)`` is the martingale representation of the
-    next level.  ``p_mean`` stores that conditional mean; the adjoints of
-    the state maps pair it, not ``p`` itself, with the controls.
-    """
-
-    p: AdaptedProcess
-    p_mean: AdaptedProcess
-    q: AdaptedProcess
-    p_terminal: AdaptedProcess
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.p.level(0)[0].copy()
 
 
 def _bsde_levels(inst: LQInstance, xi_levels, eta):
@@ -92,32 +63,29 @@ def _bsde_levels(inst: LQInstance, xi_levels, eta):
     return p_levels, pbar_levels, q_levels
 
 
-def solve_linear_bsde(inst: LQInstance, xi=None, eta=None) -> BsdeSolution:
-    """Solve the backward equation with running driver ``xi`` and target ``eta``.
+def solve_linear_bsde(inst: LQInstance, xi=None, eta=None):
+    """Solve the linear backward equation
 
-    Either argument may be ``None`` for zero.  Both are state-dimension
-    processes on the instance tree.
+        p_N = eta,
+        p_m = E[p_{m+1} | F_m] + (A_m^T E[p_{m+1} | F_m] + C_m^T q_m + xi_m) dt,
+
+    where ``(E[p_{m+1}|F_m], q_m)`` is the martingale representation of the
+    next level.  ``xi`` is a list of ``(2**m, n)`` level arrays and ``eta``
+    a ``(2**N, n)`` leaf array; either may be ``None`` for zero.  Returns
+    the level lists ``(p, p_mean, q)``.  ``p_mean`` is the conditional
+    mean; the adjoints of the state maps pair it, not ``p`` itself, with
+    the controls.
     """
     tree = inst.tree
+    shapes = [(tree.num_nodes(m), inst.n) for m in range(tree.depth + 1)]
     if eta is None:
-        check_node_memory(tree.num_nodes(tree.depth), inst.n)
-        eta_arr = np.zeros((tree.num_nodes(tree.depth), inst.n))
-    else:
-        if eta.kind != TERMINAL or eta.tree != tree or eta.dim != inst.n:
-            raise ValueError("eta must be a terminal process of state dimension")
-        eta_arr = eta.leaves
-    xi_levels = None
-    if xi is not None:
-        if xi.kind != RUNNING or xi.tree != tree or xi.dim != inst.n:
-            raise ValueError("xi must be a running process of state dimension")
-        xi_levels = xi.levels
-    p_levels, pbar_levels, q_levels = _bsde_levels(inst, xi_levels, eta_arr)
-    return BsdeSolution(
-        p=AdaptedProcess.running(tree, p_levels),
-        p_mean=AdaptedProcess.running(tree, pbar_levels),
-        q=AdaptedProcess.running(tree, q_levels),
-        p_terminal=AdaptedProcess.terminal(tree, eta_arr),
-    )
+        check_node_memory(*shapes[-1])
+        eta = np.zeros(shapes[-1])
+    elif np.shape(eta) != shapes[-1]:
+        raise ValueError(f"eta must be a leaf array of shape {shapes[-1]}")
+    if xi is not None and [np.shape(a) for a in xi] != shapes[:-1]:
+        raise ValueError(f"xi must be one (2**m, {inst.n}) array per level m < {tree.depth}")
+    return _bsde_levels(inst, xi, eta)
 
 
 # -- the operator N -----------------------------------------------------------
@@ -145,7 +113,7 @@ def _apply_N_levels(inst: LQInstance, u_levels):
 def apply_N(inst: LQInstance, u) -> AdaptedProcess:
     """Apply ``N = R + L* Q L + S L + L* S^T + Lhat* G Lhat`` to a control."""
     u_levels = _control_levels(inst, u)
-    return AdaptedProcess.running(inst.tree, _apply_N_levels(inst, u_levels))
+    return AdaptedProcess(inst.tree, _apply_N_levels(inst, u_levels))
 
 
 # -- dense representation ------------------------------------------------------
@@ -190,7 +158,7 @@ class DenseOperator:
             levels.append(vec[pos:pos + count].reshape(self.tree.num_nodes(m), self.k)
                           / w[m])
             pos += count
-        return AdaptedProcess.running(self.tree, levels)
+        return AdaptedProcess(self.tree, levels)
 
 
 def dense_dimension(inst: LQInstance) -> int:

@@ -29,13 +29,12 @@ from .model import (
     ControlDomain,
     ControlProcess,
     LQInstance,
-    StatePath,
     _cost_from_levels,
     as_process,
     cost_direct,
     forward_state,
 )
-from .operators import BsdeSolution, solve_linear_bsde
+from .operators import solve_linear_bsde
 from .spectral import _step_blocks, shifted_cost
 from .tree import AdaptedProcess
 
@@ -48,21 +47,18 @@ DEFAULT_MSA_MAX_ITER = 200
 # -- first adjoint -------------------------------------------------------------
 
 
-def solve_first_adjoint(inst: LQInstance, xbar: StatePath, ubar) -> BsdeSolution:
+def solve_first_adjoint(inst: LQInstance, state, ubar):
     """Adjoint pair along a candidate trajectory.
 
-    Solves the backward equation with driver ``xi = -(Q xbar + S^T ubar)``
-    and terminal value ``eta = -G xbar_N``.
+    ``state`` is the ``(x_levels, x_term)`` pair :func:`forward_state`
+    returns for ``ubar``.  Solves the backward equation with driver
+    ``xi = -(Q xbar + S^T ubar)`` and terminal value ``eta = -G xbar_N``
+    and returns its level lists ``(p, p_mean, q)``.
     """
-    u_proc = as_process(ubar)
-    tree = inst.tree
-    xi_levels = [
-        -(xbar.running.level(m) @ inst.Q[m] + u_proc.level(m) @ inst.S[m])
-        for m in range(tree.depth)
-    ]
-    xi = AdaptedProcess.running(tree, xi_levels)
-    eta = AdaptedProcess.terminal(tree, -(xbar.terminal.leaves @ inst.G))
-    return solve_linear_bsde(inst, xi, eta)
+    x_levels, x_term = state
+    u_levels = as_process(ubar).levels
+    xi = [-(x_levels[m] @ inst.Q[m] + u_levels[m] @ inst.S[m]) for m in range(inst.depth)]
+    return solve_linear_bsde(inst, xi, -(x_term @ inst.G))
 
 
 # -- Hamiltonian ----------------------------------------------------------------
@@ -98,35 +94,30 @@ def hamiltonian_mu_gradient(inst: LQInstance, level: int, x, u, p, q,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One candidate's forward state, first adjoint and gradient base.
+    """One candidate's cost and gradient base.
 
-    Built once per control with one forward and one backward sweep; the
-    cost and every check read it.  ``base[m]`` is the control-independent
-    part ``pbar B + q D - x S^T`` of the shifted Hamiltonian gradient at
-    level ``m``, with ``pbar`` the conditional-mean adjoint.
+    Built once per control from one forward and one backward sweep, which
+    are dropped once the cost and ``base`` are formed; the checks read
+    these.  ``base[m]`` is the control-independent part
+    ``pbar B + q D - x S^T`` of the shifted Hamiltonian gradient at level
+    ``m``, with ``pbar`` the conditional-mean adjoint.
     """
 
     control: AdaptedProcess
-    state: StatePath
-    adjoint: BsdeSolution
+    cost: float
     base: tuple
 
     @classmethod
     def of(cls, inst: LQInstance, ubar) -> "Trajectory":
         u_proc = as_process(ubar)
-        xbar = forward_state(inst, u_proc)
-        adj = solve_first_adjoint(inst, xbar, u_proc)
+        state = x_levels, x_term = forward_state(inst, u_proc)
+        _, p_mean, q = solve_first_adjoint(inst, state, u_proc)
         base = tuple(
-            adj.p_mean.level(m) @ inst.B[m] + adj.q.level(m) @ inst.D[m]
-            - xbar.running.level(m) @ inst.S[m].T
+            p_mean[m] @ inst.B[m] + q[m] @ inst.D[m] - x_levels[m] @ inst.S[m].T
             for m in range(inst.depth)
         )
-        return cls(u_proc, xbar, adj, base)
-
-    def cost(self, inst: LQInstance) -> float:
-        return float(_cost_from_levels(inst, self.control.levels,
-                                       self.state.running.levels,
-                                       self.state.terminal.leaves))
+        cost = float(_cost_from_levels(inst, u_proc.levels, x_levels, x_term))
+        return cls(u_proc, cost, base)
 
     def gradient(self, inst: LQInstance, mu: float) -> list:
         """grad_u H_mu at every node, in the float order of
@@ -168,6 +159,18 @@ class CheckResult:
         }
 
 
+def _worst(scores):
+    """``(value, level, node, column)`` of the largest entry of per-level
+    ``(nodes, columns)`` score arrays: ``np.argmax`` order within a level,
+    the earliest level on ties across levels."""
+    worst = (-math.inf, 0, 0, 0)
+    for m, score in enumerate(scores):
+        j, c = np.unravel_index(np.argmax(score), score.shape)
+        if score[j, c] > worst[0]:
+            worst = (float(score[j, c]), m, int(j), int(c))
+    return worst
+
+
 def check_stationarity(inst: LQInstance, ubar: ControlProcess, mu: float,
                        tol: float = DEFAULT_STATIONARITY_TOL, *,
                        trajectory: Trajectory | None = None) -> CheckResult:
@@ -181,20 +184,10 @@ def check_stationarity(inst: LQInstance, ubar: ControlProcess, mu: float,
     if verts.shape[0] == 0:
         raise ValueError("the binary control set is empty")
     traj = trajectory or Trajectory.of(inst, ubar)
-    worst = -math.inf
-    where = (0, 0, verts[0])
-    for m, g in enumerate(traj.gradient(inst, mu)):
-        scores = g @ verts.T
-        own = np.sum(g * traj.control.level(m), axis=-1)
-        gap = scores - own[:, None]
-        j, v = np.unravel_index(np.argmax(gap), gap.shape)
-        if gap[j, v] > worst:
-            worst = float(gap[j, v])
-            where = (m, int(j), verts[v])
-    return CheckResult(
-        name="stationarity", ok=worst <= tol, violation=worst, tol=tol,
-        level=where[0], index=where[1], witness=tuple(where[2]),
-    )
+    worst, m, j, v = _worst(g @ verts.T - np.sum(g * u, axis=-1)[:, None]
+                            for g, u in zip(traj.gradient(inst, mu), traj.control.levels))
+    return CheckResult(name="stationarity", ok=worst <= tol, violation=worst, tol=tol,
+                       level=m, index=j, witness=tuple(verts[v]))
 
 
 def check_remark1_signs(inst: LQInstance, ubar: ControlProcess, mu: float,
@@ -210,19 +203,10 @@ def check_remark1_signs(inst: LQInstance, ubar: ControlProcess, mu: float,
     if ubar.kind != "binary":
         raise ValueError("the sign test applies to binary controls")
     traj = trajectory or Trajectory.of(inst, ubar)
-    worst = -math.inf
-    where = (0, 0, 0)
-    for m, g in enumerate(traj.gradient(inst, mu)):
-        u = traj.control.level(m)
-        signed = (1.0 - 2.0 * u) * g
-        j, i = np.unravel_index(np.argmax(signed), signed.shape)
-        if signed[j, i] > worst:
-            worst = float(signed[j, i])
-            where = (m, int(j), int(i))
-    return CheckResult(
-        name="remark1_signs", ok=worst <= tol, violation=worst, tol=tol,
-        level=where[0], index=where[1], witness=(where[2],),
-    )
+    worst, m, j, i = _worst((1.0 - 2.0 * u) * g
+                            for g, u in zip(traj.gradient(inst, mu), traj.control.levels))
+    return CheckResult(name="remark1_signs", ok=worst <= tol, violation=worst, tol=tol,
+                       level=m, index=j, witness=(i,))
 
 
 # -- second adjoint -------------------------------------------------------------
@@ -271,21 +255,17 @@ def check_general_smp(inst: LQInstance, ubar: ControlProcess,
     traj = trajectory or Trajectory.of(inst, ubar)
     second = solve_second_adjoint(inst)
     blocks = _step_blocks(inst)
-    worst = -math.inf
-    where = (0, 0, verts[0])
-    for m, g in enumerate(traj.gradient(inst, 0.0)):
-        # the level's diagonal block of N: R minus the switch curvature
-        hess = inst.R[m] - blocks(m, second[m + 1])[0]
-        delta = verts[None, :, :] - traj.control.level(m)[:, None, :]
-        deficit = np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
-        j, v = np.unravel_index(np.argmax(deficit), deficit.shape)
-        if deficit[j, v] > worst:
-            worst = float(deficit[j, v])
-            where = (m, int(j), verts[v])
-    return CheckResult(
-        name="general_smp", ok=worst <= tol, violation=worst, tol=tol,
-        level=where[0], index=where[1], witness=tuple(where[2]),
-    )
+
+    def deficits():
+        for m, (g, u) in enumerate(zip(traj.gradient(inst, 0.0), traj.control.levels)):
+            # the level's diagonal block of N: R minus the switch curvature
+            hess = inst.R[m] - blocks(m, second[m + 1])[0]
+            delta = verts[None, :, :] - u[:, None, :]
+            yield np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
+
+    worst, m, j, v = _worst(deficits())
+    return CheckResult(name="general_smp", ok=worst <= tol, violation=worst, tol=tol,
+                       level=m, index=j, witness=tuple(verts[v]))
 
 
 # -- aggregated report -----------------------------------------------------------
@@ -333,8 +313,7 @@ def run_checks(inst: LQInstance, ubar: ControlProcess, mu: float, *,
     ``Trajectory.of(inst, ubar)``.
     """
     traj = trajectory or Trajectory.of(inst, ubar)
-    base = traj.cost(inst)
-    shifted = shifted_cost(inst, ubar, mu, base_cost=base)
+    shifted = shifted_cost(inst, ubar, mu, base_cost=traj.cost)
     stationarity = check_stationarity(inst, ubar, mu, stationarity_tol,
                                       trajectory=traj)
     remark1 = None
@@ -343,7 +322,7 @@ def run_checks(inst: LQInstance, ubar: ControlProcess, mu: float, *,
     smp = None
     if second_order and ubar.kind == "binary":
         smp = check_general_smp(inst, ubar, smp_tol, trajectory=traj)
-    return MPReport(mu=mu, cost=base, cost_shifted=shifted,
+    return MPReport(mu=mu, cost=traj.cost, cost_shifted=shifted,
                     stationarity=stationarity, remark1=remark1, general_smp=smp)
 
 
@@ -405,8 +384,8 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
 
     seen = set()
     best_shifted = math.inf
-    best_control, best_cost, best_traj = current, None, None
-    current_cost = traj = None  # set once ``current``'s trajectory is built
+    best_control, best_traj = current, None
+    traj = None  # ``current``'s trajectory, once built
     history = []
     status = "max-iter"
     iterations = 0
@@ -415,16 +394,14 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         key = b"".join(lvl.tobytes() for lvl in current.levels)
         if key in seen:
             status = "cycle"
-            current, current_cost, traj = best_control, best_cost, best_traj
+            current, traj = best_control, best_traj
             break
         seen.add(key)
         traj = Trajectory.of(inst, current)
-        current_cost = traj.cost(inst)
-        shifted = shifted_cost(inst, current, mu, base_cost=current_cost)
+        shifted = shifted_cost(inst, current, mu, base_cost=traj.cost)
         history.append(shifted)
         if shifted < best_shifted:
-            best_shifted, best_control, best_cost, best_traj = \
-                shifted, current, current_cost, traj
+            best_shifted, best_control, best_traj = shifted, current, traj
 
         u_proc = traj.control
         grads = traj.gradient(inst, mu)
@@ -462,9 +439,9 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         else:
             new_levels = proposals
         current = ControlProcess.from_levels(domain, tree, new_levels, "binary")
-        current_cost = traj = None
+        traj = None
 
-    final_cost = cost_direct(inst, current) if current_cost is None else current_cost
+    final_cost = cost_direct(inst, current) if traj is None else traj.cost
     final_shifted = shifted_cost(inst, current, mu, base_cost=final_cost)
     return MsaResult(control=current, cost=final_cost, cost_shifted=final_shifted,
                      status=status, iterations=iterations, history=tuple(history),

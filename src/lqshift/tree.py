@@ -11,9 +11,12 @@ is a finite weighted sum.  Identities that hold in exact arithmetic can be
 tested here at machine precision instead of Monte-Carlo accuracy.
 
 An :class:`AdaptedProcess` attaches one ``dim``-vector to every node of
-either the running levels ``0 .. N-1`` or the terminal level ``N``.
-Adaptedness is structural: a node holds a single value, so a value cannot
-depend on branches below its node.
+the running levels ``0 .. N-1``; it is the validated, immutable container
+for controls.  Computed processes (the state, the adjoints, gradients) are
+plain lists of ``(2**n, dim)`` level arrays, plus a ``(2**N, dim)`` leaf
+array where the process has a terminal value.  Adaptedness is structural:
+a node holds a single value, so a value cannot depend on branches below
+its node.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ import numpy as np
 # Per-node arrays double with every level, so the guard bounds their bytes,
 # not the depth: code that builds no such array runs at any depth.
 NODE_BYTES_BOUND = 256 * 2 ** 20
-
-RUNNING = "running"
-TERMINAL = "terminal"
 
 
 @dataclass(frozen=True)
@@ -115,33 +115,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class AdaptedProcess:
-    """A vector-valued process indexed by the nodes of a scenario tree.
+    """A vector-valued process on the running levels ``0 .. N-1`` of a tree.
 
-    ``kind`` is either ``"running"`` (one value per node of levels
-    ``0 .. N-1``) or ``"terminal"`` (one value per leaf of level ``N``).
     Values are stored per level as read-only ``(2**n, dim)`` arrays.
     """
 
-    __slots__ = ("tree", "kind", "dim", "levels")
+    __slots__ = ("tree", "dim", "levels")
 
-    def __init__(self, tree: ScenarioTree, kind: str, levels):
-        if kind not in (RUNNING, TERMINAL):
-            raise ValueError(f"kind must be 'running' or 'terminal', got {kind!r}")
-        if kind == TERMINAL:
-            levels = [levels] if isinstance(levels, np.ndarray) else list(levels)
-            if len(levels) != 1:
-                raise ValueError("terminal process takes a single leaf array")
-            expected = [tree.num_nodes(tree.depth)]
-        else:
-            levels = list(levels)
-            if len(levels) != tree.depth:
-                raise ValueError(
-                    f"running process needs {tree.depth} level arrays, got {len(levels)}"
-                )
-            expected = [tree.num_nodes(n) for n in range(tree.depth)]
+    def __init__(self, tree: ScenarioTree, levels):
+        levels = list(levels)
+        if len(levels) != tree.depth:
+            raise ValueError(
+                f"running process needs {tree.depth} level arrays, got {len(levels)}"
+            )
         arrays = []
         dim = None
-        for nodes, arr in zip(expected, levels):
+        for n, arr in enumerate(levels):
+            nodes = tree.num_nodes(n)
             a = np.asarray(arr, dtype=float)
             if a.ndim == 1:
                 a = a[:, None]
@@ -155,7 +145,6 @@ class AdaptedProcess:
                 raise ValueError("level arrays disagree on the value dimension")
             arrays.append(_freeze(a))
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "levels", tuple(arrays))
 
@@ -165,41 +154,19 @@ class AdaptedProcess:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def running(cls, tree: ScenarioTree, levels) -> "AdaptedProcess":
-        return cls(tree, RUNNING, levels)
-
-    @classmethod
-    def terminal(cls, tree: ScenarioTree, leaves) -> "AdaptedProcess":
-        return cls(tree, TERMINAL, leaves)
-
-    @classmethod
-    def zeros(cls, tree: ScenarioTree, dim: int, kind: str = RUNNING) -> "AdaptedProcess":
+    def zeros(cls, tree: ScenarioTree, dim: int) -> "AdaptedProcess":
         check_node_memory(tree.num_nodes(tree.depth), dim)
-        if kind == TERMINAL:
-            return cls(tree, kind, np.zeros((tree.num_nodes(tree.depth), dim)))
-        return cls(tree, kind, [np.zeros((tree.num_nodes(n), dim)) for n in range(tree.depth)])
+        return cls(tree, [np.zeros((tree.num_nodes(n), dim)) for n in range(tree.depth)])
 
     @classmethod
-    def constant(cls, tree: ScenarioTree, value, kind: str = RUNNING) -> "AdaptedProcess":
+    def constant(cls, tree: ScenarioTree, value) -> "AdaptedProcess":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         check_node_memory(tree.num_nodes(tree.depth), v.size)
-        if kind == TERMINAL:
-            return cls(tree, kind, np.tile(v, (tree.num_nodes(tree.depth), 1)))
-        return cls(tree, kind, [np.tile(v, (tree.num_nodes(n), 1)) for n in range(tree.depth)])
+        return cls(tree, [np.tile(v, (tree.num_nodes(n), 1)) for n in range(tree.depth)])
 
     # -- accessors ---------------------------------------------------------
 
-    @property
-    def leaves(self) -> np.ndarray:
-        if self.kind != TERMINAL:
-            raise ValueError("leaves are defined for terminal processes only")
-        return self.levels[0]
-
     def level(self, n: int) -> np.ndarray:
-        if self.kind == TERMINAL:
-            if n != self.tree.depth:
-                raise ValueError(f"terminal process has values at level {self.tree.depth} only")
-            return self.levels[0]
         if not 0 <= n < self.tree.depth:
             raise ValueError(f"running process has levels 0 .. {self.tree.depth - 1}, got {n}")
         return self.levels[n]
@@ -209,9 +176,9 @@ class AdaptedProcess:
     def _binary_op(self, other, op):
         if not isinstance(other, AdaptedProcess):
             return NotImplemented
-        if self.tree != other.tree or self.kind != other.kind or self.dim != other.dim:
+        if self.tree != other.tree or self.dim != other.dim:
             raise ValueError("processes live on different trees or have different shapes")
-        return AdaptedProcess(self.tree, self.kind, [op(a, b) for a, b in zip(self.levels, other.levels)])
+        return AdaptedProcess(self.tree, [op(a, b) for a, b in zip(self.levels, other.levels)])
 
     def __add__(self, other):
         return self._binary_op(other, np.add)
@@ -221,7 +188,7 @@ class AdaptedProcess:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return AdaptedProcess(self.tree, self.kind, [s * a for a in self.levels])
+        return AdaptedProcess(self.tree, [s * a for a in self.levels])
 
     __rmul__ = __mul__
 
@@ -279,18 +246,6 @@ def _weighted_dot_levels(tree: ScenarioTree, a_levels, b_levels):
 
 def inner_product_running(u: AdaptedProcess, v: AdaptedProcess) -> float:
     """Time-integrated expectation ``E[ sum_n <u_n, v_n> dt ]`` (left endpoints)."""
-    if u.kind != RUNNING or v.kind != RUNNING:
-        raise ValueError("running inner product needs running processes")
     if u.tree != v.tree or u.dim != v.dim:
         raise ValueError("processes live on different trees or have different dimensions")
     return float(_weighted_dot_levels(u.tree, u.levels, v.levels))
-
-
-def inner_product_terminal(xi: AdaptedProcess, eta: AdaptedProcess) -> float:
-    """Expectation ``E[ <xi, eta> ]`` over the leaves."""
-    if xi.kind != TERMINAL or eta.kind != TERMINAL:
-        raise ValueError("terminal inner product needs terminal processes")
-    if xi.tree != eta.tree or xi.dim != eta.dim:
-        raise ValueError("processes live on different trees or have different dimensions")
-    prob = xi.tree.path_prob(xi.tree.depth)
-    return float(prob * np.sum(xi.leaves * eta.leaves))

@@ -2,12 +2,12 @@
 
 These build explicitly what the library only applies: the fundamental
 matrices of the homogeneous dynamics, the affine split of the state, the
-adjoint images ``L* xi + Lhat* eta`` and the cost as a quadratic in the
-control.  The tests compare the library's sweeps and the operator N
-against them; the library itself never calls them.  The binary
-enumeration keeps its plain form here too: every control decoded digit
-by digit and costed with ``cost_many``, the reference for the screened
-enumeration of ``lqshift.oracle``.  So does the lambda_max search: plain
+adjoint images ``L* xi + Lhat* eta``, the leaf inner product and the cost
+as a quadratic in the control.  The tests compare the library's sweeps
+and the operator N against them; the library itself never calls them.
+The binary enumeration keeps its plain form here too: every control
+decoded digit by digit and costed with ``cost_many``, the reference for
+the screened enumeration of ``lqshift.oracle``.  So does the lambda_max search: plain
 bisection on the Riccati test, the reference for the secant search of
 ``lqshift.spectral``.
 """
@@ -25,20 +25,23 @@ from lqshift.model import (
     ControlDomain,
     ControlProcess,
     LQInstance,
-    StatePath,
     _forward_levels,
     cost_many,
 )
 from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, TIE_CAP, OracleResult
-from lqshift.operators import BsdeSolution, _control_levels, apply_N, solve_linear_bsde
+from lqshift.operators import _control_levels, apply_N, solve_linear_bsde
 from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd
 from lqshift.tree import (
     AdaptedProcess,
     ScenarioTree,
     _weighted_dot_levels,
     inner_product_running,
-    inner_product_terminal,
 )
+
+
+def leaf_dot(tree: ScenarioTree, a: np.ndarray, b: np.ndarray) -> float:
+    """Expectation ``E[ <a, b> ]`` of two ``(2**N, dim)`` leaf arrays."""
+    return float(tree.path_prob(tree.depth) * np.sum(a * b))
 
 
 # -- fundamental matrices ----------------------------------------------------
@@ -102,25 +105,25 @@ def fundamental_matrices(inst: LQInstance, singular_tol: float = 1e-10) -> Funda
 
 @dataclass(frozen=True)
 class StateDecomposition:
-    """The three affine pieces of the state, each at running and terminal times.
+    """The three affine pieces of the state: running processes on levels
+    ``0 .. N-1`` and ``(2**N, n)`` leaf arrays.
 
     ``from_initial + from_control + source`` reproduces the full state
     exactly (the scheme is affine, so the split is not approximate).
     """
 
     from_initial: AdaptedProcess
-    from_initial_terminal: AdaptedProcess
+    from_initial_terminal: np.ndarray
     from_control: AdaptedProcess
-    from_control_terminal: AdaptedProcess
+    from_control_terminal: np.ndarray
     source: AdaptedProcess
-    source_terminal: AdaptedProcess
+    source_terminal: np.ndarray
 
-    def state(self) -> StatePath:
-        return StatePath(
-            running=self.from_initial + self.from_control + self.source,
-            terminal=self.from_initial_terminal + self.from_control_terminal
-            + self.source_terminal,
-        )
+    def state(self) -> tuple:
+        """``(running, leaves)``, the full state."""
+        return (self.from_initial + self.from_control + self.source,
+                self.from_initial_terminal + self.from_control_terminal
+                + self.source_terminal)
 
 
 def decompose_state(inst: LQInstance, u) -> StateDecomposition:
@@ -131,12 +134,12 @@ def decompose_state(inst: LQInstance, u) -> StateDecomposition:
     ctl_run, ctl_term = _forward_levels(inst, u_levels, zero0, inhomogeneous=False)
     src_run, src_term = _forward_levels(inst, None, zero0, inhomogeneous=True)
     return StateDecomposition(
-        from_initial=AdaptedProcess.running(tree, hom_run),
-        from_initial_terminal=AdaptedProcess.terminal(tree, hom_term),
-        from_control=AdaptedProcess.running(tree, ctl_run),
-        from_control_terminal=AdaptedProcess.terminal(tree, ctl_term),
-        source=AdaptedProcess.running(tree, src_run),
-        source_terminal=AdaptedProcess.terminal(tree, src_term),
+        from_initial=AdaptedProcess(tree, hom_run),
+        from_initial_terminal=hom_term,
+        from_control=AdaptedProcess(tree, ctl_run),
+        from_control_terminal=ctl_term,
+        source=AdaptedProcess(tree, src_run),
+        source_terminal=src_term,
     )
 
 
@@ -147,6 +150,7 @@ def decompose_state(inst: LQInstance, u) -> StateDecomposition:
 class AdjointImage:
     """Image of ``(xi, eta)`` under the adjoints of the state maps.
 
+    ``xi`` is a state-dimension running process and ``eta`` a leaf array.
     ``control`` is ``L* xi + Lhat* eta`` (a control-dimension running
     process) and ``initial`` is ``Gamma* xi + Gammahat* eta`` (a state
     vector), so that exactly, in the tree inner products,
@@ -157,21 +161,12 @@ class AdjointImage:
 
     control: AdaptedProcess
     initial: np.ndarray
-    solution: BsdeSolution
 
 
-def adjoint_apply(inst: LQInstance, xi=None, eta=None) -> AdjointImage:
-    sol = solve_linear_bsde(inst, xi, eta)
-    tree = inst.tree
-    out = [
-        sol.p_mean.level(m) @ inst.B[m] + sol.q.level(m) @ inst.D[m]
-        for m in range(tree.depth)
-    ]
-    return AdjointImage(
-        control=AdaptedProcess.running(tree, out),
-        initial=sol.initial,
-        solution=sol,
-    )
+def adjoint_apply(inst: LQInstance, xi: AdaptedProcess, eta: np.ndarray) -> AdjointImage:
+    p, p_mean, q = solve_linear_bsde(inst, xi.levels, eta)
+    out = [p_mean[m] @ inst.B[m] + q[m] @ inst.D[m] for m in range(inst.depth)]
+    return AdjointImage(control=AdaptedProcess(inst.tree, out), initial=p[0][0])
 
 
 # -- the cost as a quadratic -------------------------------------------------
@@ -193,7 +188,7 @@ class QuadraticCost:
 
     def value(self, u) -> float:
         u_levels = _control_levels(self.instance, u)
-        proc = AdaptedProcess.running(self.instance.tree, u_levels)
+        proc = AdaptedProcess(self.instance.tree, u_levels)
         nu = apply_N(self.instance, proc)
         return float(
             0.5 * inner_product_running(nu, proc)
@@ -205,16 +200,13 @@ class QuadraticCost:
 def quadratic_functional(inst: LQInstance) -> QuadraticCost:
     tree = inst.tree
     z_run_levels, z_term = _forward_levels(inst, None, inst.x0, inhomogeneous=True)
-    z = AdaptedProcess.running(tree, z_run_levels)
-    qz = AdaptedProcess.running(tree, [z_run_levels[m] @ inst.Q[m]
-                                       for m in range(tree.depth)])
-    gz = AdaptedProcess.terminal(tree, z_term @ inst.G)
-    zhat = AdaptedProcess.terminal(tree, z_term)
+    z = AdaptedProcess(tree, z_run_levels)
+    qz = AdaptedProcess(tree, [z_run_levels[m] @ inst.Q[m] for m in range(tree.depth)])
+    gz = z_term @ inst.G
     image = adjoint_apply(inst, xi=qz, eta=gz)
-    sz = AdaptedProcess.running(tree, [z_run_levels[m] @ inst.S[m].T
-                                       for m in range(tree.depth)])
+    sz = AdaptedProcess(tree, [z_run_levels[m] @ inst.S[m].T for m in range(tree.depth)])
     linear = image.control + sz
-    constant = inner_product_running(qz, z) + inner_product_terminal(gz, zhat)
+    constant = inner_product_running(qz, z) + leaf_dot(tree, gz, z_term)
     return QuadraticCost(instance=inst, linear=linear, constant=float(constant))
 
 

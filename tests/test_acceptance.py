@@ -13,7 +13,7 @@ import numpy as np
 import lqshift as lq
 
 from conftest import ACCEPTANCE_LINES, all_scalar_binary_controls
-from oracles import adjoint_apply, decompose_state, quadratic_functional
+from oracles import adjoint_apply, decompose_state, leaf_dot, quadratic_functional
 
 
 @contextmanager
@@ -111,8 +111,8 @@ def test_benchmark_optimum_and_adjoints():
                 and not any(np.any(lvl) for lvl in oracle.control.levels)
 
             xbar = lq.forward_state(inst, oracle.control)
-            adj = lq.solve_first_adjoint(inst, xbar, oracle.control)
-            worst_adjoint = max(worst_adjoint, adj.p.max_abs(), adj.q.max_abs())
+            p, _, q = lq.solve_first_adjoint(inst, xbar, oracle.control)
+            worst_adjoint = max([worst_adjoint] + [float(np.max(np.abs(a))) for a in p + q])
 
             second = lq.solve_second_adjoint(inst)
             for m in range(depth + 1):
@@ -173,12 +173,11 @@ def test_operator_identities():
             inst, _ = lq.random_instance(seed, depth_max=4)
             tree = inst.tree
             rng = np.random.default_rng(10_000 + seed)
-            xi = lq.AdaptedProcess.running(
+            xi = lq.AdaptedProcess(
                 tree, [rng.normal(size=(tree.num_nodes(m), inst.n))
                        for m in range(tree.depth)])
-            eta = lq.AdaptedProcess.terminal(
-                tree, rng.normal(size=(tree.num_nodes(tree.depth), inst.n)))
-            u = lq.AdaptedProcess.running(
+            eta = rng.normal(size=(tree.num_nodes(tree.depth), inst.n))
+            u = lq.AdaptedProcess(
                 tree, [rng.normal(size=(tree.num_nodes(m), inst.k))
                        for m in range(tree.depth)])
 
@@ -187,8 +186,8 @@ def test_operator_identities():
             lhs = lq.inner_product_running(image.control, u) \
                 + float(image.initial @ inst.x0)
             rhs = lq.inner_product_running(xi, dec.from_initial + dec.from_control) \
-                + lq.inner_product_terminal(
-                    eta, dec.from_initial_terminal + dec.from_control_terminal)
+                + leaf_dot(tree, eta,
+                           dec.from_initial_terminal + dec.from_control_terminal)
             worst_dual = max(worst_dual, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
             direct = lq.cost_direct(inst, u)
@@ -263,16 +262,15 @@ def test_hamiltonian_gradient():
             rng = np.random.default_rng(seed)
             levels = [rng.uniform(0.0, 1.0, size=(tree.num_nodes(m), inst.k))
                       for m in range(tree.depth)]
-            u = lq.AdaptedProcess.running(tree, levels)
-            xbar = lq.forward_state(inst, u)
-            adj = lq.solve_first_adjoint(inst, xbar, u)
+            u = lq.AdaptedProcess(tree, levels)
+            xbar = x_levels, _ = lq.forward_state(inst, u)
+            _, p_mean, q = lq.solve_first_adjoint(inst, xbar, u)
             for _ in range(50):
                 m = int(rng.integers(0, tree.depth))
                 j = int(rng.integers(0, tree.num_nodes(m)))
                 i = int(rng.integers(0, inst.k))
                 grad = lq.hamiltonian_mu_gradient(
-                    inst, m, xbar.running.level(m), levels[m],
-                    adj.p_mean.level(m), adj.q.level(m), mu)[j, i]
+                    inst, m, x_levels[m], levels[m], p_mean[m], q[m], mu)[j, i]
                 bumped = [np.stack([lvl, lvl]) for lvl in levels]
                 bumped[m][0, j, i] += h
                 bumped[m][1, j, i] -= h

@@ -268,6 +268,9 @@ def test_power_tolerance_must_be_positive_and_finite(capsys, bench_file, value):
     ("equivalence", "--budget", "-5"),
     ("equivalence", "--budget", "0"),
     ("example5", "--budget", "-5"),
+    ("equivalence", "--seed", "-1"),
+    ("spectrum", "--method", "power", "--seed", "-1"),
+    ("spectrum", "--seed", "1.5"),
 ])
 def test_option_values_are_checked(capsys, bench_file, tmp_path, options):
     command, *rest = options
@@ -284,6 +287,13 @@ def test_option_bounds_are_accepted(capsys, bench_file):
     code, report = run_cli(capsys, "example5", "--depths", "2", "--budget", "1")
     assert code == 0
     assert report["result"]["depths"][0]["optimum"] is None
+    code, report = run_cli(capsys, "equivalence", bench_file, "--seed", "0")
+    assert code == 0
+    assert report["parameters"]["seed"] == 0
+    code, report = run_cli(capsys, "spectrum", bench_file, "--method", "power",
+                           "--seed", "0")
+    assert code == 0
+    assert report["parameters"]["seed"] == 0
 
 
 def test_smallest_counts_run(capsys, bench_file):

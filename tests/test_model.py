@@ -77,12 +77,12 @@ def test_benchmark_instance_coefficients(bench2):
 
 def test_forward_state_by_hand(bench2, free1):
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
-    path = lq.forward_state(bench2, ones)
+    x_levels, x_term = lq.forward_state(bench2, ones)
     s = np.sqrt(0.5)
-    np.testing.assert_array_equal(path.running.level(0), [[0.0]])
-    np.testing.assert_allclose(path.running.level(1).ravel(), [s, -s],
+    np.testing.assert_array_equal(x_levels[0], [[0.0]])
+    np.testing.assert_allclose(x_levels[1].ravel(), [s, -s],
                                rtol=0, atol=1e-15)
-    np.testing.assert_allclose(path.terminal.leaves.ravel(),
+    np.testing.assert_allclose(x_term.ravel(),
                                [2 * s, 0.0, 0.0, -2 * s], rtol=0, atol=1e-15)
 
 

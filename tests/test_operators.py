@@ -10,51 +10,51 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.tree import RUNNING
 
 from oracles import (
     adjoint_apply,
     decompose_state,
     fundamental_matrices,
+    leaf_dot,
     quadratic_functional,
 )
 
 
 def random_xi_eta(inst, rng):
     tree = inst.tree
-    xi = lq.AdaptedProcess.running(
+    xi = lq.AdaptedProcess(
         tree, [rng.normal(size=(tree.num_nodes(m), inst.n)) for m in range(tree.depth)])
-    eta = lq.AdaptedProcess.terminal(
-        tree, rng.normal(size=(tree.num_nodes(tree.depth), inst.n)))
+    eta = rng.normal(size=(tree.num_nodes(tree.depth), inst.n))
     return xi, eta
 
 
 def random_control_process(inst, rng):
     tree = inst.tree
-    return lq.AdaptedProcess.running(
+    return lq.AdaptedProcess(
         tree, [rng.normal(size=(tree.num_nodes(m), inst.k)) for m in range(tree.depth)])
 
 
 def test_bsde_with_constant_running_source(bench2):
     tree = bench2.tree
     xi = lq.AdaptedProcess.constant(tree, [1.0])
-    sol = lq.solve_linear_bsde(bench2, xi=xi)
+    p, p_mean, q = lq.solve_linear_bsde(bench2, xi=xi.levels)
     # A = C = 0, so the value just integrates the source backward
-    np.testing.assert_allclose(sol.p.level(0), [[1.0]], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(sol.p.level(1), [[0.5], [0.5]], rtol=0, atol=1e-15)
-    assert sol.q.max_abs() == 0.0
-    assert sol.p_terminal.max_abs() == 0.0
-    np.testing.assert_allclose(sol.initial, [1.0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(sol.p_mean.level(0), [[0.5]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p[0], [[1.0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p[1], [[0.5], [0.5]], rtol=0, atol=1e-15)
+    assert lq.AdaptedProcess(tree, q).max_abs() == 0.0
+    # the last level averages the zero target
+    assert np.max(np.abs(p_mean[-1])) == 0.0
+    np.testing.assert_allclose(p[0][0], [1.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p_mean[0], [[0.5]], rtol=0, atol=1e-15)
 
 
 def test_bsde_rejects_mismatched_data(bench2):
     tree = bench2.tree
     with pytest.raises(ValueError):
-        lq.solve_linear_bsde(bench2, xi=lq.AdaptedProcess.zeros(tree, 2))
+        lq.solve_linear_bsde(bench2, xi=lq.AdaptedProcess.zeros(tree, 2).levels)
     with pytest.raises(ValueError):
-        lq.solve_linear_bsde(
-            bench2, eta=lq.AdaptedProcess.zeros(tree, 1, kind=RUNNING))
+        # a running level, not the leaves
+        lq.solve_linear_bsde(bench2, eta=np.zeros((tree.num_nodes(1), 1)))
 
 
 def test_adjoint_duality_is_exact():
@@ -68,13 +68,13 @@ def test_adjoint_duality_is_exact():
 
         lhs = lq.inner_product_running(image.control, u)
         rhs = lq.inner_product_running(xi, dec.from_control) \
-            + lq.inner_product_terminal(eta, dec.from_control_terminal)
+            + leaf_dot(inst.tree, eta, dec.from_control_terminal)
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) <= 1e-10 * scale
 
         lhs0 = float(image.initial @ inst.x0)
         rhs0 = lq.inner_product_running(xi, dec.from_initial) \
-            + lq.inner_product_terminal(eta, dec.from_initial_terminal)
+            + leaf_dot(inst.tree, eta, dec.from_initial_terminal)
         assert abs(lhs0 - rhs0) <= 1e-10 * max(1.0, abs(lhs0))
 
 
@@ -84,15 +84,15 @@ def test_state_decomposition_reconstructs():
         rng = np.random.default_rng(seed)
         u = random_control_process(inst, rng)
         dec = decompose_state(inst, u)
-        full = lq.forward_state(inst, u)
-        rebuilt = dec.state()
-        assert (rebuilt.running - full.running).max_abs() <= 1e-12
-        assert (rebuilt.terminal - full.terminal).max_abs() <= 1e-12
+        x_levels, x_term = lq.forward_state(inst, u)
+        running, leaves = dec.state()
+        assert (running - lq.AdaptedProcess(inst.tree, x_levels)).max_abs() <= 1e-12
+        assert np.max(np.abs(leaves - x_term)) <= 1e-12
         # and the control piece vanishes for the zero control
         zero = lq.AdaptedProcess.zeros(inst.tree, inst.k)
         dec0 = decompose_state(inst, zero)
         assert dec0.from_control.max_abs() == 0.0
-        assert dec0.from_control_terminal.max_abs() == 0.0
+        assert np.max(np.abs(dec0.from_control_terminal)) == 0.0
 
 
 def test_apply_N_benchmark_values(bench2, free1):
@@ -177,7 +177,7 @@ def variation_of_constants(inst, control, inverter):
     tree = inst.tree
     dt, s = tree.dt, tree.sqrt_dt
     fm = fundamental_matrices(inst)
-    path = lq.forward_state(inst, control)
+    x_levels, x_term = lq.forward_state(inst, control)
     acc = np.asarray(inst.x0, dtype=float)[None, :]
     worst = 0.0
     for m in range(tree.depth):
@@ -192,10 +192,7 @@ def variation_of_constants(inst, control, inverter):
         nxt[1::2] = down
         acc = nxt
         rebuilt = np.einsum("jab,jb->ja", fm.phi[m + 1], acc)
-        if m + 1 < tree.depth:
-            target = path.running.level(m + 1)
-        else:
-            target = path.terminal.leaves
+        target = x_levels[m + 1] if m + 1 < tree.depth else x_term
         worst = max(worst, float(np.max(np.abs(rebuilt - target))))
     return worst
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,16 +13,16 @@ S = np.sqrt(0.5)
 
 def test_first_adjoint_benchmark_values(bench2, free1):
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
-    xbar = lq.forward_state(bench2, ones)
-    adj = lq.solve_first_adjoint(bench2, xbar, ones)
-    np.testing.assert_allclose(adj.p.level(1).ravel(), [-3 * S, 3 * S],
+    state = lq.forward_state(bench2, ones)
+    p, p_mean, q = lq.solve_first_adjoint(bench2, state, ones)
+    np.testing.assert_allclose(p[1].ravel(), [-3 * S, 3 * S],
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(adj.p_mean.level(1).ravel(), [-2 * S, 2 * S],
+    np.testing.assert_allclose(p_mean[1].ravel(), [-2 * S, 2 * S],
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(adj.q.level(1).ravel(), [-2.0, -2.0],
+    np.testing.assert_allclose(q[1].ravel(), [-2.0, -2.0],
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(adj.q.level(0).ravel(), [-3.0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(adj.p.level(0).ravel(), [0.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q[0].ravel(), [-3.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p[0].ravel(), [0.0], rtol=0, atol=1e-12)
 
 
 def test_hamiltonian_benchmark_coefficients():
@@ -47,8 +50,8 @@ def test_gradient_matches_finite_differences():
     levels = [rng.uniform(0.0, 1.0, size=(tree.num_nodes(m), inst.k))
               for m in range(tree.depth)]
     u = lq.ControlProcess.from_levels(domain, tree, levels, kind="relaxed")
-    xbar = lq.forward_state(inst, u)
-    adj = lq.solve_first_adjoint(inst, xbar, u)
+    state = x_levels, _ = lq.forward_state(inst, u)
+    _, p_mean, q = lq.solve_first_adjoint(inst, state, u)
     h = 1e-6
     worst = 0.0
     for _ in range(25):
@@ -56,8 +59,7 @@ def test_gradient_matches_finite_differences():
         j = int(rng.integers(0, tree.num_nodes(m)))
         i = int(rng.integers(0, inst.k))
         grad = lq.hamiltonian_mu_gradient(
-            inst, m, xbar.running.level(m), u.process.level(m),
-            adj.p_mean.level(m), adj.q.level(m), mu)[j, i]
+            inst, m, x_levels[m], u.process.level(m), p_mean[m], q[m], mu)[j, i]
         bumped = [np.stack([lvl, lvl]) for lvl in levels]
         bumped[m][0, j, i] += h
         bumped[m][1, j, i] -= h
@@ -304,13 +306,12 @@ def test_one_trajectory_per_candidate(sweep_counter):
         report = lq.run_checks(inst, control, mu)
         assert sweep_counter == {"forward": 1, "backward": 1}, f"seed {seed}"
 
-        xbar = lq.forward_state(inst, control)
-        adj = lq.solve_first_adjoint(inst, xbar, control)
+        state = x_levels, _ = lq.forward_state(inst, control)
+        _, p_mean, q = lq.solve_first_adjoint(inst, state, control)
         traj = lq.Trajectory.of(inst, control)
         for m in range(tree.depth):
             expected = lq.hamiltonian_mu_gradient(
-                inst, m, xbar.running.level(m), control.process.level(m),
-                adj.p_mean.level(m), adj.q.level(m), mu)
+                inst, m, x_levels[m], control.process.level(m), p_mean[m], q[m], mu)
             np.testing.assert_array_equal(traj.gradient(inst, mu)[m], expected)
         cost = lq.cost_direct(inst, control)
         separate = lq.MPReport(
@@ -336,3 +337,37 @@ def test_msa_sweeps_once_per_iteration(sweep_counter, bench2, free1):
     capped = lq.msa_candidate_search(bench2, free1, mu=-2.0, start=ones, max_iter=1)
     assert capped.status == "max-iter"
     assert sweep_counter == {"forward": 2, "backward": 1}
+
+
+def _traced(call):
+    """``(result, kept, peak)`` of ``call()``, in bytes newly allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - start, peak - start
+
+
+def test_candidates_keep_their_gradient_base_not_their_sweeps():
+    """A Trajectory keeps its cost and gradient base; the state and adjoint
+    level lists it is built from are dropped.  Sizes are in leaf arrays of
+    8 * 2**16 bytes: one per-node array of a scalar process at depth 16."""
+    inst = lq.example5_instance(16)
+    free = lq.ControlDomain.free(1)
+    ones = lq.ControlProcess.constant(free, inst.tree, np.ones(1), "binary")
+    leaf = 8 * 2 ** 16
+
+    traj, kept, _ = _traced(lambda: lq.Trajectory.of(inst, ones))
+    assert kept <= 2 * leaf
+    del traj
+    _, _, peak = _traced(lambda: lq.run_checks(inst, ones, -3.0))
+    assert peak <= 10 * leaf
+    result, kept, _ = _traced(lambda: lq.msa_candidate_search(inst, free, -3.0, start=ones))
+    assert result.status == "fixed-point"
+    assert kept <= 3 * leaf

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.tree import NODE_BYTES_BOUND, RUNNING, TERMINAL, check_node_memory
+from lqshift.tree import NODE_BYTES_BOUND, check_node_memory
+
+from oracles import leaf_dot
 
 
 def test_tree_geometry():
@@ -56,7 +58,6 @@ def test_memory_guard(tmp_path):
     # depth 40 needs terabytes per array: each call must refuse before allocating
     guarded = {
         "zeros": lambda: lq.AdaptedProcess.zeros(tree, 1),
-        "zeros terminal": lambda: lq.AdaptedProcess.zeros(tree, 1, kind=TERMINAL),
         "constant": lambda: lq.AdaptedProcess.constant(tree, [1.0]),
         "control constant": lambda: lq.ControlProcess.constant(free, tree, np.ones(1)),
         "control zero": lambda: lq.ControlProcess.zero(free, tree),
@@ -79,16 +80,19 @@ def test_memory_guard(tmp_path):
 def test_adapted_process_validation():
     tree = lq.build_tree(2, 1.0)
     good = [np.zeros((1, 2)), np.zeros((2, 2))]
-    proc = lq.AdaptedProcess.running(tree, good)
+    proc = lq.AdaptedProcess(tree, good)
     assert proc.dim == 2
     with pytest.raises(ValueError):
-        lq.AdaptedProcess.running(tree, [np.zeros((1, 2))])
+        lq.AdaptedProcess(tree, [np.zeros((1, 2))])
     with pytest.raises(ValueError):
-        lq.AdaptedProcess.running(tree, [np.zeros((1, 2)), np.zeros((3, 2))])
+        lq.AdaptedProcess(tree, [np.zeros((1, 2)), np.zeros((3, 2))])
     with pytest.raises(ValueError):
-        lq.AdaptedProcess.running(tree, [np.zeros((1, 2)), np.zeros((2, 1))])
+        lq.AdaptedProcess(tree, [np.zeros((1, 2)), np.zeros((2, 1))])
     with pytest.raises(ValueError):
-        lq.AdaptedProcess.terminal(tree, np.zeros((3, 2)))
+        # the leaf level is not a running level
+        lq.AdaptedProcess(tree, good + [np.zeros((4, 2))])
+    with pytest.raises(ValueError):
+        proc.level(2)
 
 
 def test_adapted_process_is_immutable():
@@ -100,7 +104,7 @@ def test_adapted_process_is_immutable():
         proc.level(0)[0, 0] = 3.0
     # mutating the input afterwards must not leak into the process
     src = [np.ones((1, 1)), np.ones((2, 1))]
-    proc2 = lq.AdaptedProcess.running(tree, src)
+    proc2 = lq.AdaptedProcess(tree, src)
     src[0][0, 0] = 99.0
     assert proc2.level(0)[0, 0] == 1.0
 
@@ -116,20 +120,10 @@ def test_adapted_process_arithmetic():
     assert (a * 3.0).level(0)[0, 0] == 6.0
     assert (-a).level(0)[0, 0] == -2.0
     assert a.max_abs() == 2.0
-    term = lq.AdaptedProcess.terminal(tree, np.zeros((4, 1)))
     with pytest.raises(ValueError):
-        a + term
-
-
-def test_terminal_leaves_and_kinds():
-    tree = lq.build_tree(2, 1.0)
-    term = lq.AdaptedProcess.terminal(tree, np.arange(4.0).reshape(4, 1))
-    assert term.kind == TERMINAL
-    np.testing.assert_array_equal(term.leaves.ravel(), [0.0, 1.0, 2.0, 3.0])
-    run = lq.AdaptedProcess.zeros(tree, 1)
-    assert run.kind == RUNNING
+        a + lq.AdaptedProcess.zeros(tree, 2)
     with pytest.raises(ValueError):
-        run.level(2)
+        a + lq.AdaptedProcess.zeros(lq.build_tree(3, 1.0), 1)
 
 
 def test_conditional_expectation_and_martingale_split():
@@ -148,11 +142,10 @@ def test_conditional_expectation_and_martingale_split():
 
 def test_inner_products_by_hand():
     tree = lq.build_tree(2, 1.0)
-    u = lq.AdaptedProcess.running(tree, [np.array([[1.0]]), np.array([[1.0], [0.0]])])
+    u = lq.AdaptedProcess(tree, [np.array([[1.0]]), np.array([[1.0], [0.0]])])
     # dt * (1 + (1 + 0) / 2) = 0.5 * 1.5
     assert lq.inner_product_running(u, u) == pytest.approx(0.75, abs=1e-15)
-    xi = lq.AdaptedProcess.terminal(tree, np.array([[1.0], [2.0], [3.0], [4.0]]))
-    eta = lq.AdaptedProcess.terminal(tree, np.ones((4, 1)))
-    assert lq.inner_product_terminal(xi, eta) == pytest.approx(2.5, abs=1e-15)
+    xi = np.array([[1.0], [2.0], [3.0], [4.0]])
+    assert leaf_dot(tree, xi, np.ones((4, 1))) == pytest.approx(2.5, abs=1e-15)
     with pytest.raises(ValueError):
-        lq.inner_product_running(u, lq.AdaptedProcess.zeros(tree, 1, kind=TERMINAL))
+        lq.inner_product_running(u, lq.AdaptedProcess.zeros(tree, 2))

@@ -13,23 +13,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ControlFileError, InstanceFormatError
-from .model import ControlDomain, ControlProcess, LQInstance, as_process
+from .model import (COEFFICIENTS, ControlDomain, ControlProcess, LQInstance, as_process,
+                    coefficient_shape)
 from .tree import ScenarioTree, check_node_memory
 
 PACKAGE_VERSION = "0.1.0"
 
 _TOP_KEYS = {"n", "k", "T", "depth", "x0", "coefficients", "domain"}
-_MATRIX_COEFFS = {
-    "A": ("n", "n"), "B": ("n", "k"), "C": ("n", "n"), "D": ("n", "k"),
-    "Q": ("n", "n"), "S": ("k", "n"), "R": ("k", "k"),
-}
-_VECTOR_COEFFS = {"b": ("n",), "sigma": ("n",)}
 
 
 def _as_int(value, path, issues, minimum=1):
@@ -42,9 +39,22 @@ def _as_int(value, path, issues, minimum=1):
     return value
 
 
+def _finite_number(value):
+    """A JSON number as a finite float, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value) if math.isfinite(value) else None
+    except OverflowError:  # an integer too wide for a float
+        return None
+
+
 def _parse_array(value, path, issues):
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer too wide for a float
+        issues.append((path, "contains non-finite entries"))
+        return None
     except (TypeError, ValueError):
         issues.append((path, "must be a (nested) list of numbers"))
         return None
@@ -58,16 +68,17 @@ def _parse_array(value, path, issues):
 
 
 def _parse_coefficient(value, path, depth, shape, issues):
-    """Accept constant shape or (depth,) + shape; return the tiled stack."""
+    """Accept ``shape``, or ``(depth,) + shape`` unless ``depth`` is None; tile per level."""
     arr = _parse_array(value, path, issues)
     if arr is None:
         return None
+    levels = () if depth is None else (depth,)
     if arr.shape == shape:
-        reps = (depth,) + (1,) * len(shape)
-        return np.tile(arr, reps)
-    if arr.shape == (depth,) + shape:
+        return np.tile(arr, levels + (1,) * len(shape))
+    if arr.shape == levels + shape:
         return arr
-    issues.append((path, f"shape {arr.shape} is neither {shape} nor {(depth,) + shape}"))
+    wanted = f"is not {shape}" if depth is None else f"is neither {shape} nor {levels + shape}"
+    issues.append((path, f"shape {arr.shape} {wanted}"))
     return None
 
 
@@ -93,50 +104,26 @@ def load_instance(source) -> tuple[LQInstance, ControlDomain]:
     n = _as_int(data.get("n"), "/n", issues)
     k = _as_int(data.get("k"), "/k", issues)
     depth = _as_int(data.get("depth"), "/depth", issues)
-    horizon = data.get("T")
-    if not isinstance(horizon, (int, float)) or isinstance(horizon, bool) \
-            or not np.isfinite(horizon) or horizon <= 0:
+    horizon = _finite_number(data.get("T"))
+    if horizon is None or horizon <= 0:
         issues.append(("/T", "must be a positive finite number"))
         horizon = None
     if issues or n is None or k is None or depth is None or horizon is None:
         raise InstanceFormatError(issues)
 
-    dims = {"n": n, "k": k}
     coeffs = data.get("coefficients", {})
     if not isinstance(coeffs, dict):
         raise InstanceFormatError([("/coefficients", "must be an object")])
-    parsed = {}
-    for name, extra in coeffs.items():
-        if name not in _MATRIX_COEFFS and name not in _VECTOR_COEFFS and name != "G":
+    for name in coeffs:
+        if name not in COEFFICIENTS or name == "x0":
             issues.append((f"/coefficients/{name}", "unknown coefficient"))
-    for name, dim_names in _MATRIX_COEFFS.items():
-        shape = tuple(dims[d] for d in dim_names)
-        if name in coeffs:
-            parsed[name] = _parse_coefficient(
-                coeffs[name], f"/coefficients/{name}", depth, shape, issues)
-        else:
-            parsed[name] = np.zeros((depth,) + shape)
-    for name, dim_names in _VECTOR_COEFFS.items():
-        shape = tuple(dims[d] for d in dim_names)
-        if name in coeffs:
-            parsed[name] = _parse_coefficient(
-                coeffs[name], f"/coefficients/{name}", depth, shape, issues)
-        else:
-            parsed[name] = np.zeros((depth,) + shape)
-    if "G" in coeffs:
-        g = _parse_array(coeffs["G"], "/coefficients/G", issues)
-        if g is not None and g.shape != (n, n):
-            issues.append(("/coefficients/G", f"shape {g.shape} is not {(n, n)}"))
-            g = None
-    else:
-        g = np.zeros((n, n))
-    if "x0" in data:
-        x0 = _parse_array(data["x0"], "/x0", issues)
-        if x0 is not None and x0.shape != (n,):
-            issues.append(("/x0", f"shape {x0.shape} is not {(n,)}"))
-            x0 = None
-    else:
-        x0 = np.zeros(n)
+    parsed = {}
+    for name, (_, per_level) in COEFFICIENTS.items():
+        # x0 is the initial state, kept at the top level of the document
+        source, path = (data, "/x0") if name == "x0" else (coeffs, f"/coefficients/{name}")
+        shape = coefficient_shape(name, n, k)  # an omitted coefficient is zero
+        parsed[name] = _parse_coefficient(source.get(name, np.zeros(shape)), path,
+                                          depth if per_level else None, shape, issues)
 
     halfspaces = []
     domain_data = data.get("domain", {})
@@ -159,23 +146,17 @@ def load_instance(source) -> tuple[LQInstance, ControlDomain]:
                 if normal is not None and normal.shape != (k,):
                     issues.append((f"{base}/normal", f"shape {normal.shape} is not {(k,)}"))
                     normal = None
-                bound = item["bound"]
-                if not isinstance(bound, (int, float)) or isinstance(bound, bool) \
-                        or not np.isfinite(bound):
+                bound = _finite_number(item["bound"])
+                if bound is None:
                     issues.append((f"{base}/bound", "must be a finite number"))
-                    bound = None
                 if normal is not None and bound is not None:
-                    halfspaces.append((normal, float(bound)))
+                    halfspaces.append((normal, bound))
 
-    if issues or any(v is None for v in parsed.values()) or g is None or x0 is None:
+    if issues or any(v is None for v in parsed.values()):
         raise InstanceFormatError(issues)
 
     try:
-        inst = LQInstance(n=n, k=k, T=float(horizon), depth=depth,
-                          A=parsed["A"], B=parsed["B"], C=parsed["C"],
-                          D=parsed["D"], b=parsed["b"], sigma=parsed["sigma"],
-                          Q=parsed["Q"], S=parsed["S"], R=parsed["R"],
-                          G=g, x0=x0)
+        inst = LQInstance(n=n, k=k, T=horizon, depth=depth, **parsed)
     except ValueError as exc:
         raise InstanceFormatError([("/coefficients", str(exc))])
     try:
@@ -194,15 +175,15 @@ def _coefficient_payload(stack: np.ndarray):
 
 def dump_instance(inst: LQInstance, domain: ControlDomain) -> dict:
     coeffs = {}
-    for name in ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R"):
-        coeffs[name] = _coefficient_payload(getattr(inst, name))
-    coeffs["G"] = inst.G.tolist()
+    for name, (_, per_level) in COEFFICIENTS.items():
+        value = getattr(inst, name)
+        coeffs[name] = _coefficient_payload(value) if per_level else value.tolist()
     payload = {
         "n": inst.n,
         "k": inst.k,
         "T": inst.T,
         "depth": inst.depth,
-        "x0": inst.x0.tolist(),
+        "x0": coeffs.pop("x0"),
         "coefficients": coeffs,
     }
     if domain.halfspaces:
@@ -232,13 +213,9 @@ def with_depth(inst: LQInstance, new_depth: int) -> LQInstance:
     old = inst.depth
     picks = [min(old - 1, int((m + 0.5) * old / new_depth)) for m in range(new_depth)]
     idx = np.asarray(picks, dtype=int)
-    return LQInstance(
-        n=inst.n, k=inst.k, T=inst.T, depth=new_depth,
-        A=inst.A[idx], B=inst.B[idx], C=inst.C[idx], D=inst.D[idx],
-        b=inst.b[idx], sigma=inst.sigma[idx],
-        Q=inst.Q[idx], S=inst.S[idx], R=inst.R[idx],
-        G=inst.G, x0=inst.x0,
-    )
+    values = {name: getattr(inst, name)[idx] if per_level else getattr(inst, name)
+              for name, (_, per_level) in COEFFICIENTS.items()}
+    return LQInstance(n=inst.n, k=inst.k, T=inst.T, depth=new_depth, **values)
 
 
 # -- control tables ---------------------------------------------------------------

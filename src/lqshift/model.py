@@ -31,6 +31,21 @@ MEMBERSHIP_TOL = 1e-9
 BINARY_VERTEX_CAP = 20
 RELAXED_VERTEX_DIM_CAP = 12
 
+# The instance schema, name -> (dims, per_level): ``dims`` spells the shape
+# of one value in the state and control dimensions n and k, and a
+# ``per_level`` coefficient stacks one value per tree level.  The loader
+# reports issues in this order.
+COEFFICIENTS = {
+    "A": ("nn", True), "B": ("nk", True), "C": ("nn", True), "D": ("nk", True),
+    "Q": ("nn", True), "S": ("kn", True), "R": ("kk", True),
+    "b": ("n", True), "sigma": ("n", True), "G": ("nn", False), "x0": ("n", False),
+}
+
+
+def coefficient_shape(name: str, n: int, k: int) -> tuple:
+    """Shape of one value of coefficient ``name``."""
+    return tuple({"n": n, "k": k}[d] for d in COEFFICIENTS[name][0])
+
 
 def _as_float_array(value, shape, name):
     arr = np.asarray(value, dtype=float)
@@ -79,27 +94,13 @@ class LQInstance:
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "_tree", tree)
-        shapes = {
-            "A": (depth, n, n),
-            "B": (depth, n, k),
-            "C": (depth, n, n),
-            "D": (depth, n, k),
-            "b": (depth, n),
-            "sigma": (depth, n),
-            "Q": (depth, n, n),
-            "S": (depth, k, n),
-            "R": (depth, k, k),
-            "G": (n, n),
-            "x0": (n,),
-        }
-        for name, shape in shapes.items():
+        for name, (_, per_level) in COEFFICIENTS.items():
+            shape = ((depth,) if per_level else ()) + coefficient_shape(name, n, k)
             arr = _as_float_array(getattr(self, name), shape, name)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-            if name in ("Q", "R"):
+            if name in ("Q", "R", "G"):
                 arr = _symmetrize_stack(arr, name)
-            elif name == "G":
-                arr = _symmetrize_stack(arr[None, :, :], name)[0]
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -115,8 +116,11 @@ class LQInstance:
         """Build an instance with time-independent coefficients.
 
         Dimensions are inferred from whichever coefficients are given;
-        omitted coefficients are zero.
+        omitted coefficients are zero, and a scalar given for a square
+        coefficient is that multiple of the identity.
         """
+        given = locals()  # the coefficient arguments by name
+
         def _dim_from(*candidates):
             # Each candidate is (value, axis, require_2d): 1-D values are
             # ambiguous for rectangular coefficients and are skipped there.
@@ -134,34 +138,16 @@ class LQInstance:
         k_dim = k or _dim_from((R, 0, False), (D, 1, True), (B, 1, True),
                                (S, 0, True)) or 1
 
-        def _mat(val, rows, cols):
+        values = {}
+        for name, (_, per_level) in COEFFICIENTS.items():
+            shape, val = coefficient_shape(name, n_dim, k_dim), given[name]
             if val is None:
-                out = np.zeros((rows, cols))
-            elif np.ndim(val) == 0 and rows == cols:
-                out = float(val) * np.eye(rows)
-            else:
-                out = np.asarray(val, dtype=float).reshape(rows, cols)
-            return np.tile(out, (depth, 1, 1))
-
-        def _vec(val, dim):
-            out = np.zeros(dim) if val is None else np.asarray(val, dtype=float).reshape(dim)
-            return np.tile(out, (depth, 1))
-
-        if G is None:
-            g = np.zeros((n_dim, n_dim))
-        elif np.ndim(G) == 0:
-            g = float(G) * np.eye(n_dim)
-        else:
-            g = np.asarray(G, dtype=float).reshape(n_dim, n_dim)
-        start = np.zeros(n_dim) if x0 is None else np.asarray(x0, dtype=float).reshape(n_dim)
-        return cls(
-            n=n_dim, k=k_dim, T=T, depth=depth,
-            A=_mat(A, n_dim, n_dim), B=_mat(B, n_dim, k_dim),
-            C=_mat(C, n_dim, n_dim), D=_mat(D, n_dim, k_dim),
-            b=_vec(b, n_dim), sigma=_vec(sigma, n_dim),
-            Q=_mat(Q, n_dim, n_dim), S=_mat(S, k_dim, n_dim), R=_mat(R, k_dim, k_dim),
-            G=g, x0=start,
-        )
+                val = np.zeros(shape)
+            elif np.ndim(val) == 0 and len(shape) == 2 and shape[0] == shape[1]:
+                val = float(val) * np.eye(shape[0])
+            val = np.asarray(val, dtype=float).reshape(shape)
+            values[name] = np.tile(val, (depth,) + (1,) * len(shape)) if per_level else val
+        return cls(n=n_dim, k=k_dim, T=T, depth=depth, **values)
 
 
 def example5_instance(depth: int, T: float = 1.0) -> "LQInstance":

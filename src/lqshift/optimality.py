@@ -421,21 +421,15 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
             status = "fixed-point"
             break
         if damping < 1.0:
-            ranked = sorted(
-                ((float(gains[m][j]), m, int(j))
-                 for m in range(tree.depth)
-                 for j in np.flatnonzero(changed[m])),
-                key=lambda t: (-t[0], t[1], t[2]),
-            )
-            keep = max(1, math.ceil(damping * n_changed))
-            allowed = {(m, j) for _, m, j in ranked[:keep]}
-            new_levels = []
-            for m in range(tree.depth):
-                lvl = u_proc.level(m).copy()
-                for j in np.flatnonzero(changed[m]):
-                    if (m, int(j)) in allowed:
-                        lvl[j] = proposals[m][j]
-                new_levels.append(lvl)
+            # nodes in (level, node) order, so the stable sort breaks gain
+            # ties toward the lower level, then the lower node
+            move = np.concatenate(changed)
+            nodes = np.flatnonzero(move)
+            order = np.argsort(-np.concatenate(gains)[nodes], kind="stable")
+            move[nodes[order[max(1, math.ceil(damping * n_changed)):]]] = False
+            new_levels = [np.where(move[(1 << m) - 1:(2 << m) - 1, None],
+                                   proposals[m], u_proc.level(m))
+                          for m in range(tree.depth)]
         else:
             new_levels = proposals
         current = ControlProcess.from_levels(domain, tree, new_levels, "binary")

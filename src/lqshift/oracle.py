@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .model import (
+    COEFFICIENTS,
     ControlDomain,
     ControlProcess,
     LQInstance,
@@ -32,6 +33,7 @@ from .tree import ScenarioTree, _weighted_dot_levels, check_node_memory
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 4
 ENUM_CHUNK = 8192
+RELAXED_SLICE = 2048
 TIE_CAP = 16
 BINARY_SHIFT_TOL = 1e-11
 RELAXED_MARGIN_TOL = 1e-9
@@ -161,14 +163,11 @@ def _cost_bound(inst: LQInstance) -> float:
     |sigma|)``, which bounds the absolute terms each state expands into.
     """
     s = inst.tree.sqrt_dt
-    mag = LQInstance(
-        n=inst.n, k=inst.k, T=inst.T, depth=inst.depth,
-        A=np.abs(inst.A) + np.abs(inst.C) / s, B=np.abs(inst.B) + np.abs(inst.D) / s,
-        C=np.zeros_like(inst.C), D=np.zeros_like(inst.D),
-        b=np.abs(inst.b) + np.abs(inst.sigma) / s, sigma=np.zeros_like(inst.sigma),
-        Q=np.abs(inst.Q), S=np.abs(inst.S), R=np.abs(inst.R), G=np.abs(inst.G),
-        x0=np.abs(inst.x0),
-    )
+    values = {name: np.abs(getattr(inst, name)) for name in COEFFICIENTS}
+    for drift, noise in (("A", "C"), ("B", "D"), ("b", "sigma")):
+        values[drift] = values[drift] + values[noise] / s
+        values[noise] = np.zeros_like(values[noise])
+    mag = LQInstance(n=inst.n, k=inst.k, T=inst.T, depth=inst.depth, **values)
     ones = [np.ones((inst.tree.num_nodes(m), inst.k)) for m in range(inst.depth)]
     x_levels, x_term = _forward_levels(mag, ones, mag.x0)
     return float(_cost_from_levels(mag, ones, x_levels, x_term))
@@ -379,8 +378,11 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
 
     rng = np.random.default_rng(seed)
     relaxed = sample_relaxed_levels(domain, inst.tree, samples, rng)
-    relaxed_shifted = shifted_cost_many(inst, relaxed, mu_val)
-    relaxed_min = float(np.min(relaxed_shifted))
+    # costed in slices: a sweep's temporaries scale with the batch it costs
+    relaxed_min = min(
+        float(np.min(shifted_cost_many(
+            inst, [lvl[at:at + RELAXED_SLICE] for lvl in relaxed], mu_val)))
+        for at in range(0, samples, RELAXED_SLICE))
     margin = relaxed_min - best
 
     stat = check_stationarity(inst, oracle.control, mu_val, stationarity_tol)

@@ -31,7 +31,7 @@ The dense eigendecomposition and power iteration remain as cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,15 +61,7 @@ class SpectralReport:
     shift: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_max": self.lambda_max,
-            "mu": self.mu,
-            "method": self.method,
-            "dimension": self.dimension,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "shift": self.shift,
-        }
+        return asdict(self)
 
 
 # -- Riccati definiteness test ---------------------------------------------------
@@ -345,15 +337,7 @@ class ConcavityCertificate:
     pivot_level: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "mode": self.mode,
-            "ok": self.ok,
-            "worst": self.worst,
-            "tol": self.tol,
-            "pivot_min": self.pivot_min,
-            "pivot_level": self.pivot_level,
-        }
+        return asdict(self)
 
 
 def certify_concavity(inst: LQInstance, mu: float, mode: str = "riccati",

@@ -46,6 +46,32 @@ def test_validate_rejects_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+HUGE = 10 ** 400  # a JSON integer literal too wide for a float
+
+
+@pytest.mark.parametrize("path, message", [
+    ("/T", "must be a positive finite number"),
+    ("/domain/halfspaces/0/bound", "must be a finite number"),
+    ("/x0", "contains non-finite entries"),
+    ("/coefficients/D", "contains non-finite entries"),
+])
+def test_huge_integer_literals_are_invalid_instances(capsys, tmp_path, path, message):
+    def at(where):
+        return HUGE if path == where else 1
+
+    doc = {"n": 1, "k": 1, "T": at("/T"), "depth": 2, "x0": [-at("/x0")],
+           "coefficients": {"D": [[at("/coefficients/D")]]},
+           "domain": {"halfspaces": [{"normal": [1],
+                                      "bound": at("/domain/halfspaces/0/bound")}]}}
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    assert str(HUGE) in bad.read_text()
+    code, report = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert report == {"error": "invalid-instance",
+                      "issues": [{"path": path, "message": message}]}
+
+
 def test_depth_override(capsys, bench_file):
     code, report = run_cli(capsys, "validate", bench_file, "--depth", "3")
     assert code == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+from lqshift.model import COEFFICIENTS, coefficient_shape
 
 
 def minimal_payload(**overrides):
@@ -79,6 +80,51 @@ def test_loader_reports_paths():
     with pytest.raises(lq.InstanceFormatError) as excinfo:
         lq.load_instance(minimal_payload(x0=[1.0, 2.0]))
     assert "/x0" in issue_paths(excinfo)
+
+
+def test_loader_lists_every_bad_coefficient_in_schema_order():
+    doc = minimal_payload(n=2, x0=[1.0, 2.0, 3.0], coefficients={
+        "x0": [0.0, 0.0], "sigma": [[1.0, 2.0]] * 3, "Q": [[1.0, float("nan")], [1.0, 1.0]],
+        "Z": 1.0, "G": [[1.0, 2.0]], "b": [[1.0], [1.0, 2.0]], "A": "none",
+        "S": [[0.0, 0.0]],
+    })
+    with pytest.raises(lq.InstanceFormatError) as excinfo:
+        lq.load_instance(doc)
+    assert excinfo.value.issues == [
+        ("/coefficients/x0", "unknown coefficient"),
+        ("/coefficients/Z", "unknown coefficient"),
+        ("/coefficients/A", "must be a (nested) list of numbers"),
+        ("/coefficients/Q", "contains non-finite entries"),
+        ("/coefficients/b", "must be a (nested) list of numbers"),
+        ("/coefficients/sigma", "shape (3, 2) is neither (2,) nor (2, 2)"),
+        ("/coefficients/G", "shape (1, 2) is not (2, 2)"),
+        ("/x0", "shape (3,) is not (2,)"),
+    ]
+
+
+@pytest.mark.parametrize("name", list(COEFFICIENTS))
+def test_each_coefficient_survives_dump_load_and_resampling(name):
+    n, k, depth = 2, 3, 3
+    per_level = COEFFICIENTS[name][1]
+    shape = ((depth,) if per_level else ()) + coefficient_shape(name, n, k)
+    value = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)  # unequal levels
+    if name in ("Q", "R", "G"):
+        value = value + np.swapaxes(value, -1, -2)
+    values = {other: np.zeros(((depth,) if lvl else ()) + coefficient_shape(other, n, k))
+              for other, (_, lvl) in COEFFICIENTS.items()}
+    values[name] = value
+    inst = lq.LQInstance(n=n, k=k, T=1.0, depth=depth, **values)
+    domain = lq.ControlDomain.free(k)
+    payload = json.loads(json.dumps(lq.dump_instance(inst, domain)))
+    written = payload["x0"] if name == "x0" else payload["coefficients"][name]
+    assert np.shape(written) == shape
+    loaded, _ = lq.load_instance(payload)
+    for other in COEFFICIENTS:
+        np.testing.assert_array_equal(getattr(loaded, other), getattr(inst, other))
+    assert lq.instance_digest(loaded, domain) == lq.instance_digest(inst, domain)
+    finer = lq.with_depth(inst, 2 * depth)  # step m of the finer tree lies in step m // 2
+    expected = value[np.arange(2 * depth) // 2] if per_level else value
+    np.testing.assert_array_equal(getattr(finer, name), expected)
 
 
 def test_loader_rejects_bad_domains():

@@ -118,6 +118,30 @@ def test_equivalence_on_random_instances():
         assert cert.relaxed_margin >= -1e-9
 
 
+def test_relaxed_samples_are_costed_in_slices(monkeypatch):
+    """One draw, costed slice by slice, gives the minimum of the whole batch."""
+    import lqshift.oracle as oracle_mod
+
+    batches = []
+    costed = oracle_mod.shifted_cost_many
+
+    def counting(inst, levels, mu):
+        batches.append(levels[0].shape[0])
+        return costed(inst, levels, mu)
+
+    monkeypatch.setattr(oracle_mod, "RELAXED_SLICE", 100)
+    monkeypatch.setattr(oracle_mod, "shifted_cost_many", counting)
+    for seed in range(4):
+        inst, _ = lq.random_instance(seed, k_max=2, with_sources=True)
+        domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 0.9),))
+        batches.clear()
+        cert, _ = lq.equivalence_check(inst, domain, mu=-2.0, samples=250, seed=seed)
+        assert batches == [100, 100, 50]
+        draw = lq.sample_relaxed_levels(domain, inst.tree, 250, np.random.default_rng(seed))
+        whole = costed(inst, draw, -2.0)
+        assert cert.relaxed_min_cost == float(np.min(whole)), f"seed {seed}"
+
+
 def test_each_binary_control_is_enumerated_once(monkeypatch):
     """One pass totals every control once and recosts only the contenders.
 

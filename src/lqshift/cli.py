@@ -41,10 +41,7 @@ from .model import (
 )
 from .model import ControlDomain
 from .optimality import (
-    DEFAULT_GENERAL_SMP_TOL,
     DEFAULT_MSA_MAX_ITER,
-    DEFAULT_REMARK1_TOL,
-    DEFAULT_STATIONARITY_TOL,
     hamiltonian_mu,
     msa_candidate_search,
     run_checks,
@@ -63,18 +60,6 @@ from .spectral import (
 )
 
 
-def _parse_mu(text: str) -> float | None:
-    if text == "auto":
-        return None
-    try:
-        mu = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("mu must be a number or 'auto'")
-    if not math.isfinite(mu):
-        raise argparse.ArgumentTypeError("mu must be finite")
-    return mu
-
-
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -83,6 +68,10 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be finite")
     return value
+
+
+def _parse_mu(text: str) -> float | None:
+    return None if text == "auto" else _finite_float(text)
 
 
 def _positive_float(text: str) -> float:
@@ -187,12 +176,7 @@ def cmd_solve(args) -> tuple[int, dict]:
                                   max_iter=args.max_iter, damping=args.damping)
     timings["search"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    checks = run_checks(inst, search.control, mu,
-                        second_order=not args.no_second_order,
-                        stationarity_tol=args.stationarity_tol,
-                        remark1_tol=args.remark1_tol,
-                        smp_tol=args.smp_tol,
-                        trajectory=search.trajectory)
+    checks = run_checks(inst, search.control, mu, trajectory=search.trajectory)
     timings["checks"] = time.perf_counter() - t0
     if args.control_out:
         write_control_csv(args.control_out, search.control)
@@ -220,11 +204,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     mu, spectral = _resolve_mu(args, inst)
     timings["spectrum"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    checks = run_checks(inst, control, mu,
-                        second_order=not args.no_second_order,
-                        stationarity_tol=args.stationarity_tol,
-                        remark1_tol=args.remark1_tol,
-                        smp_tol=args.smp_tol)
+    checks = run_checks(inst, control, mu)
     timings["checks"] = time.perf_counter() - t0
     result = checks.to_dict()
     if spectral is not None:
@@ -334,15 +314,6 @@ def _add_common(parser, *, instance=True, mu=False):
                         help="also write the JSON report to this file")
 
 
-def _add_check_tols(parser):
-    parser.add_argument("--stationarity-tol", type=_finite_float,
-                        default=DEFAULT_STATIONARITY_TOL)
-    parser.add_argument("--remark1-tol", type=_finite_float, default=DEFAULT_REMARK1_TOL)
-    parser.add_argument("--smp-tol", type=_finite_float, default=DEFAULT_GENERAL_SMP_TOL)
-    parser.add_argument("--no-second-order", action="store_true",
-                        help="skip the second-order spike test")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqshift",
@@ -373,14 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default=None, help="CSV control file to start from")
     p.add_argument("--control-out", default=None,
                    help="write the found control to this CSV file")
-    _add_check_tols(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run optimality checks on a control file")
     _add_common(p, mu=True)
     p.add_argument("--control", required=True, help="CSV control file")
     p.add_argument("--kind", choices=["binary", "relaxed"], default="binary")
-    _add_check_tols(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("equivalence",

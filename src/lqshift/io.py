@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ControlFileError, InstanceFormatError
 from .model import (COEFFICIENTS, ControlDomain, ControlProcess, LQInstance, as_process,
-                    coefficient_shape)
+                    check_coefficient_memory, coefficient_shape)
 from .tree import ScenarioTree, check_node_memory
 
 PACKAGE_VERSION = "0.1.0"
@@ -104,6 +104,14 @@ def load_instance(source) -> tuple[LQInstance, ControlDomain]:
     n = _as_int(data.get("n"), "/n", issues)
     k = _as_int(data.get("k"), "/k", issues)
     depth = _as_int(data.get("depth"), "/depth", issues)
+    if None not in (n, k, depth):
+        # name the first of n, k, depth that breaks the bound with the later sizes at 1
+        for path, sizes in (("/n", (n, 1, 1)), ("/k", (n, k, 1)), ("/depth", (n, k, depth))):
+            try:
+                check_coefficient_memory(*sizes)
+            except ValueError as exc:
+                issues.append((path, str(exc)))
+                break
     horizon = _finite_number(data.get("T"))
     if horizon is None or horizon <= 0:
         issues.append(("/T", "must be a positive finite number"))
@@ -210,6 +218,7 @@ def with_depth(inst: LQInstance, new_depth: int) -> LQInstance:
     """
     if isinstance(new_depth, bool) or not isinstance(new_depth, int) or new_depth < 1:
         raise ValueError("new depth must be a positive integer")
+    check_coefficient_memory(inst.n, inst.k, new_depth)
     old = inst.depth
     picks = [min(old - 1, int((m + 0.5) * old / new_depth)) for m in range(new_depth)]
     idx = np.asarray(picks, dtype=int)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDomainError, VertexEnumerationError
-from .tree import AdaptedProcess, ScenarioTree, build_tree, check_node_memory
+from .tree import NODE_BYTES_BOUND, AdaptedProcess, ScenarioTree, build_tree, check_node_memory
 
 SYMMETRY_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
@@ -45,6 +45,19 @@ COEFFICIENTS = {
 def coefficient_shape(name: str, n: int, k: int) -> tuple:
     """Shape of one value of coefficient ``name``."""
     return tuple({"n": n, "k": k}[d] for d in COEFFICIENTS[name][0])
+
+
+def check_coefficient_memory(n: int, k: int, depth: int) -> None:
+    """Refuse coefficients of these sizes before they are allocated: a
+    ``ValueError`` when the ``(depth,) + shape`` float64 stacks, with ``G``
+    and ``x0``, take more than :data:`NODE_BYTES_BOUND` bytes."""
+    needed = 8 * sum(math.prod(coefficient_shape(name, n, k)) * (depth if per_level else 1)
+                     for name, (_, per_level) in COEFFICIENTS.items())
+    if needed > NODE_BYTES_BOUND:
+        raise ValueError(
+            f"coefficients for n={n}, k={k}, depth={depth} need {needed} bytes, "
+            f"above the memory bound of {NODE_BYTES_BOUND} bytes"
+        )
 
 
 def _as_float_array(value, shape, name):
@@ -137,6 +150,7 @@ class LQInstance:
                                (x0, 0, False)) or 1
         k_dim = k or _dim_from((R, 0, False), (D, 1, True), (B, 1, True),
                                (S, 0, True)) or 1
+        check_coefficient_memory(n_dim, k_dim, depth)
 
         values = {}
         for name, (_, per_level) in COEFFICIENTS.items():

@@ -30,17 +30,14 @@ from .model import (
     ControlProcess,
     LQInstance,
     _cost_from_levels,
-    as_process,
     cost_direct,
     forward_state,
 )
 from .operators import solve_linear_bsde
 from .spectral import _step_blocks, shifted_cost
-from .tree import AdaptedProcess
 
-DEFAULT_STATIONARITY_TOL = 1e-8
-DEFAULT_REMARK1_TOL = 1e-8
-DEFAULT_GENERAL_SMP_TOL = 1e-8
+# every check passes when its violation is at most this rounding-level margin
+CHECK_TOL = 1e-8
 DEFAULT_MSA_MAX_ITER = 200
 
 
@@ -56,7 +53,7 @@ def solve_first_adjoint(inst: LQInstance, state, ubar):
     and returns its level lists ``(p, p_mean, q)``.
     """
     x_levels, x_term = state
-    u_levels = as_process(ubar).levels
+    u_levels = ubar.levels
     xi = [-(x_levels[m] @ inst.Q[m] + u_levels[m] @ inst.S[m]) for m in range(inst.depth)]
     return solve_linear_bsde(inst, xi, -(x_term @ inst.G))
 
@@ -94,30 +91,30 @@ def hamiltonian_mu_gradient(inst: LQInstance, level: int, x, u, p, q,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One candidate's cost and gradient base.
+    """One candidate control with its cost and gradient base.
 
     Built once per control from one forward and one backward sweep, which
     are dropped once the cost and ``base`` are formed; the checks read
-    these.  ``base[m]`` is the control-independent part
-    ``pbar B + q D - x S^T`` of the shifted Hamiltonian gradient at level
-    ``m``, with ``pbar`` the conditional-mean adjoint.
+    these, and the control's domain and kind.  ``base[m]`` is the
+    control-independent part ``pbar B + q D - x S^T`` of the shifted
+    Hamiltonian gradient at level ``m``, with ``pbar`` the conditional-mean
+    adjoint.
     """
 
-    control: AdaptedProcess
+    control: ControlProcess
     cost: float
     base: tuple
 
     @classmethod
-    def of(cls, inst: LQInstance, ubar) -> "Trajectory":
-        u_proc = as_process(ubar)
-        state = x_levels, x_term = forward_state(inst, u_proc)
-        _, p_mean, q = solve_first_adjoint(inst, state, u_proc)
+    def of(cls, inst: LQInstance, control: ControlProcess) -> "Trajectory":
+        state = x_levels, x_term = forward_state(inst, control)
+        _, p_mean, q = solve_first_adjoint(inst, state, control)
         base = tuple(
             p_mean[m] @ inst.B[m] + q[m] @ inst.D[m] - x_levels[m] @ inst.S[m].T
             for m in range(inst.depth)
         )
-        cost = float(_cost_from_levels(inst, u_proc.levels, x_levels, x_term))
-        return cls(u_proc, cost, base)
+        cost = float(_cost_from_levels(inst, control.levels, x_levels, x_term))
+        return cls(control, cost, base)
 
     def gradient(self, inst: LQInstance, mu: float) -> list:
         """grad_u H_mu at every node, in the float order of
@@ -135,14 +132,13 @@ class CheckResult:
 
     ``violation`` is the worst margin in the failing direction (negative
     values mean the condition holds strictly); the check passes when it does
-    not exceed ``tol``.  ``level``/``index`` locate the worst node and
-    ``witness`` is the comparison vertex or component there.
+    not exceed :data:`CHECK_TOL`.  ``level``/``index`` locate the worst node
+    and ``witness`` is the comparison vertex or component there.
     """
 
     name: str
     ok: bool
     violation: float
-    tol: float
     level: int
     index: int
     witness: tuple
@@ -152,47 +148,44 @@ class CheckResult:
             "name": self.name,
             "ok": self.ok,
             "violation": self.violation,
-            "tol": self.tol,
+            "tol": CHECK_TOL,
             "worst_level": self.level,
             "worst_index": self.index,
             "witness": list(self.witness),
         }
 
 
-def _worst(scores):
-    """``(value, level, node, column)`` of the largest entry of per-level
-    ``(nodes, columns)`` score arrays: ``np.argmax`` order within a level,
-    the earliest level on ties across levels."""
+def _worst(name, scores, witnesses):
+    """The check ``name`` on per-level ``(nodes, columns)`` score arrays:
+    its worst entry, in ``np.argmax`` order within a level and the earliest
+    level on ties across levels, with ``witnesses[column]`` as witness."""
+    if len(witnesses) == 0:  # a vertex check on a domain without binary points
+        raise ValueError("the binary control set is empty")
     worst = (-math.inf, 0, 0, 0)
     for m, score in enumerate(scores):
         j, c = np.unravel_index(np.argmax(score), score.shape)
         if score[j, c] > worst[0]:
             worst = (float(score[j, c]), m, int(j), int(c))
-    return worst
+    violation, m, j, c = worst
+    return CheckResult(name=name, ok=violation <= CHECK_TOL, violation=violation,
+                       level=m, index=j, witness=tuple(witnesses[c]))
 
 
-def check_stationarity(inst: LQInstance, ubar: ControlProcess, mu: float,
-                       tol: float = DEFAULT_STATIONARITY_TOL, *,
-                       trajectory: Trajectory | None = None) -> CheckResult:
-    """First-order maximum condition ``<grad H_mu, v - ubar> <= tol`` over U.
+def check_stationarity(inst: LQInstance, traj: Trajectory, mu: float) -> CheckResult:
+    """First-order maximum condition ``<grad H_mu, v - ubar> <= CHECK_TOL``
+    over U, for the control ``ubar`` of ``traj``.
 
     Linear functionals attain their polytope maximum at vertices, so only
     the binary vertices are tested; this is exact, not a sampling check.
-    ``trajectory``, when given, is ``Trajectory.of(inst, ubar)``.
     """
-    verts = ubar.domain.binary_vertices()
-    if verts.shape[0] == 0:
-        raise ValueError("the binary control set is empty")
-    traj = trajectory or Trajectory.of(inst, ubar)
-    worst, m, j, v = _worst(g @ verts.T - np.sum(g * u, axis=-1)[:, None]
-                            for g, u in zip(traj.gradient(inst, mu), traj.control.levels))
-    return CheckResult(name="stationarity", ok=worst <= tol, violation=worst, tol=tol,
-                       level=m, index=j, witness=tuple(verts[v]))
+    verts = traj.control.domain.binary_vertices()
+    return _worst("stationarity",
+                  (g @ verts.T - np.sum(g * u, axis=-1)[:, None]
+                   for g, u in zip(traj.gradient(inst, mu), traj.control.levels)),
+                  verts)
 
 
-def check_remark1_signs(inst: LQInstance, ubar: ControlProcess, mu: float,
-                        tol: float = DEFAULT_REMARK1_TOL, *,
-                        trajectory: Trajectory | None = None) -> CheckResult:
+def check_remark1_signs(inst: LQInstance, traj: Trajectory, mu: float) -> CheckResult:
     """Componentwise sign test for binary controls on the free cube.
 
     At a shifted optimum each component must satisfy ``grad_i <= 0`` where
@@ -200,13 +193,12 @@ def check_remark1_signs(inst: LQInstance, ubar: ControlProcess, mu: float,
     when the domain carries no halfspace cuts; with cuts the componentwise
     form can reject controls that are optimal subject to the constraints.
     """
-    if ubar.kind != "binary":
+    if traj.control.kind != "binary":
         raise ValueError("the sign test applies to binary controls")
-    traj = trajectory or Trajectory.of(inst, ubar)
-    worst, m, j, i = _worst((1.0 - 2.0 * u) * g
-                            for g, u in zip(traj.gradient(inst, mu), traj.control.levels))
-    return CheckResult(name="remark1_signs", ok=worst <= tol, violation=worst, tol=tol,
-                       level=m, index=j, witness=(i,))
+    return _worst("remark1_signs",
+                  ((1.0 - 2.0 * u) * g
+                   for g, u in zip(traj.gradient(inst, mu), traj.control.levels)),
+                  [(i,) for i in range(inst.k)])
 
 
 # -- second adjoint -------------------------------------------------------------
@@ -233,12 +225,11 @@ def solve_second_adjoint(inst: LQInstance) -> np.ndarray:
     return p
 
 
-def check_general_smp(inst: LQInstance, ubar: ControlProcess,
-                      tol: float = DEFAULT_GENERAL_SMP_TOL, *,
-                      trajectory: Trajectory | None = None) -> CheckResult:
-    """Node-wise spike test against every admissible vertex ``v``:
+def check_general_smp(inst: LQInstance, traj: Trajectory) -> CheckResult:
+    """Node-wise spike test at the control ``ubar`` of ``traj`` against
+    every admissible vertex ``v``:
 
-        H0(v) - H0(ubar) + 1/2 delta^T (D^T P D + dt B^T P B) delta <= tol,
+        H0(v) - H0(ubar) + 1/2 delta^T (D^T P D + dt B^T P B) delta <= CHECK_TOL,
 
     with ``delta = v - ubar``, the unshifted Hamiltonian H0 at the
     conditional-mean adjoint and ``P = P_{m+1}`` the next-level second
@@ -249,10 +240,7 @@ def check_general_smp(inst: LQInstance, ubar: ControlProcess,
     with ``g0`` the unshifted gradient, so the test is a closed form in
     ``delta``.  Necessary at exhaustive binary optima.
     """
-    verts = ubar.domain.binary_vertices()
-    if verts.shape[0] == 0:
-        raise ValueError("the binary control set is empty")
-    traj = trajectory or Trajectory.of(inst, ubar)
+    verts = traj.control.domain.binary_vertices()
     second = solve_second_adjoint(inst)
     blocks = _step_blocks(inst)
 
@@ -263,9 +251,7 @@ def check_general_smp(inst: LQInstance, ubar: ControlProcess,
             delta = verts[None, :, :] - u[:, None, :]
             yield np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
 
-    worst, m, j, v = _worst(deficits())
-    return CheckResult(name="general_smp", ok=worst <= tol, violation=worst, tol=tol,
-                       level=m, index=j, witness=tuple(verts[v]))
+    return _worst("general_smp", deficits(), verts)
 
 
 # -- aggregated report -----------------------------------------------------------
@@ -299,29 +285,24 @@ class MPReport:
         }
 
 
-def run_checks(inst: LQInstance, ubar: ControlProcess, mu: float, *,
-               second_order: bool = True,
-               stationarity_tol: float = DEFAULT_STATIONARITY_TOL,
-               remark1_tol: float = DEFAULT_REMARK1_TOL,
-               smp_tol: float = DEFAULT_GENERAL_SMP_TOL,
+def run_checks(inst: LQInstance, control: ControlProcess, mu: float, *,
                trajectory: Trajectory | None = None) -> MPReport:
     """All applicable optimality checks for one candidate control.
 
     The sign test runs only for binary controls on an uncut domain, the
     second-order test only for binary controls.  One :class:`Trajectory`
     feeds the costs and every check; ``trajectory``, when given, is
-    ``Trajectory.of(inst, ubar)``.
+    ``Trajectory.of(inst, control)``.
     """
-    traj = trajectory or Trajectory.of(inst, ubar)
-    shifted = shifted_cost(inst, ubar, mu, base_cost=traj.cost)
-    stationarity = check_stationarity(inst, ubar, mu, stationarity_tol,
-                                      trajectory=traj)
-    remark1 = None
-    if ubar.kind == "binary" and not ubar.domain.halfspaces:
-        remark1 = check_remark1_signs(inst, ubar, mu, remark1_tol, trajectory=traj)
-    smp = None
-    if second_order and ubar.kind == "binary":
-        smp = check_general_smp(inst, ubar, smp_tol, trajectory=traj)
+    traj = trajectory or Trajectory.of(inst, control)
+    control = traj.control
+    shifted = shifted_cost(inst, control, mu, base_cost=traj.cost)
+    stationarity = check_stationarity(inst, traj, mu)
+    remark1 = smp = None
+    if control.kind == "binary":
+        if not control.domain.halfspaces:
+            remark1 = check_remark1_signs(inst, traj, mu)
+        smp = check_general_smp(inst, traj)
     return MPReport(mu=mu, cost=traj.cost, cost_shifted=shifted,
                     stationarity=stationarity, remark1=remark1, general_smp=smp)
 
@@ -403,7 +384,6 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         if shifted < best_shifted:
             best_shifted, best_control, best_traj = shifted, current, traj
 
-        u_proc = traj.control
         grads = traj.gradient(inst, mu)
         proposals = []
         gains = []
@@ -413,9 +393,9 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
             pick = np.argmax(scores, axis=1)
             proposal = verts[pick]
             proposals.append(proposal)
-            own = np.sum(g * u_proc.level(m), axis=-1)
+            own = np.sum(g * current.levels[m], axis=-1)
             gains.append(scores[np.arange(len(pick)), pick] - own)
-            changed.append(np.any(proposal != u_proc.level(m), axis=-1))
+            changed.append(np.any(proposal != current.levels[m], axis=-1))
         n_changed = int(sum(int(np.sum(c)) for c in changed))
         if n_changed == 0:
             status = "fixed-point"
@@ -428,7 +408,7 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
             order = np.argsort(-np.concatenate(gains)[nodes], kind="stable")
             move[nodes[order[max(1, math.ceil(damping * n_changed)):]]] = False
             new_levels = [np.where(move[(1 << m) - 1:(2 << m) - 1, None],
-                                   proposals[m], u_proc.level(m))
+                                   proposals[m], current.levels[m])
                           for m in range(tree.depth)]
         else:
             new_levels = proposals

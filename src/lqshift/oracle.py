@@ -26,7 +26,7 @@ from .model import (
     cost_many,
     sample_relaxed_levels,
 )
-from .optimality import check_stationarity, DEFAULT_STATIONARITY_TOL
+from .optimality import Trajectory, check_stationarity
 from .spectral import lambda_max, shifted_cost_many
 from .tree import ScenarioTree, _weighted_dot_levels, check_node_memory
 
@@ -361,11 +361,7 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
                       mu: float | None = None,
                       samples: int = DEFAULT_SAMPLES,
                       budget: int = DEFAULT_BUDGET,
-                      seed: int = 0,
-                      binary_tol: float = BINARY_SHIFT_TOL,
-                      relaxed_tol: float = RELAXED_MARGIN_TOL,
-                      stationarity_tol: float = DEFAULT_STATIONARITY_TOL,
-                      ) -> tuple[EquivalenceCertificate, OracleResult]:
+                      seed: int = 0) -> tuple[EquivalenceCertificate, OracleResult]:
     if mu is None:
         report = lambda_max(inst)
         mu_val, lam, method = report.mu, report.lambda_max, report.method
@@ -385,7 +381,7 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
         for at in range(0, samples, RELAXED_SLICE))
     margin = relaxed_min - best
 
-    stat = check_stationarity(inst, oracle.control, mu_val, stationarity_tol)
+    stat = check_stationarity(inst, Trajectory.of(inst, oracle.control), mu_val)
 
     warnings = []
     if domain.halfspaces:
@@ -394,7 +390,7 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
             warnings.append(
                 "the relaxed polytope has non-binary vertices; the sampled "
                 "bound does not certify binary attainment")
-    ok = (max_gap <= binary_tol and margin >= -relaxed_tol and stat.ok)
+    ok = (max_gap <= BINARY_SHIFT_TOL and margin >= -RELAXED_MARGIN_TOL and stat.ok)
     cert = EquivalenceCertificate(
         mu=mu_val, lambda_max=lam, spectral_method=method,
         binary_enumerated=oracle.enumerated, binary_best_cost=best,

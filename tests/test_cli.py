@@ -157,11 +157,6 @@ def test_verify(capsys, bench_file, tmp_path, bench2, free1):
     # explicit mu skips the spectral solve
     assert "spectral" not in report["result"]
 
-    code, report = run_cli(capsys, "verify", bench_file, "--control", str(zero),
-                           "--no-second-order")
-    assert code == 0
-    assert "general_smp" not in report["result"]["checks"]
-
 
 def test_verify_bad_control_file(capsys, bench_file, tmp_path):
     bad = tmp_path / "bad.csv"
@@ -284,13 +279,13 @@ def test_power_tolerance_must_be_positive_and_finite(capsys, bench_file, value):
     ("solve", "--damping", "-0.5"),
     ("solve", "--damping", "1.5"),
     ("solve", "--damping", "inf"),
-    ("solve", "--stationarity-tol", "nan"),
-    ("solve", "--remark1-tol", "inf"),
-    ("solve", "--smp-tol", "-inf"),
-    ("verify", "--smp-tol", "nan"),
-    ("verify", "--smp-tol", "inf"),
-    ("verify", "--stationarity-tol", "-inf"),
-    ("verify", "--remark1-tol", "nan"),
+    ("solve", "--depth", "0"),
+    ("verify", "--depth", "1.5"),
+    ("equivalence", "--depth", "-1"),
+    ("example5", "--depths", "2,x"),
+    ("example5", "--depths", ","),
+    ("verify", "--kind", "fuzzy"),
+    ("spectrum", "--method", "qr"),
     ("equivalence", "--budget", "-5"),
     ("equivalence", "--budget", "0"),
     ("example5", "--budget", "-5"),
@@ -306,8 +301,7 @@ def test_option_values_are_checked(capsys, bench_file, tmp_path, options):
 
 
 def test_option_bounds_are_accepted(capsys, bench_file):
-    code, report = run_cli(capsys, "solve", bench_file, "--damping", "1",
-                           "--smp-tol", "0", "--stationarity-tol=-1e-300")
+    code, report = run_cli(capsys, "solve", bench_file, "--damping", "1")
     assert code == 0
     assert report["parameters"]["damping"] == 1.0
     code, report = run_cli(capsys, "example5", "--depths", "2", "--budget", "1")
@@ -345,6 +339,10 @@ def test_deep_trees_run_where_nothing_is_per_node(capsys):
 @pytest.mark.parametrize("argv", [
     ("solve", EXAMPLE5, "--depth", "40"),
     ("equivalence", EXAMPLE5, "--samples", "1000000000"),
+    # no address space holds the coefficients at this depth, so even
+    # unguarded it fails at once instead of allocating
+    ("validate", EXAMPLE5, "--depth", str(HUGE)),
+    ("example5", "--depths", str(HUGE)),
 ])
 def test_memory_bound_is_a_json_error(capsys, argv):
     code, report = run_cli(capsys, *argv)
@@ -384,3 +382,42 @@ def test_solve_builds_each_trajectory_once(capsys, monkeypatch, tmp_path):
             assert result["checks"] == json.loads(lq.report_json(
                 lq.run_checks(inst, control, result["mu"]).to_dict()))
     assert seen == set(extra)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 10 ** 7), ("k", 10 ** 7), ("depth", HUGE),
+], ids=["n", "k", "depth"])
+def test_coefficients_beyond_the_memory_bound_are_invalid_instances(
+        capsys, tmp_path, key, value):
+    """The loader refuses the sizes before allocating any coefficient; even
+    unguarded, each size asks for more than an address space holds."""
+    doc = json.loads(resources.files("lqshift").joinpath("data/example5.json").read_text())
+    doc[key] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert report["error"] == "invalid-instance"
+    [issue] = report["issues"]
+    assert issue["path"] == f"/{key}"
+    assert f"memory bound of {NODE_BYTES_BOUND} bytes" in issue["message"]
+
+
+def test_verify_repeats_the_equivalence_stationarity(capsys, tmp_path):
+    """The enumerated optimum that equivalence writes gets, from verify at
+    the same shift, the stationarity verdict and violation equivalence
+    reports for it."""
+    control = tmp_path / "optimum.csv"
+    for seed in (3, 11, 17):
+        inst, domain = lq.random_instance(seed, depth_max=3)
+        path = tmp_path / f"inst{seed}.json"
+        path.write_text(json.dumps(lq.dump_instance(inst, domain)))
+        for mu in ("auto", "-3"):
+            code, report = run_cli(capsys, "equivalence", str(path), "--mu", mu,
+                                   "--samples", "256", "--control-out", str(control))
+            assert code in (0, 1)
+            expected = report["result"]["stationarity"]
+            code, report = run_cli(capsys, "verify", str(path), "--mu", mu,
+                                   "--control", str(control))
+            stationarity = report["result"]["checks"]["stationarity"]
+            assert {key: stationarity[key] for key in expected} == expected, (seed, mu)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.model import MEMBERSHIP_TOL
+from lqshift.model import MEMBERSHIP_TOL, check_coefficient_memory
 
 from conftest import all_scalar_binary_controls
 
@@ -239,3 +239,13 @@ def test_benchmark_landscape_is_exhaustive(bench2, bits_control):
         value = lq.cost_direct(bench2, control)
         # squaring sqrt(dt) increments leaves a one-ulp residue
         assert value == pytest.approx(expected[tuple(bits)], abs=1e-14)
+
+
+def test_coefficient_memory_bound():
+    """Example 5's coefficients take (9 depth + 2) * 8 bytes, so the bound of
+    2**28 bytes admits depth 3,728,270 and no more.  The check is
+    arithmetic alone; nothing is allocated."""
+    check_coefficient_memory(1, 1, 3_728_270)
+    for sizes in ((1, 1, 3_728_271), (1, 1, 10 ** 9), (10 ** 7, 1, 1), (1, 10 ** 7, 1)):
+        with pytest.raises(ValueError, match="memory bound"):
+            check_coefficient_memory(*sizes)

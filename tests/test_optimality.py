@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+from lqshift.optimality import CHECK_TOL
 
 from conftest import all_scalar_binary_controls
 
@@ -98,7 +99,7 @@ def test_checker_landscape_is_sharp(bench2, bits_control):
 
 def test_sign_check_flags_the_root(bench2, free1):
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
-    result = lq.check_remark1_signs(bench2, ones, -2.0, 1e-8)
+    result = lq.check_remark1_signs(bench2, lq.Trajectory.of(bench2, ones), -2.0)
     assert not result.ok
     assert result.violation == pytest.approx(1.0, abs=1e-12)
     assert (result.level, result.index) == (0, 0)
@@ -181,12 +182,12 @@ def test_second_order_check_is_the_exact_one_switch_gain():
                     costs = lq.cost_many(inst, batch)
                     for v, cost in enumerate(costs):
                         gains[m, j, tuple(verts[v])] = (base - cost) / weight
-            result = lq.check_general_smp(inst, control)
+            result = lq.check_general_smp(inst, lq.Trajectory.of(inst, control))
             witness = gains[result.level, result.index, result.witness]
             assert abs(result.violation - witness) <= 1e-12 * max(1.0, abs(witness))
             best = max(gains.values())
             assert abs(result.violation - best) <= 1e-12 * max(1.0, abs(best))
-            assert result.ok == (best <= result.tol), f"seed {seed}: gain {best}"
+            assert result.ok == (best <= CHECK_TOL), f"seed {seed}: gain {best}"
             flagged += not result.ok
     assert 0 < flagged < 300  # both verdicts occur
 
@@ -195,7 +196,7 @@ def test_second_order_check_accepts_exhaustive_optima():
     for seed in range(8):
         inst, domain = lq.random_instance(seed)
         best = lq.brute_force_binary(inst, domain).control
-        result = lq.check_general_smp(inst, best)
+        result = lq.check_general_smp(inst, lq.Trajectory.of(inst, best))
         assert result.ok, f"seed {seed}: violation {result.violation}"
 
 
@@ -248,12 +249,12 @@ def test_msa_against_enumeration():
         search = lq.msa_candidate_search(inst, domain, mu)
         assert search.status == "fixed-point"
         oracle = lq.brute_force_binary(inst, domain)
-        stat = lq.check_stationarity(inst, search.control, mu, 1e-8)
-        assert stat.ok, f"seed {seed}"
+        traj = lq.Trajectory.of(inst, search.control)
+        assert lq.check_stationarity(inst, traj, mu).ok, f"seed {seed}"
         if search.cost <= oracle.cost + 1e-9:
             matches += 1
         else:
-            smp = lq.check_general_smp(inst, search.control)
+            smp = lq.check_general_smp(inst, traj)
             assert not smp.ok, f"seed {seed}: local candidate slipped through"
             missed_but_flagged += 1
     assert matches >= 12
@@ -293,7 +294,8 @@ def sweep_counter(monkeypatch):
 
 def test_one_trajectory_per_candidate(sweep_counter):
     """run_checks sweeps once each way, and its report equals the one built
-    from a separate forward state and first adjoint per check."""
+    from a separately built Trajectory, whose gradient matches the one from
+    a separate forward state and first adjoint."""
     rng = np.random.default_rng(5)
     for seed in range(20):
         inst, domain = lq.random_instance(seed)
@@ -316,9 +318,9 @@ def test_one_trajectory_per_candidate(sweep_counter):
         cost = lq.cost_direct(inst, control)
         separate = lq.MPReport(
             mu=mu, cost=cost, cost_shifted=lq.shifted_cost(inst, control, mu),
-            stationarity=lq.check_stationarity(inst, control, mu),
-            remark1=lq.check_remark1_signs(inst, control, mu),
-            general_smp=lq.check_general_smp(inst, control))
+            stationarity=lq.check_stationarity(inst, traj, mu),
+            remark1=lq.check_remark1_signs(inst, traj, mu),
+            general_smp=lq.check_general_smp(inst, traj))
         assert report.to_dict() == separate.to_dict(), f"seed {seed}"
 
 

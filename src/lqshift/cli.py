@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -314,7 +315,9 @@ def _add_common(parser, *, instance=True, mu=False):
                         help="also write the JSON report to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once and shared: parse with it, never modify it."""
     parser = argparse.ArgumentParser(
         prog="lqshift",
         description="Solve and certify binary-control linear-quadratic "

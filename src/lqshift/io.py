@@ -176,7 +176,7 @@ def load_instance(source) -> tuple[LQInstance, ControlDomain]:
 
 def _coefficient_payload(stack: np.ndarray):
     """Constant form when every level agrees, per-level form otherwise."""
-    if all(np.array_equal(stack[0], stack[m]) for m in range(stack.shape[0])):
+    if np.all(stack == stack[0]):
         return stack[0].tolist()
     return stack.tolist()
 

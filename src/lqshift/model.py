@@ -330,7 +330,10 @@ class ControlProcess:
             raise ValueError(f"kind must be 'binary' or 'relaxed', got {self.kind!r}")
         check = (self.domain.contains_binary if self.kind == "binary"
                  else self.domain.contains_relaxed)
-        for level, arr in enumerate(self.process.levels):
+        levels = self.process.levels
+        if np.all(check(np.concatenate(levels))):
+            return
+        for level, arr in enumerate(levels):  # name the first node outside
             ok = check(arr)
             if not np.all(ok):
                 j = int(np.flatnonzero(~ok)[0])

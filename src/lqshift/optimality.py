@@ -35,6 +35,7 @@ from .model import (
 )
 from .operators import solve_linear_bsde
 from .spectral import _step_blocks, shifted_cost
+from .tree import _node_dot
 
 # every check passes when its violation is at most this rounding-level margin
 CHECK_TOL = 1e-8
@@ -114,6 +115,8 @@ class Trajectory:
             for m in range(inst.depth)
         )
         cost = float(_cost_from_levels(inst, control.levels, x_levels, x_term))
+        if not (math.isfinite(cost) and all(np.isfinite(b).all() for b in base)):
+            raise ValueError("the control's cost or gradient overflows")
         return cls(control, cost, base)
 
     def gradient(self, inst: LQInstance, mu: float) -> list:
@@ -158,12 +161,15 @@ class CheckResult:
 def _worst(name, scores, witnesses):
     """The check ``name`` on per-level ``(nodes, columns)`` score arrays:
     its worst entry, in ``np.argmax`` order within a level and the earliest
-    level on ties across levels, with ``witnesses[column]`` as witness."""
+    level on ties across levels, with ``witnesses[column]`` as witness.
+    A NaN or infinite worst score, from an overflow, is refused."""
     if len(witnesses) == 0:  # a vertex check on a domain without binary points
         raise ValueError("the binary control set is empty")
     worst = (-math.inf, 0, 0, 0)
     for m, score in enumerate(scores):
         j, c = np.unravel_index(np.argmax(score), score.shape)
+        if not math.isfinite(score[j, c]):
+            raise ValueError(f"the {name} check overflows at node ({m}, {j})")
         if score[j, c] > worst[0]:
             worst = (float(score[j, c]), m, int(j), int(c))
     violation, m, j, c = worst
@@ -180,7 +186,7 @@ def check_stationarity(inst: LQInstance, traj: Trajectory, mu: float) -> CheckRe
     """
     verts = traj.control.domain.binary_vertices()
     return _worst("stationarity",
-                  (g @ verts.T - np.sum(g * u, axis=-1)[:, None]
+                  (g @ verts.T - _node_dot(g, u)[:, None]
                    for g, u in zip(traj.gradient(inst, mu), traj.control.levels)),
                   verts)
 
@@ -237,19 +243,27 @@ def check_general_smp(inst: LQInstance, traj: Trajectory) -> CheckResult:
     ``B delta dt + D delta dW``, so the left side is exactly the cost
     decrease of that switch divided by the node's path weight
     ``2^-m dt``.  ``H0(v) - H0(ubar) = g0 . delta - 1/2 delta^T R delta``
-    with ``g0`` the unshifted gradient, so the test is a closed form in
-    ``delta``.  Necessary at exhaustive binary optima.
+    with ``g0`` the unshifted gradient; necessary at exhaustive binary
+    optima.  With ``H`` the level's diagonal block of N, the deficit
+    ``g0 . delta - 1/2 delta^T H delta`` needs no ``(nodes, V, k)`` array:
+
+        (g0 + 1/2 (ubar H + ubar H^T)) . v - 1/2 v^T H v - (g0 + 1/2 ubar H) . ubar.
     """
     verts = traj.control.domain.binary_vertices()
     second = solve_second_adjoint(inst)
     blocks = _step_blocks(inst)
+    codes = 2.0 ** np.arange(inst.k)  # u @ codes is exact on 0/1 points
 
     def deficits():
         for m, (g, u) in enumerate(zip(traj.gradient(inst, 0.0), traj.control.levels)):
             # the level's diagonal block of N: R minus the switch curvature
             hess = inst.R[m] - blocks(m, second[m + 1])[0]
-            delta = verts[None, :, :] - u[:, None, :]
-            yield np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
+            uh = u @ hess
+            deficit = ((g + 0.5 * (uh + u @ hess.T)) @ verts.T
+                       - 0.5 * _node_dot(verts @ hess, verts)
+                       - _node_dot(g + 0.5 * uh, u)[:, None])
+            deficit[(u @ codes)[:, None] == verts @ codes] = 0.0  # delta = 0 there
+            yield deficit
 
     return _worst("general_smp", deficits(), verts)
 
@@ -393,7 +407,7 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
             pick = np.argmax(scores, axis=1)
             proposal = verts[pick]
             proposals.append(proposal)
-            own = np.sum(g * current.levels[m], axis=-1)
+            own = _node_dot(g, current.levels[m])
             gains.append(scores[np.arange(len(pick)), pick] - own)
             changed.append(np.any(proposal != current.levels[m], axis=-1))
         n_changed = int(sum(int(np.sum(c)) for c in changed))

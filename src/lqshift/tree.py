@@ -236,6 +236,18 @@ def martingale_representation(values: np.ndarray, dt: float) -> tuple[np.ndarray
 # -- inner products ---------------------------------------------------------
 
 
+def _node_dot(a, b):
+    """Node-wise ``np.sum(a * b, axis=-1)``, bit for bit, as a loop over the
+    short last axis: below 8 terms ``np.sum`` adds in order from +0.0."""
+    width = a.shape[-1]
+    if width >= 8:
+        return np.sum(a * b, axis=-1)
+    total = a[..., 0] * b[..., 0] + 0.0
+    for i in range(1, width):
+        total += a[..., i] * b[..., i]
+    return total
+
+
 def _weighted_dot_levels(tree: ScenarioTree, a_levels, b_levels):
     """Running inner product on raw level arrays; supports leading batch axes."""
     total = 0.0

@@ -9,7 +9,9 @@ The binary enumeration keeps its plain form here too: every control
 decoded digit by digit and costed with ``cost_many``, the reference for
 the screened enumeration of ``lqshift.oracle``.  So does the lambda_max search: plain
 bisection on the Riccati test, the reference for the secant search of
-``lqshift.spectral``.
+``lqshift.spectral``.  And the second-order spike test: the per-vertex
+deficit ``delta . (g - 1/2 H delta)`` over a ``(nodes, V, k)`` array, the
+reference for the closed form of ``lqshift.optimality``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from lqshift.model import (
 )
 from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, TIE_CAP, OracleResult
 from lqshift.operators import _control_levels, apply_N, solve_linear_bsde
-from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd
+from lqshift.optimality import CheckResult, Trajectory, _worst, solve_second_adjoint
+from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd, _step_blocks
 from lqshift.tree import (
     AdaptedProcess,
     ScenarioTree,
@@ -309,3 +312,23 @@ def riccati_bisect_reference(inst: LQInstance):
         else:
             lo = mid
     return hi, hi - lo, chains
+
+
+# -- second-order spike test, vertex by vertex ----------------------------------
+
+
+def general_smp_reference(inst: LQInstance, traj: Trajectory) -> CheckResult:
+    """``check_general_smp`` with ``delta = v - ubar`` formed for every node
+    and vertex: the deficit ``delta . (g0 - 1/2 H delta)``, with ``H`` the
+    level's diagonal block ``R - (D^T P D + dt B^T P B)`` at ``P = P_{m+1}``."""
+    verts = traj.control.domain.binary_vertices()
+    second = solve_second_adjoint(inst)
+    blocks = _step_blocks(inst)
+
+    def deficits():
+        for m, (g, u) in enumerate(zip(traj.gradient(inst, 0.0), traj.control.levels)):
+            hess = inst.R[m] - blocks(m, second[m + 1])[0]
+            delta = verts[None, :, :] - u[:, None, :]
+            yield np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
+
+    return _worst("general_smp", deficits(), verts)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.cli import main
+from lqshift.cli import build_parser, main
 from lqshift.tree import NODE_BYTES_BOUND
 
 
@@ -421,3 +421,45 @@ def test_verify_repeats_the_equivalence_stationarity(capsys, tmp_path):
                                    "--control", str(control))
             stationarity = report["result"]["checks"]["stationarity"]
             assert {key: stationarity[key] for key in expected} == expected, (seed, mu)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON token {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale, depth", [(1e300, 4), (1e200, 6)])
+def test_verify_fails_on_overflow(capsys, tmp_path, scale, depth):
+    """A state that overflows fails the command with strict JSON instead of
+    passing every check at a violation of -inf."""
+    doc = json.loads(resources.files("lqshift").joinpath("data/example5.json").read_text())
+    doc.update(depth=depth, x0=[scale])
+    doc["coefficients"]["A"] = [[scale]]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    inst, domain = lq.load_instance(str(path))
+    control = tmp_path / "ones.csv"
+    lq.write_control_csv(control, lq.ControlProcess.constant(domain, inst.tree,
+                                                             np.ones(1), "binary"))
+    code = main(["verify", str(path), "--control", str(control), "--mu", "-3"])
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert code == 1
+    assert report["error"] == "failed"
+    assert "overflows" in report["message"]
+
+
+def test_one_parser_serves_every_call(capsys, bench_file, bench2, free1, tmp_path):
+    """main reuses one parser; options one call sets do not leak into the
+    next, so each result equals the one a fresh parser gives."""
+    assert build_parser() is build_parser()
+    control = tmp_path / "ones.csv"
+    lq.write_control_csv(control, lq.ControlProcess.constant(free1, bench2.tree,
+                                                             np.ones(1), "binary"))
+    verify = ["verify", bench_file, "--mu", "-2", "--control", str(control)]
+    for argv in (verify + ["--kind", "relaxed"], verify,
+                 ["spectrum", bench_file, "--method", "dense"], ["spectrum", bench_file]):
+        code, report = run_cli(capsys, *argv)
+        args = build_parser.__wrapped__().parse_args(argv)
+        fresh_code, fresh = args.func(args)
+        assert code == fresh_code
+        assert report["result"] == json.loads(lq.report_json(fresh["result"])), argv

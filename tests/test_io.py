@@ -58,6 +58,22 @@ def test_digest_ignores_representation(bench2, free1):
     assert lq.instance_digest(other, free1) != lq.instance_digest(bench2, free1)
 
 
+def _payload_level_by_level(stack):
+    """The payload rule compared one level at a time: the reference."""
+    if all(np.array_equal(stack[0], stack[m]) for m in range(stack.shape[0])):
+        return stack[0].tolist()
+    return stack.tolist()
+
+
+def test_digest_matches_the_level_by_level_payload(monkeypatch):
+    cases = [lq.random_instance(seed, n_max=3, k_max=3, depth_max=6) for seed in range(40)]
+    free1 = lq.ControlDomain.free(1)
+    cases += [(lq.example5_instance(depth), free1) for depth in (1, 2, 200)]
+    digests = [lq.instance_digest(inst, domain) for inst, domain in cases]
+    monkeypatch.setattr(lq.io, "_coefficient_payload", _payload_level_by_level)
+    assert digests == [lq.instance_digest(inst, domain) for inst, domain in cases]
+
+
 def test_loader_reports_paths():
     with pytest.raises(lq.InstanceFormatError) as excinfo:
         lq.load_instance(minimal_payload(extra=1))

@@ -208,6 +208,11 @@ def test_control_membership_enforced(free1, bench2):
         lq.ControlProcess.constant(free1, tree, [0.0], "integer")
     with pytest.raises(ValueError, match="dimension"):
         lq.ControlProcess(lq.AdaptedProcess.zeros(tree, 1), lq.ControlDomain.free(2))
+    # the message names the first node outside, in level order
+    deep = lq.build_tree(3, 1.0)
+    levels = [np.zeros((1, 1)), np.array([[0.0], [0.5]]), np.full((4, 1), 0.5)]
+    with pytest.raises(ValueError, match=r"at node \(1, 1\) is outside the binary"):
+        lq.ControlProcess.from_levels(free1, deep, levels, "binary")
 
 
 def test_sampling_is_deterministic_and_feasible():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.optimality import CHECK_TOL
+from lqshift.optimality import CHECK_TOL, _worst
 
 from conftest import all_scalar_binary_controls
+from oracles import general_smp_reference
 
 S = np.sqrt(0.5)
 
@@ -193,11 +194,15 @@ def test_second_order_check_is_the_exact_one_switch_gain():
 
 
 def test_second_order_check_accepts_exhaustive_optima():
-    for seed in range(8):
-        inst, domain = lq.random_instance(seed)
-        best = lq.brute_force_binary(inst, domain).control
-        result = lq.check_general_smp(inst, lq.Trajectory.of(inst, best))
+    """At an optimum every deficit is at most 0, and the control's own
+    vertex scores exactly 0, so the closed form reports the node, vertex
+    and violation the per-vertex form reports."""
+    for seed in range(40):
+        inst, domain = lq.random_instance(seed, depth_max=3)
+        traj = lq.Trajectory.of(inst, lq.brute_force_binary(inst, domain).control)
+        result = lq.check_general_smp(inst, traj)
         assert result.ok, f"seed {seed}: violation {result.violation}"
+        assert result == general_smp_reference(inst, traj), seed
 
 
 def test_msa_finds_the_benchmark_optimum(bench2, free1):
@@ -373,3 +378,61 @@ def test_candidates_keep_their_gradient_base_not_their_sweeps():
     result, kept, _ = _traced(lambda: lq.msa_candidate_search(inst, free, -3.0, start=ones))
     assert result.status == "fixed-point"
     assert kept <= 3 * leaf
+
+
+def _random_binary_control(rng, domain, tree):
+    verts = domain.binary_vertices()
+    levels = [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
+              for m in range(tree.depth)]
+    return lq.ControlProcess.from_levels(domain, tree, levels, "binary")
+
+
+def test_spike_closed_form_matches_the_per_vertex_deficit():
+    """The closed form finds the node and vertex the per-vertex deficit
+    finds, and its violation moves by at most a few ulps."""
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    for seed in range(120):
+        inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=7)
+        if seed % 2 and inst.k > 1:  # a cut that drops the all-ones vertex
+            domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), inst.k - 1.0),))
+        for _ in range(5):
+            traj = lq.Trajectory.of(inst, _random_binary_control(rng, domain, inst.tree))
+            got = lq.check_general_smp(inst, traj)
+            ref = general_smp_reference(inst, traj)
+            assert (got.ok, got.level, got.index, got.witness) == \
+                (ref.ok, ref.level, ref.index, ref.witness), seed
+            assert abs(got.violation - ref.violation) <= 4 * eps * max(1.0, abs(ref.violation))
+
+
+def test_spike_test_builds_no_per_vertex_array():
+    """At depth 14 with n = k = 2 the spike test peaks below three
+    ``(2**13, V, k)`` arrays, the leaf level's share of a per-vertex
+    ``delta``; the per-vertex form peaks near four."""
+    inst = next(inst for inst, _ in (lq.random_instance(seed) for seed in range(100))
+                if inst.n == inst.k == 2)
+    inst = lq.with_depth(inst, 14)
+    free = lq.ControlDomain.free(2)
+    traj = lq.Trajectory.of(inst, _random_binary_control(np.random.default_rng(5), free,
+                                                         inst.tree))
+    verts = free.binary_vertices()
+    per_vertex = 8 * 2 ** 13 * verts.size
+    _, _, peak = _traced(lambda: lq.check_general_smp(inst, traj))
+    assert peak < 3 * per_vertex
+
+
+def test_overflow_is_refused_not_certified():
+    """A sweep that overflows gives no trajectory, and a check never takes
+    a NaN or infinite score for its margin."""
+    inst = lq.LQInstance.constant(depth=4, n=1, k=1, A=1e300, D=1.0, Q=2.0, R=-1.0,
+                                  G=2.0, x0=[1e300])
+    ones = lq.ControlProcess.constant(lq.ControlDomain.free(1), inst.tree, np.ones(1),
+                                      "binary")
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflows"):
+        lq.Trajectory.of(inst, ones)
+    for bad in (np.nan, np.inf):
+        scores = [np.array([[0.5, -1.0]]), np.array([[0.0, 0.0], [2.0, bad]])]
+        with pytest.raises(ValueError, match=r"overflows at node \(1, 1\)"):
+            _worst("stationarity", scores, [(0,), (1,)])
+    with pytest.raises(ValueError, match=r"overflows at node \(0, 0\)"):
+        _worst("stationarity", [np.full((1, 2), -np.inf)], [(0,), (1,)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.tree import NODE_BYTES_BOUND, check_node_memory
+from lqshift.tree import NODE_BYTES_BOUND, _node_dot, check_node_memory
 
 from oracles import leaf_dot
 
@@ -149,3 +149,21 @@ def test_inner_products_by_hand():
     assert leaf_dot(tree, xi, np.ones((4, 1))) == pytest.approx(2.5, abs=1e-15)
     with pytest.raises(ValueError):
         lq.inner_product_running(u, lq.AdaptedProcess.zeros(tree, 2))
+
+
+def test_node_dot_is_the_sum_bit_for_bit():
+    """The loop adds the products in np.sum's order, from +0.0, so even the
+    sign of a zero and an overflow to inf agree; past 7 terms it is np.sum."""
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 1e308, -1e308, 0.3])
+    with np.errstate(all="ignore"):
+        for width in range(1, 10):
+            for trial in range(40):
+                if trial % 2:
+                    a, b = special[rng.integers(len(special), size=(2, 30, width))]
+                else:
+                    a, b = rng.standard_normal((2, 30, width)) * 10.0 ** rng.integers(
+                        -8, 8, size=(2, 30, width))
+                want, got = np.sum(a * b, axis=-1), _node_dot(a, b)
+                assert np.array_equal(want, got, equal_nan=True)
+                assert np.array_equal(np.signbit(want), np.signbit(got))

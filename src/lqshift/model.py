@@ -330,10 +330,9 @@ class ControlProcess:
             raise ValueError(f"kind must be 'binary' or 'relaxed', got {self.kind!r}")
         check = (self.domain.contains_binary if self.kind == "binary"
                  else self.domain.contains_relaxed)
-        levels = self.process.levels
-        if np.all(check(np.concatenate(levels))):
+        if np.all(check(np.concatenate(self.process.levels))):
             return
-        for level, arr in enumerate(levels):  # name the first node outside
+        for level, arr in enumerate(self.process.levels):  # name the first node outside
             ok = check(arr)
             if not np.all(ok):
                 j = int(np.flatnonzero(~ok)[0])

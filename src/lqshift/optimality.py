@@ -159,10 +159,9 @@ class CheckResult:
 
 
 def _worst(name, scores, witnesses):
-    """The check ``name`` on per-level ``(nodes, columns)`` score arrays:
-    its worst entry, in ``np.argmax`` order within a level and the earliest
-    level on ties across levels, with ``witnesses[column]`` as witness.
-    A NaN or infinite worst score, from an overflow, is refused."""
+    """The check ``name`` on per-level ``(nodes, columns)`` score arrays: its
+    worst entry (``np.argmax`` order in a level, the earliest level on ties),
+    witnessed by ``witnesses[column]``; a NaN or infinite worst is refused."""
     if len(witnesses) == 0:  # a vertex check on a domain without binary points
         raise ValueError("the binary control set is empty")
     worst = (-math.inf, 0, 0, 0)
@@ -244,25 +243,31 @@ def check_general_smp(inst: LQInstance, traj: Trajectory) -> CheckResult:
     decrease of that switch divided by the node's path weight
     ``2^-m dt``.  ``H0(v) - H0(ubar) = g0 . delta - 1/2 delta^T R delta``
     with ``g0`` the unshifted gradient; necessary at exhaustive binary
-    optima.  With ``H`` the level's diagonal block of N, the deficit
-    ``g0 . delta - 1/2 delta^T H delta`` needs no ``(nodes, V, k)`` array:
-
-        (g0 + 1/2 (ubar H + ubar H^T)) . v - 1/2 v^T H v - (g0 + 1/2 ubar H) . ubar.
+    optima.  A binary ``ubar`` is a vertex, so ``delta`` and ``1/2 H delta``
+    are read exactly from ``(V, V, k)`` vertex-pair tables, one coordinate
+    at a time, and no ``(nodes, V, k)`` array is built.
     """
+    if traj.control.kind != "binary":
+        raise ValueError("the spike test applies to binary controls")
     verts = traj.control.domain.binary_vertices()
     second = solve_second_adjoint(inst)
     blocks = _step_blocks(inst)
-    codes = 2.0 ** np.arange(inst.k)  # u @ codes is exact on 0/1 points
+    diffs = verts[None, :, :] - verts[:, None, :]  # diffs[a, b] = v_b - v_a
+    place = 2.0 ** np.arange(inst.k)  # u @ place is exact on 0/1 points
+    vertex_of = np.zeros(2 ** inst.k, dtype=np.intp)
+    vertex_of[(verts @ place).astype(np.intp)] = np.arange(len(verts))
 
     def deficits():
         for m, (g, u) in enumerate(zip(traj.gradient(inst, 0.0), traj.control.levels)):
-            # the level's diagonal block of N: R minus the switch curvature
-            hess = inst.R[m] - blocks(m, second[m + 1])[0]
-            uh = u @ hess
-            deficit = ((g + 0.5 * (uh + u @ hess.T)) @ verts.T
-                       - 0.5 * _node_dot(verts @ hess, verts)
-                       - _node_dot(g + 0.5 * uh, u)[:, None])
-            deficit[(u @ codes)[:, None] == verts @ codes] = 0.0  # delta = 0 there
+            # H, the level's diagonal block of N: R minus the switch curvature
+            half = 0.5 * diffs @ (inst.R[m] - blocks(m, second[m + 1])[0])
+            own = np.take(vertex_of, (u @ place).astype(np.intp))  # ubar = v_own
+            deficit = np.zeros((len(u), len(verts)))
+            for i in range(inst.k):  # np.sum's order over the last axis
+                term = np.take(half[:, :, i], own, axis=0)
+                np.subtract(g[:, i, None], term, out=term)
+                term *= np.take(diffs[:, :, i], own, axis=0)
+                deficit += term
             yield deficit
 
     return _worst("general_smp", deficits(), verts)

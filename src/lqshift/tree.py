@@ -237,13 +237,10 @@ def martingale_representation(values: np.ndarray, dt: float) -> tuple[np.ndarray
 
 
 def _node_dot(a, b):
-    """Node-wise ``np.sum(a * b, axis=-1)``, bit for bit, as a loop over the
-    short last axis: below 8 terms ``np.sum`` adds in order from +0.0."""
-    width = a.shape[-1]
-    if width >= 8:
-        return np.sum(a * b, axis=-1)
+    """Node-wise ``np.sum(a * b, axis=-1)``, adding in order from +0.0: bit
+    for bit ``np.sum`` below 8 terms, where it adds in order too."""
     total = a[..., 0] * b[..., 0] + 0.0
-    for i in range(1, width):
+    for i in range(1, a.shape[-1]):
         total += a[..., i] * b[..., i]
     return total
 

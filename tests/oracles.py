@@ -11,7 +11,7 @@ the screened enumeration of ``lqshift.oracle``.  So does the lambda_max search: 
 bisection on the Riccati test, the reference for the secant search of
 ``lqshift.spectral``.  And the second-order spike test: the per-vertex
 deficit ``delta . (g - 1/2 H delta)`` over a ``(nodes, V, k)`` array, the
-reference for the closed form of ``lqshift.optimality``.
+reference for the vertex-pair tables of ``lqshift.optimality``.
 """
 
 from __future__ import annotations

@@ -195,7 +195,7 @@ def test_second_order_check_is_the_exact_one_switch_gain():
 
 def test_second_order_check_accepts_exhaustive_optima():
     """At an optimum every deficit is at most 0, and the control's own
-    vertex scores exactly 0, so the closed form reports the node, vertex
+    vertex scores exactly 0, so the spike test reports the node, vertex
     and violation the per-vertex form reports."""
     for seed in range(40):
         inst, domain = lq.random_instance(seed, depth_max=3)
@@ -387,22 +387,42 @@ def _random_binary_control(rng, domain, tree):
     return lq.ControlProcess.from_levels(domain, tree, levels, "binary")
 
 
-def test_spike_closed_form_matches_the_per_vertex_deficit():
-    """The closed form finds the node and vertex the per-vertex deficit
-    finds, and its violation moves by at most a few ulps."""
+def test_spike_test_matches_the_per_vertex_deficit():
+    """Reading ``delta`` and ``1/2 delta H`` from vertex-pair tables gives
+    the per-vertex deficit bit for bit: the same node, vertex and violation."""
     rng = np.random.default_rng(12)
-    eps = np.finfo(float).eps
     for seed in range(120):
         inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=7)
         if seed % 2 and inst.k > 1:  # a cut that drops the all-ones vertex
             domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), inst.k - 1.0),))
         for _ in range(5):
             traj = lq.Trajectory.of(inst, _random_binary_control(rng, domain, inst.tree))
-            got = lq.check_general_smp(inst, traj)
-            ref = general_smp_reference(inst, traj)
-            assert (got.ok, got.level, got.index, got.witness) == \
-                (ref.ok, ref.level, ref.index, ref.witness), seed
-            assert abs(got.violation - ref.violation) <= 4 * eps * max(1.0, abs(ref.violation))
+            assert lq.check_general_smp(inst, traj) == general_smp_reference(inst, traj), seed
+
+
+def test_spike_test_is_exact_on_a_tie_beside_a_large_gradient():
+    """The second control coordinate acts on nothing, so switching it off
+    the control (1, 0) changes the cost by exactly 0.  The gradient's first
+    entry is near 1e8, where one rounding is worth more than CHECK_TOL; the
+    spike test multiplies it by an exact 0 and certifies the control."""
+    inst = lq.LQInstance.constant(depth=5, n=1, k=2, A=0.5, B=[[1.0, 0.0]], C=0.3,
+                                  D=[[0.7, 0.0]], Q=1.0, R=[[-0.3, 0.0], [0.0, 0.0]],
+                                  G=-3e8, x0=[1.0])
+    control = lq.ControlProcess.constant(lq.ControlDomain.free(2), inst.tree,
+                                         np.array([1.0, 0.0]), "binary")
+    traj = lq.Trajectory.of(inst, control)
+    assert np.max(np.abs(traj.gradient(inst, 0.0)[0])) > 1e8
+    result = lq.check_general_smp(inst, traj)
+    assert result == general_smp_reference(inst, traj)
+    assert result.ok and result.violation == 0.0
+
+
+def test_spike_test_refuses_a_relaxed_control():
+    inst, _ = lq.random_instance(3, k_max=2)
+    control = lq.ControlProcess.constant(lq.ControlDomain.free(inst.k), inst.tree,
+                                         np.full(inst.k, 0.5), "relaxed")
+    with pytest.raises(ValueError, match="binary controls"):
+        lq.check_general_smp(inst, lq.Trajectory.of(inst, control))
 
 
 def test_spike_test_builds_no_per_vertex_array():

@@ -72,7 +72,6 @@ from .spectral import (
 from .tree import (
     AdaptedProcess,
     build_tree,
-    conditional_expectation,
     inner_product_running,
     martingale_representation,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "check_general_smp",
     "check_remark1_signs",
     "check_stationarity",
-    "conditional_expectation",
     "cost_direct",
     "cost_many",
     "dense_dimension",

@@ -3,8 +3,9 @@
 Subcommands: ``validate``, ``spectrum``, ``solve``, ``verify``,
 ``equivalence``, ``example5``.  Every command prints a JSON report to
 stdout (and to ``--out`` when given).  Exit codes: 0 success, 2 invalid
-instance, 3 non-convergence, 4 enumeration budget exceeded, 5 bad control
-file, 1 for other failures including failed optimality checks.
+instance, 3 ``solve`` stopped at its iteration cap, 4 enumeration budget
+exceeded, 5 bad control file, 1 for other failures including failed
+optimality checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     ControlFileError,
-    ConvergenceError,
     InstanceFormatError,
     LqshiftError,
 )
@@ -53,12 +53,7 @@ from .oracle import (
     brute_force_binary,
     equivalence_check,
 )
-from .spectral import (
-    DEFAULT_POWER_MAX_ITER,
-    DEFAULT_POWER_TOL,
-    certify_concavity,
-    lambda_max,
-)
+from .spectral import certify_concavity, lambda_max
 
 
 def _finite_float(text: str) -> float:
@@ -73,13 +68,6 @@ def _finite_float(text: str) -> float:
 
 def _parse_mu(text: str) -> float | None:
     return None if text == "auto" else _finite_float(text)
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
 
 
 def _damping(text: str) -> float:
@@ -144,19 +132,15 @@ def cmd_validate(args) -> tuple[int, dict]:
 def cmd_spectrum(args) -> tuple[int, dict]:
     inst, domain = _load(args)
     t0 = time.perf_counter()
-    report = lambda_max(inst, method=args.method, tol=args.tol,
-                        max_iter=args.max_iter, seed=args.seed)
+    report = lambda_max(inst)
     timings = {"spectrum": time.perf_counter() - t0}
     result = report.to_dict()
     if args.certify:
         t0 = time.perf_counter()
-        top = report.lambda_max if report.method == "riccati" else None
-        cert = certify_concavity(inst, report.mu, top=top)
+        cert = certify_concavity(inst, report.mu, top=report.lambda_max)
         timings["certify"] = time.perf_counter() - t0
         result["concavity"] = cert.to_dict()
     out = make_report("spectrum", result, digest=instance_digest(inst, domain),
-                      parameters={"method": args.method, "tol": args.tol,
-                                  "max_iter": args.max_iter, "seed": args.seed},
                       timings=timings)
     return 0, out
 
@@ -330,12 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="top eigenvalue and shift")
     _add_common(p)
-    p.add_argument("--method", choices=["riccati", "dense", "power"], default="riccati")
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_POWER_TOL,
-                   help="power iteration only")
-    p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_POWER_MAX_ITER,
-                   help="power iteration only")
-    p.add_argument("--seed", type=_nonnegative_int, default=0, help="power iteration only")
     p.add_argument("--certify", action="store_true",
                    help="also certify concavity of the shifted cost")
     p.set_defaults(func=cmd_spectrum)
@@ -384,10 +362,6 @@ def main(argv=None) -> int:
         report = {"error": "invalid-instance",
                   "issues": [{"path": p, "message": m} for p, m in exc.issues]}
         code = 2
-    except ConvergenceError as exc:
-        report = {"error": "non-convergence", "message": str(exc),
-                  "residual": exc.residual, "iterations": exc.iterations}
-        code = 3
     except BudgetExceededError as exc:
         report = {"error": "budget-exceeded", "required": exc.required,
                   "budget": exc.budget}

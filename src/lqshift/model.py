@@ -359,10 +359,6 @@ class ControlProcess:
                  kind: str = "binary") -> "ControlProcess":
         return cls(AdaptedProcess.constant(tree, value), domain, kind)
 
-    @classmethod
-    def zero(cls, domain: ControlDomain, tree: ScenarioTree) -> "ControlProcess":
-        return cls.constant(domain, tree, np.zeros(domain.k), "binary")
-
 
 def as_process(u) -> AdaptedProcess:
     """The adapted process behind a :class:`ControlProcess`; others pass through."""

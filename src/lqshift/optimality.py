@@ -108,13 +108,15 @@ class Trajectory:
 
     @classmethod
     def of(cls, inst: LQInstance, control: ControlProcess) -> "Trajectory":
-        state = x_levels, x_term = forward_state(inst, control)
-        _, p_mean, q = solve_first_adjoint(inst, state, control)
-        base = tuple(
-            p_mean[m] @ inst.B[m] + q[m] @ inst.D[m] - x_levels[m] @ inst.S[m].T
-            for m in range(inst.depth)
-        )
-        cost = float(_cost_from_levels(inst, control.levels, x_levels, x_term))
+        # an overflow is refused below, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = x_levels, x_term = forward_state(inst, control)
+            _, p_mean, q = solve_first_adjoint(inst, state, control)
+            base = tuple(
+                p_mean[m] @ inst.B[m] + q[m] @ inst.D[m] - x_levels[m] @ inst.S[m].T
+                for m in range(inst.depth)
+            )
+            cost = float(_cost_from_levels(inst, control.levels, x_levels, x_term))
         if not (math.isfinite(cost) and all(np.isfinite(b).all() for b in base)):
             raise ValueError("the control's cost or gradient overflows")
         return cls(control, cost, base)

@@ -28,7 +28,7 @@ from .model import (
 )
 from .optimality import Trajectory, check_stationarity
 from .spectral import lambda_max, shifted_cost_many
-from .tree import ScenarioTree, _weighted_dot_levels, check_node_memory
+from .tree import ScenarioTree, check_node_memory
 
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 4
@@ -94,14 +94,8 @@ def _stage(inst: LQInstance, m: int, x, u):
             + np.sum((u @ inst.R[m]) * u, axis=-1))
 
 
-def _node_penalty(tree: ScenarioTree, verts: np.ndarray) -> np.ndarray:
-    """Each vertex's share of ``<u, u> - <1, u>`` at one last-level node."""
-    return (tree.path_prob(tree.depth - 1) * tree.dt
-            * np.sum(verts * (verts - 1.0), axis=-1))
-
-
 def _cost_tables(inst: LQInstance, verts: np.ndarray, codes: np.ndarray, lead: int):
-    """Cost and penalty tables of the units whose first controls are ``codes``.
+    """Cost tables of the units whose first controls are ``codes``.
 
     A unit fixes levels ``0 .. N-2`` and the first ``lead`` nodes of the
     last running level.  The control that extends unit ``p`` by vertex
@@ -109,9 +103,7 @@ def _cost_tables(inst: LQInstance, verts: np.ndarray, codes: np.ndarray, lead: i
     table[p, j, v_j]`` in exact arithmetic: a last-level node adds its
     stage term and the terminal terms of its two leaves, which depend on
     nothing else.  One forward sweep, batched over the units and the
-    vertices, gives every state involved.  The penalty ``<u, u> - <1, u>``
-    splits the same way, into ``shared[p]`` plus one
-    :func:`_node_penalty` entry per remaining node.
+    vertices, gives every state involved.
     """
     tree = inst.tree
     last = tree.depth - 1
@@ -133,9 +125,7 @@ def _cost_tables(inst: LQInstance, verts: np.ndarray, codes: np.ndarray, lead: i
     table = np.broadcast_to(table, shape).transpose(0, 2, 1)
     head = 0.5 * tree.dt * part + np.sum(
         np.take_along_axis(table[:, :lead], fixed[..., None], -1), axis=(1, 2))
-    shared = (_weighted_dot_levels(tree, prefix, [lvl - 1.0 for lvl in prefix])
-              + np.sum(_node_penalty(tree, verts)[fixed], axis=-1))
-    return head, table[:, lead:], shared
+    return head, table[:, lead:]
 
 
 def _outer_sum(head: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -179,10 +169,8 @@ class OracleResult:
 
     ``ties`` lists every enumerated control attaining the exact same float
     minimum (capped), lexicographically smallest first; ``control`` is
-    ``ties[0]``.  ``max_penalty`` is the largest ``|<u, u> - <1, u>|`` over
-    the enumerated controls, the factor the shift ``mu/2`` multiplies; it
-    is exactly 0.0 on 0/1 vertices.  ``recosted`` counts the controls
-    whose cost was evaluated exactly.  Neither is in ``to_dict``.
+    ``ties[0]``.  ``recosted`` counts the controls whose cost was evaluated
+    exactly; it is not in ``to_dict``.
     """
 
     control: ControlProcess
@@ -190,7 +178,6 @@ class OracleResult:
     enumerated: int
     ties: tuple
     tie_count: int
-    max_penalty: float
     recosted: int
 
     def to_dict(self) -> dict:
@@ -249,15 +236,12 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     unit_roundoff = np.finfo(float).eps / 2
     gamma = rounds * unit_roundoff / (1.0 - rounds * unit_roundoff)
     delta = 2.0 * gamma * _cost_bound(inst)
-    node_penalty = _node_penalty(tree, verts)
-    penalty_range = free * np.array([np.min(node_penalty), np.max(node_penalty)])
 
     best = math.inf
     tie_codes: list[int] = []
     tie_count = 0
     recosted = 0
     screened_min = math.inf
-    max_penalty = 0.0
     # A table sweep over c // V units allocates about what c controls do.
     # It is sized for the larger of chunk and ENUM_CHUNK controls, so a small
     # chunk splits the outer sums but not the forward sweeps behind them.
@@ -265,12 +249,10 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     sweep = step * max(1, max(chunk, ENUM_CHUNK) // v_count // step)
     for first in range(0, units, sweep):
         ids = np.arange(first, min(first + sweep, units), dtype=np.int64)
-        head, table, shared = _cost_tables(inst, verts, ids * block, lead)
+        head, table = _cost_tables(inst, verts, ids * block, lead)
         # each unit's cheapest extension is a screened total of one control
         cheapest = head + np.sum(np.min(table, axis=-1), axis=-1)
         screened_min = min(screened_min, float(np.min(cheapest)))
-        reach = np.abs(shared[:, None] + penalty_range)
-        max_penalty = max(max_penalty, float(np.max(reach)))
 
         for at in range(0, ids.shape[0], step):
             screened = _outer_sum(head[at:at + step], table[at:at + step])
@@ -299,8 +281,7 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
         for i in range(len(tie_codes))
     )
     return OracleResult(control=ties[0], cost=best, enumerated=total,
-                        ties=ties, tie_count=tie_count, max_penalty=max_penalty,
-                        recosted=recosted)
+                        ties=ties, tie_count=tie_count, recosted=recosted)
 
 
 # -- equivalence certificate -----------------------------------------------------
@@ -310,13 +291,12 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
 class EquivalenceCertificate:
     """Evidence that minimizing the shifted cost solves the binary problem.
 
-    Three ingredients: the shifted and raw costs agree on every enumerated
-    binary control (``binary_max_shift_gap`` is ``|mu|/2`` times the
-    oracle's ``max_penalty``, from the pass that finds the optimum); no
-    sampled relaxed control beats the binary minimum of the shifted cost;
-    and the binary minimizer passes the first-order check.  ``warnings``
-    flags domains whose relaxation has non-binary vertices, where vertex
-    attainment arguments weaken.
+    Three ingredients: the shifted and raw costs agree on every binary
+    control (``binary_max_shift_gap`` bounds their difference, from the
+    binary vertices); no sampled relaxed control beats the binary minimum
+    of the shifted cost; and the binary minimizer passes the first-order
+    check.  ``warnings`` flags domains whose relaxation has non-binary
+    vertices, where vertex attainment arguments weaken.
     """
 
     mu: float
@@ -370,7 +350,12 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
 
     oracle = brute_force_binary(inst, domain, budget=budget)
     best = oracle.cost
-    max_gap = 0.5 * abs(mu_val) * oracle.max_penalty
+    # A binary control's <u, u> - <1, u> sums one vertex term per node with
+    # weights dt 2**-m, which add up to T: this bounds every control's gap,
+    # and is exactly 0.0 on 0/1 vertices.
+    verts = domain.binary_vertices()
+    max_gap = 0.5 * abs(mu_val) * inst.T * float(
+        np.max(np.abs(np.sum(verts * (verts - 1.0), axis=-1))))
 
     rng = np.random.default_rng(seed)
     relaxed = sample_relaxed_levels(domain, inst.tree, samples, rng)

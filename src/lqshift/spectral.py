@@ -25,7 +25,8 @@ safeguards in spirit); it takes about 10 tests where bisection to the
 same width takes 46.  The result is the upper end of the final bracket,
 a shift where the test passed, within ``RICCATI_REL_WIDTH`` (relative)
 of one where it failed, so ``mu = -hi`` is certified, not estimated.
-The dense eigendecomposition and power iteration remain as cross-checks.
+The dense eigendecomposition and power iteration remain only as test
+cross-checks; no command of the CLI reaches them.
 """
 
 from __future__ import annotations

@@ -46,32 +46,12 @@ class ScenarioTree:
     def sqrt_dt(self) -> float:
         return math.sqrt(self.dt)
 
-    @property
-    def times(self) -> np.ndarray:
-        """Grid ``t_0 .. t_N`` including both endpoints."""
-        return np.arange(self.depth + 1) * self.dt
-
     def num_nodes(self, level: int) -> int:
         return 1 << level
 
     def path_prob(self, level: int) -> float:
         # exact dyadic, never an accumulated product
         return 2.0 ** (-level)
-
-    def time(self, step: int) -> float:
-        return step * self.dt
-
-    def increment_signs(self, level: int) -> np.ndarray:
-        """Sign of the increment leading into each node of ``level >= 1``.
-
-        Even indices are up branches (+1), odd indices down branches (-1).
-        """
-        if level < 1 or level > self.depth:
-            raise ValueError(f"level {level} has no incoming increment")
-        check_node_memory(self.num_nodes(level), 1)
-        signs = np.ones(self.num_nodes(level))
-        signs[1::2] = -1.0
-        return signs
 
 
 def check_node_memory(nodes: int, width: int) -> None:
@@ -154,11 +134,6 @@ class AdaptedProcess:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, tree: ScenarioTree, dim: int) -> "AdaptedProcess":
-        check_node_memory(tree.num_nodes(tree.depth), dim)
-        return cls(tree, [np.zeros((tree.num_nodes(n), dim)) for n in range(tree.depth)])
-
-    @classmethod
     def constant(cls, tree: ScenarioTree, value) -> "AdaptedProcess":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         check_node_memory(tree.num_nodes(tree.depth), v.size)
@@ -202,26 +177,14 @@ class AdaptedProcess:
 # -- level-wise probabilistic operations -----------------------------------
 
 
-def conditional_expectation(values: np.ndarray) -> np.ndarray:
-    """Project values on level ``n+1`` onto level ``n``.
-
-    Each parent takes the plain average of its two children, which is the
-    conditional expectation under equal branch probabilities.  Works on any
-    ``(..., 2*m, dim)`` array.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape[-2] % 2:
-        raise ValueError("level array must have an even number of nodes")
-    return 0.5 * (v[..., 0::2, :] + v[..., 1::2, :])
-
-
 def martingale_representation(values: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Split next-level values into conditional mean and increment slope.
 
     Returns ``(mean, slope)`` with ``values = mean + slope * dW`` exactly,
     where ``dW = +sqrt(dt)`` on even (up) children and ``-sqrt(dt)`` on odd
-    (down) children.  The representation is unique because each parent has
-    exactly two children.
+    (down) children.  ``mean``, the plain average of the two children, is
+    the conditional expectation under equal branch probabilities.  The
+    representation is unique because each parent has exactly two children.
     """
     v = np.asarray(values, dtype=float)
     if v.shape[-2] % 2:

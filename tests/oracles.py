@@ -235,8 +235,12 @@ def decode_levels_reference(tree: ScenarioTree, verts: np.ndarray, codes: np.nda
 
 def brute_force_reference(inst: LQInstance, domain: ControlDomain,
                           budget: int = DEFAULT_BUDGET,
-                          chunk: int = ENUM_CHUNK) -> OracleResult:
-    """Every binary control costed exactly with ``cost_many``, in code order."""
+                          chunk: int = ENUM_CHUNK) -> tuple[OracleResult, float]:
+    """Every binary control costed exactly with ``cost_many``, in code order.
+
+    Also returns the largest ``|<u, u> - <1, u>|`` over those controls, the
+    factor the shift ``mu/2`` multiplies.
+    """
     verts = domain.binary_vertices()
     tree = inst.tree
     nodes = tree.num_nodes(tree.depth) - 1
@@ -271,9 +275,9 @@ def brute_force_reference(inst: LQInstance, domain: ControlDomain,
             domain, tree, [lvl[i] for lvl in tie_levels], "binary")
         for i in range(len(tie_codes))
     )
-    return OracleResult(control=ties[0], cost=best, enumerated=total,
-                        ties=ties, tie_count=tie_count, max_penalty=max_penalty,
-                        recosted=total)
+    result = OracleResult(control=ties[0], cost=best, enumerated=total,
+                          ties=ties, tie_count=tie_count, recosted=total)
+    return result, max_penalty
 
 
 # -- lambda_max by bisection ---------------------------------------------------

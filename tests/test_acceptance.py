@@ -58,7 +58,7 @@ def closed_form_cost(inst, levels):
     for m in range(tree.depth):
         u = levels[m]
         total += tree.path_prob(m) * float(np.sum(u * u)) \
-            * (1.5 - tree.time(m + 1)) * tree.dt
+            * (1.5 - (m + 1) * tree.dt) * tree.dt
     return total
 
 
@@ -116,7 +116,7 @@ def test_benchmark_optimum_and_adjoints():
 
             second = lq.solve_second_adjoint(inst)
             for m in range(depth + 1):
-                target = 2.0 * inst.tree.time(m) - 4.0
+                target = 2.0 * (m * inst.tree.dt) - 4.0
                 worst_p = max(worst_p, float(np.max(np.abs(second[m] - target))))
 
         state["ok"] = costs_ok and worst_adjoint <= 1e-12 and worst_p <= 1e-12

@@ -14,7 +14,7 @@ def cost_closed_form(inst, control):
     for m in range(tree.depth):
         u = control.process.level(m)
         mean_sq = tree.path_prob(m) * float(np.sum(u * u))
-        total += mean_sq * (1.5 - tree.time(m + 1)) * tree.dt
+        total += mean_sq * (1.5 - (m + 1) * tree.dt) * tree.dt
     return total
 
 
@@ -89,7 +89,7 @@ def test_forward_state_by_hand(bench2, free1):
 def test_cost_by_hand(bench2, free1):
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
     assert lq.cost_direct(bench2, ones) == pytest.approx(0.75, abs=1e-15)
-    zero = lq.ControlProcess.zero(free1, bench2.tree)
+    zero = lq.ControlProcess.constant(free1, bench2.tree, np.zeros(1))
     assert lq.cost_direct(bench2, zero) == 0.0
 
 
@@ -207,7 +207,7 @@ def test_control_membership_enforced(free1, bench2):
     with pytest.raises(ValueError):
         lq.ControlProcess.constant(free1, tree, [0.0], "integer")
     with pytest.raises(ValueError, match="dimension"):
-        lq.ControlProcess(lq.AdaptedProcess.zeros(tree, 1), lq.ControlDomain.free(2))
+        lq.ControlProcess(lq.AdaptedProcess.constant(tree, np.zeros(1)), lq.ControlDomain.free(2))
     # the message names the first node outside, in level order
     deep = lq.build_tree(3, 1.0)
     levels = [np.zeros((1, 1)), np.array([[0.0], [0.5]]), np.full((4, 1), 0.5)]

@@ -51,7 +51,7 @@ def test_bsde_with_constant_running_source(bench2):
 def test_bsde_rejects_mismatched_data(bench2):
     tree = bench2.tree
     with pytest.raises(ValueError):
-        lq.solve_linear_bsde(bench2, xi=lq.AdaptedProcess.zeros(tree, 2).levels)
+        lq.solve_linear_bsde(bench2, xi=lq.AdaptedProcess.constant(tree, np.zeros(2)).levels)
     with pytest.raises(ValueError):
         # a running level, not the leaves
         lq.solve_linear_bsde(bench2, eta=np.zeros((tree.num_nodes(1), 1)))
@@ -89,7 +89,7 @@ def test_state_decomposition_reconstructs():
         assert (running - lq.AdaptedProcess(inst.tree, x_levels)).max_abs() <= 1e-12
         assert np.max(np.abs(leaves - x_term)) <= 1e-12
         # and the control piece vanishes for the zero control
-        zero = lq.AdaptedProcess.zeros(inst.tree, inst.k)
+        zero = lq.AdaptedProcess.constant(inst.tree, np.zeros(inst.k))
         dec0 = decompose_state(inst, zero)
         assert dec0.from_control.max_abs() == 0.0
         assert np.max(np.abs(dec0.from_control_terminal)) == 0.0

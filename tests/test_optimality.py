@@ -134,7 +134,7 @@ def test_second_adjoint_benchmark_is_linear_in_time(bench2):
     second = lq.solve_second_adjoint(bench2)
     tree = bench2.tree
     # A = C = 0, so P(t) = 2t - 4 solves the discrete step exactly
-    expected = [2 * tree.time(m) - 4 for m in range(tree.depth + 1)]
+    expected = [2 * (m * tree.dt) - 4 for m in range(tree.depth + 1)]
     np.testing.assert_allclose(second.ravel(), expected, rtol=0, atol=1e-12)
 
 
@@ -233,7 +233,7 @@ def test_msa_argument_validation(bench2, free1):
         with pytest.raises(ValueError):
             lq.msa_candidate_search(bench2, free1, mu=-2.0, damping=damping)
     other_tree = lq.example5_instance(3).tree
-    stray = lq.ControlProcess.zero(free1, other_tree)
+    stray = lq.ControlProcess.constant(free1, other_tree, np.zeros(1))
     with pytest.raises(ValueError):
         lq.msa_candidate_search(bench2, free1, mu=-2.0, start=stray)
 

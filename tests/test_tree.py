@@ -17,17 +17,6 @@ def test_tree_geometry():
     # dyadic weights are exact floats, not accumulated products
     assert tree.path_prob(3) == 0.125
     assert tree.path_prob(0) == 1.0
-    np.testing.assert_allclose(tree.times, [0.0, 1 / 3, 2 / 3, 1.0])
-    assert tree.time(2) == tree.times[2]
-
-
-def test_increment_signs_alternate():
-    tree = lq.build_tree(2, 1.0)
-    np.testing.assert_array_equal(tree.increment_signs(2), [1.0, -1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        tree.increment_signs(0)
-    with pytest.raises(ValueError):
-        tree.increment_signs(3)
 
 
 def test_build_tree_rejects_bad_arguments():
@@ -53,15 +42,12 @@ def test_memory_guard(tmp_path):
     free = lq.ControlDomain.free(1)
     one_vertex = lq.ControlDomain(k=1, halfspaces=(([1.0], 0.0),))
     control = tmp_path / "control.csv"
-    lq.write_control_csv(control, lq.ControlProcess.zero(free, lq.build_tree(2, 1.0)))
+    lq.write_control_csv(control, lq.ControlProcess.constant(free, lq.build_tree(2, 1.0), np.zeros(1)))
     rng = np.random.default_rng(0)
     # depth 40 needs terabytes per array: each call must refuse before allocating
     guarded = {
-        "zeros": lambda: lq.AdaptedProcess.zeros(tree, 1),
         "constant": lambda: lq.AdaptedProcess.constant(tree, [1.0]),
         "control constant": lambda: lq.ControlProcess.constant(free, tree, np.ones(1)),
-        "control zero": lambda: lq.ControlProcess.zero(free, tree),
-        "increment signs": lambda: tree.increment_signs(40),
         "forward sweep": lambda: lq.model._forward_levels(inst, None, inst.x0),
         "bsde": lambda: lq.solve_linear_bsde(inst),
         "control csv": lambda: lq.load_control_csv(control, free, tree),
@@ -121,14 +107,13 @@ def test_adapted_process_arithmetic():
     assert (-a).level(0)[0, 0] == -2.0
     assert a.max_abs() == 2.0
     with pytest.raises(ValueError):
-        a + lq.AdaptedProcess.zeros(tree, 2)
+        a + lq.AdaptedProcess.constant(tree, np.zeros(2))
     with pytest.raises(ValueError):
-        a + lq.AdaptedProcess.zeros(lq.build_tree(3, 1.0), 1)
+        a + lq.AdaptedProcess.constant(lq.build_tree(3, 1.0), np.zeros(1))
 
 
 def test_conditional_expectation_and_martingale_split():
     vals = np.array([[3.0], [1.0]])
-    np.testing.assert_array_equal(lq.conditional_expectation(vals), [[2.0]])
     mean, slope = lq.martingale_representation(vals, dt=0.5)
     np.testing.assert_array_equal(mean, [[2.0]])
     np.testing.assert_allclose(slope, [[np.sqrt(2.0)]], rtol=0, atol=1e-15)
@@ -148,7 +133,7 @@ def test_inner_products_by_hand():
     xi = np.array([[1.0], [2.0], [3.0], [4.0]])
     assert leaf_dot(tree, xi, np.ones((4, 1))) == pytest.approx(2.5, abs=1e-15)
     with pytest.raises(ValueError):
-        lq.inner_product_running(u, lq.AdaptedProcess.zeros(tree, 2))
+        lq.inner_product_running(u, lq.AdaptedProcess.constant(tree, np.zeros(2)))
 
 
 def test_node_dot_is_the_sum_bit_for_bit():

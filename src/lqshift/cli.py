@@ -70,13 +70,6 @@ def _parse_mu(text: str) -> float | None:
     return None if text == "auto" else _finite_float(text)
 
 
-def _damping(text: str) -> float:
-    value = _finite_float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in (0, 1]")
-    return value
-
-
 def _int_at_least(low: int, what: str):
     def parse(text: str) -> int:
         try:
@@ -100,6 +93,8 @@ def _parse_depths(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("depths must be comma-separated integers")
     if not depths or any(d < 1 for d in depths):
         raise argparse.ArgumentTypeError("depths must be positive integers")
+    if len(set(depths)) != len(depths):
+        raise argparse.ArgumentTypeError("depths must not repeat")
     return depths
 
 
@@ -157,8 +152,7 @@ def cmd_solve(args) -> tuple[int, dict]:
         start = load_control_csv(args.start, domain, inst.tree, kind="binary")
         timings["load_control"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    search = msa_candidate_search(inst, domain, mu, start=start,
-                                  max_iter=args.max_iter, damping=args.damping)
+    search = msa_candidate_search(inst, domain, mu, start=start, max_iter=args.max_iter)
     timings["search"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     checks = run_checks(inst, search.control, mu, trajectory=search.trajectory)
@@ -174,7 +168,6 @@ def cmd_solve(args) -> tuple[int, dict]:
         result["spectral"] = spectral
     out = make_report("solve", result, digest=instance_digest(inst, domain),
                       parameters={"max_iter": args.max_iter,
-                                  "damping": args.damping,
                                   "mu": "auto" if args.mu is None else args.mu},
                       timings=timings)
     return (3 if search.status == "max-iter" else 0), out
@@ -255,20 +248,19 @@ def cmd_example5(args) -> tuple[int, dict]:
     result: dict = {"depths": rows}
     if len(args.depths) >= 2:
         d1, d2 = sorted(args.depths)[-2:]
-        if d1 != d2:
-            r1 = next(r for r in rows if r["depth"] == d1)
-            r2 = next(r for r in rows if r["depth"] == d2)
+        r1 = next(r for r in rows if r["depth"] == d1)
+        r2 = next(r for r in rows if r["depth"] == d2)
 
-            def extrap(key):
-                return (d2 * r2[key] - d1 * r1[key]) / (d2 - d1)
+        def extrap(key):
+            return (d2 * r2[key] - d1 * r1[key]) / (d2 - d1)
 
-            result["extrapolated"] = {
-                "from_depths": [d1, d2],
-                "cost_ones": extrap("cost_ones"),
-                "lambda_max": extrap("lambda_max"),
-                "hamiltonian_quadratic": extrap("hamiltonian_quadratic"),
-                "hamiltonian_linear": extrap("hamiltonian_linear"),
-            }
+        result["extrapolated"] = {
+            "from_depths": [d1, d2],
+            "cost_ones": extrap("cost_ones"),
+            "lambda_max": extrap("lambda_max"),
+            "hamiltonian_quadratic": extrap("hamiltonian_quadratic"),
+            "hamiltonian_linear": extrap("hamiltonian_linear"),
+        }
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -321,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="search for a binary optimum")
     _add_common(p, mu=True)
     p.add_argument("--max-iter", type=_positive_int, default=DEFAULT_MSA_MAX_ITER)
-    p.add_argument("--damping", type=_damping, default=1.0)
     p.add_argument("--start", default=None, help="CSV control file to start from")
     p.add_argument("--control-out", default=None,
                    help="write the found control to this CSV file")

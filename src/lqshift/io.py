@@ -220,8 +220,7 @@ def with_depth(inst: LQInstance, new_depth: int) -> LQInstance:
         raise ValueError("new depth must be a positive integer")
     check_coefficient_memory(inst.n, inst.k, new_depth)
     old = inst.depth
-    picks = [min(old - 1, int((m + 0.5) * old / new_depth)) for m in range(new_depth)]
-    idx = np.asarray(picks, dtype=int)
+    idx = np.minimum(old - 1, ((np.arange(new_depth) + 0.5) * old / new_depth).astype(int))
     values = {name: getattr(inst, name)[idx] if per_level else getattr(inst, name)
               for name, (_, per_level) in COEFFICIENTS.items()}
     return LQInstance(n=inst.n, k=inst.k, T=inst.T, depth=new_depth, **values)

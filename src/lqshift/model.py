@@ -68,12 +68,16 @@ def _as_float_array(value, shape, name):
 
 
 def _symmetrize_stack(mats, name):
-    """Symmetrize ``(..., d, d)`` matrices, rejecting skew parts beyond tolerance."""
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    defect = float(np.max(np.abs(mats - np.swapaxes(mats, -1, -2)))) if mats.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(mats))) if mats.size else 0.0)
+    """Symmetrize ``(..., d, d)`` matrices, rejecting skew parts beyond
+    tolerance; holds one stack-sized temporary at a time."""
+    skew = mats - np.swapaxes(mats, -1, -2)
+    defect = float(np.max(np.abs(skew, out=skew)))
+    del skew
+    scale = max(1.0, float(mats.max()), -float(mats.min()))
     if defect > SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
+    sym = mats + np.swapaxes(mats, -1, -2)
+    sym *= 0.5
     return sym
 
 
@@ -123,45 +127,28 @@ class LQInstance:
         return self._tree
 
     @classmethod
-    def constant(cls, *, depth, T=1.0, n=None, k=None, A=None, B=None, C=None,
+    def constant(cls, *, depth, n, k, T=1.0, A=None, B=None, C=None,
                  D=None, b=None, sigma=None, Q=None, S=None, R=None, G=None,
                  x0=None) -> "LQInstance":
-        """Build an instance with time-independent coefficients.
+        """Build an ``n``-state, ``k``-control instance with time-independent
+        coefficients.
 
-        Dimensions are inferred from whichever coefficients are given;
-        omitted coefficients are zero, and a scalar given for a square
+        Omitted coefficients are zero, and a scalar given for a square
         coefficient is that multiple of the identity.
         """
         given = locals()  # the coefficient arguments by name
-
-        def _dim_from(*candidates):
-            # Each candidate is (value, axis, require_2d): 1-D values are
-            # ambiguous for rectangular coefficients and are skipped there.
-            for val, axis, require_2d in candidates:
-                if val is None:
-                    continue
-                if require_2d and np.ndim(val) != 2:
-                    continue
-                return np.atleast_1d(np.asarray(val, dtype=float)).shape[axis]
-            return None
-
-        n_dim = n or _dim_from((A, 0, False), (C, 0, False), (Q, 0, False),
-                               (G, 0, False), (b, 0, False), (sigma, 0, False),
-                               (x0, 0, False)) or 1
-        k_dim = k or _dim_from((R, 0, False), (D, 1, True), (B, 1, True),
-                               (S, 0, True)) or 1
-        check_coefficient_memory(n_dim, k_dim, depth)
+        check_coefficient_memory(n, k, depth)
 
         values = {}
         for name, (_, per_level) in COEFFICIENTS.items():
-            shape, val = coefficient_shape(name, n_dim, k_dim), given[name]
+            shape, val = coefficient_shape(name, n, k), given[name]
             if val is None:
                 val = np.zeros(shape)
             elif np.ndim(val) == 0 and len(shape) == 2 and shape[0] == shape[1]:
                 val = float(val) * np.eye(shape[0])
             val = np.asarray(val, dtype=float).reshape(shape)
             values[name] = np.tile(val, (depth,) + (1,) * len(shape)) if per_level else val
-        return cls(n=n_dim, k=k_dim, T=T, depth=depth, **values)
+        return cls(n=n, k=k, T=T, depth=depth, **values)
 
 
 def example5_instance(depth: int, T: float = 1.0) -> "LQInstance":
@@ -227,19 +214,19 @@ class ControlDomain:
             ok &= pts @ g <= h + tol
         return ok
 
-    def contains_binary(self, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """Boolean mask over ``(..., k)`` points for membership in ``U``.
+    def contains_binary(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``(..., k)`` points for membership in ``U``, up
+        to :data:`MEMBERSHIP_TOL` per coordinate.
 
-        For ``tol < 0.5`` the only corner within ``tol`` of a point is the
-        nearest one, so a point belongs to U exactly when it lies within
-        ``tol`` of its rounded corner and that corner is a binary vertex.
+        That tolerance is below 0.5, so the only corner within it of a point
+        is the nearest one: a point belongs to U exactly when it lies within
+        the tolerance of its rounded corner and that corner is a binary
+        vertex.
         """
-        if not 0.0 <= tol < 0.5:
-            raise ValueError("binary membership needs 0 <= tol < 0.5")
         pts = np.asarray(points, dtype=float)
         corner = np.rint(pts)
         with np.errstate(invalid="ignore"):  # inf - inf is nan, hence not a member
-            near = np.abs(pts - corner) <= tol
+            near = np.abs(pts - corner) <= MEMBERSHIP_TOL
         ok = np.all(near & ((corner == 0.0) | (corner == 1.0)), axis=-1)
         corner[~ok] = 0.0  # keeps nan and inf out of the halfspace products
         for g, h in self.halfspaces:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LQInstance, _forward_levels, as_process
-from .tree import AdaptedProcess, ScenarioTree, check_node_memory, martingale_representation
+from .tree import AdaptedProcess, ScenarioTree, martingale_representation
 
 DENSE_DIMENSION_CAP = 4096
 
@@ -53,17 +53,14 @@ def _bsde_levels(inst: LQInstance, xi_levels, eta):
     q_levels = [None] * depth
     for m in reversed(range(depth)):
         pbar, q = martingale_representation(p, dt)
-        drift = pbar @ inst.A[m] + q @ inst.C[m]
-        if xi_levels is not None:
-            drift = drift + xi_levels[m]
-        p = pbar + dt * drift
+        p = pbar + dt * (pbar @ inst.A[m] + q @ inst.C[m] + xi_levels[m])
         p_levels[m] = p
         pbar_levels[m] = pbar
         q_levels[m] = q
     return p_levels, pbar_levels, q_levels
 
 
-def solve_linear_bsde(inst: LQInstance, xi=None, eta=None):
+def solve_linear_bsde(inst: LQInstance, xi, eta):
     """Solve the linear backward equation
 
         p_N = eta,
@@ -71,19 +68,15 @@ def solve_linear_bsde(inst: LQInstance, xi=None, eta=None):
 
     where ``(E[p_{m+1}|F_m], q_m)`` is the martingale representation of the
     next level.  ``xi`` is a list of ``(2**m, n)`` level arrays and ``eta``
-    a ``(2**N, n)`` leaf array; either may be ``None`` for zero.  Returns
-    the level lists ``(p, p_mean, q)``.  ``p_mean`` is the conditional
-    mean; the adjoints of the state maps pair it, not ``p`` itself, with
-    the controls.
+    a ``(2**N, n)`` leaf array.  Returns the level lists ``(p, p_mean, q)``.
+    ``p_mean`` is the conditional mean; the adjoints of the state maps pair
+    it, not ``p`` itself, with the controls.
     """
     tree = inst.tree
     shapes = [(tree.num_nodes(m), inst.n) for m in range(tree.depth + 1)]
-    if eta is None:
-        check_node_memory(*shapes[-1])
-        eta = np.zeros(shapes[-1])
-    elif np.shape(eta) != shapes[-1]:
+    if np.shape(eta) != shapes[-1]:
         raise ValueError(f"eta must be a leaf array of shape {shapes[-1]}")
-    if xi is not None and [np.shape(a) for a in xi] != shapes[:-1]:
+    if [np.shape(a) for a in xi] != shapes[:-1]:
         raise ValueError(f"xi must be one (2**m, {inst.n}) array per level m < {tree.depth}")
     return _bsde_levels(inst, xi, eta)
 

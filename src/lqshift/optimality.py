@@ -358,21 +358,18 @@ class MsaResult:
 
 def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
                          start: ControlProcess | None = None,
-                         max_iter: int = DEFAULT_MSA_MAX_ITER,
-                         damping: float = 1.0) -> MsaResult:
+                         max_iter: int = DEFAULT_MSA_MAX_ITER) -> MsaResult:
     """Iterate node-wise Hamiltonian maximization over the binary vertices.
 
     Each sweep builds the current control's :class:`Trajectory`, which gives
     its shifted cost and the linearization of H_mu, and moves every node
     to the vertex maximizing the linearization, breaking ties toward the
-    lexicographically smallest vertex.  ``damping`` in (0, 1] updates only
-    that fraction of the changing nodes per sweep, largest linearized gain
-    first.  Revisiting a control detects a cycle, in which case the
+    lexicographically smallest vertex.  At a shift that makes the shifted
+    cost concave its linearization bounds it from above, so a sweep never
+    raises it.  Revisiting a control detects a cycle, in which case the
     best-shifted-cost iterate seen is returned; hitting ``max_iter``
     returns the last iterate.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     verts = domain.binary_vertices()
     if verts.shape[0] == 0:
         raise ValueError("the binary control set is empty")
@@ -405,35 +402,11 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         if shifted < best_shifted:
             best_shifted, best_control, best_traj = shifted, current, traj
 
-        grads = traj.gradient(inst, mu)
-        proposals = []
-        gains = []
-        changed = []
-        for m, g in enumerate(grads):
-            scores = g @ verts.T
-            pick = np.argmax(scores, axis=1)
-            proposal = verts[pick]
-            proposals.append(proposal)
-            own = _node_dot(g, current.levels[m])
-            gains.append(scores[np.arange(len(pick)), pick] - own)
-            changed.append(np.any(proposal != current.levels[m], axis=-1))
-        n_changed = int(sum(int(np.sum(c)) for c in changed))
-        if n_changed == 0:
+        proposals = [verts[np.argmax(g @ verts.T, axis=1)] for g in traj.gradient(inst, mu)]
+        if all(np.array_equal(p, u) for p, u in zip(proposals, current.levels)):
             status = "fixed-point"
             break
-        if damping < 1.0:
-            # nodes in (level, node) order, so the stable sort breaks gain
-            # ties toward the lower level, then the lower node
-            move = np.concatenate(changed)
-            nodes = np.flatnonzero(move)
-            order = np.argsort(-np.concatenate(gains)[nodes], kind="stable")
-            move[nodes[order[max(1, math.ceil(damping * n_changed)):]]] = False
-            new_levels = [np.where(move[(1 << m) - 1:(2 << m) - 1, None],
-                                   proposals[m], current.levels[m])
-                          for m in range(tree.depth)]
-        else:
-            new_levels = proposals
-        current = ControlProcess.from_levels(domain, tree, new_levels, "binary")
+        current = ControlProcess.from_levels(domain, tree, proposals, "binary")
         traj = None
 
     final_cost = cost_direct(inst, current) if traj is None else traj.cost

@@ -295,13 +295,10 @@ def lambda_max(inst: LQInstance, method: str = "riccati",
 # -- shifted cost --------------------------------------------------------------
 
 
-def shifted_cost(inst: LQInstance, u, mu: float, base_cost: float | None = None) -> float:
-    from .model import cost_direct  # local import to avoid cycle noise
-
-    proc = as_process(u)
-    if base_cost is None:
-        base_cost = cost_direct(inst, proc)
-    levels = proc.levels
+def shifted_cost(inst: LQInstance, u, mu: float, base_cost: float) -> float:
+    """``base_cost``, the cost of ``u``, plus ``mu/2`` times the weighted
+    ``<u, u - 1>``."""
+    levels = as_process(u).levels
     penalty = _weighted_dot_levels(inst.tree, levels, [lvl - 1.0 for lvl in levels])
     return float(base_cost + 0.5 * mu * penalty)
 

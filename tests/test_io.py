@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -205,6 +206,19 @@ def test_with_depth_resampling(bench2):
     np.testing.assert_array_equal(coarse.A[:, 0, 0], [1.0, 3.0])
     with pytest.raises(ValueError):
         lq.with_depth(bench2, 0)
+
+
+def test_with_depth_peaks_near_its_stacks(bench2):
+    """Resampling holds at most one stack-sized temporary beyond the new
+    stacks, so the coefficient memory bound stays close to the peak."""
+    tracemalloc.start()
+    try:
+        deep = lq.with_depth(bench2, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacks = sum(getattr(deep, name).nbytes for name in COEFFICIENTS)
+    assert peak <= 1.4 * stacks
 
 
 def test_control_csv_round_trip(tmp_path, bench2, free1, bits_control):

@@ -48,20 +48,16 @@ def test_instance_arrays_are_frozen():
         inst.Q[0, 0, 0] = 7.0
 
 
-def test_constant_builder_inference():
-    inst = lq.LQInstance.constant(depth=3, A=[[0.1, 0.0], [0.0, 0.2]],
-                                  B=[[1.0], [0.0]])
-    assert (inst.n, inst.k) == (2, 1)
-    assert inst.A.shape == (3, 2, 2)
-    np.testing.assert_array_equal(inst.x0, np.zeros(2))
+def test_constant_builder_defaults():
     # scalars broadcast to multiples of the identity on square blocks
-    inst2 = lq.LQInstance.constant(depth=1, n=2, k=1, A=0.5, G=3.0)
-    np.testing.assert_array_equal(inst2.A[0], 0.5 * np.eye(2))
-    np.testing.assert_array_equal(inst2.G, 3.0 * np.eye(2))
-    # nothing to infer from falls back to scalar dimensions
-    trivial = lq.LQInstance.constant(depth=1)
-    assert (trivial.n, trivial.k) == (1, 1)
-    assert not np.any(trivial.Q)
+    inst = lq.LQInstance.constant(depth=3, n=2, k=1, A=0.5, G=3.0)
+    assert inst.A.shape == (3, 2, 2)
+    np.testing.assert_array_equal(inst.A[0], 0.5 * np.eye(2))
+    np.testing.assert_array_equal(inst.G, 3.0 * np.eye(2))
+    # omitted coefficients are zero
+    np.testing.assert_array_equal(inst.x0, np.zeros(2))
+    assert not np.any(inst.Q)
+    assert inst.B.shape == (3, 2, 1) and not np.any(inst.B)
 
 
 def test_benchmark_instance_coefficients(bench2):
@@ -158,8 +154,6 @@ def test_binary_membership_matches_the_vertex_distance():
         assert not got[:3].any()  # nan and inf are never members
         np.testing.assert_array_equal(dom.contains_binary(points.reshape(2, -1, 3)),
                                       expected.reshape(2, -1))
-    with pytest.raises(ValueError):
-        domains[0].contains_binary(points, tol=0.5)
 
 
 def test_cut_domain_vertices():

@@ -37,7 +37,7 @@ def random_control_process(inst, rng):
 def test_bsde_with_constant_running_source(bench2):
     tree = bench2.tree
     xi = lq.AdaptedProcess.constant(tree, [1.0])
-    p, p_mean, q = lq.solve_linear_bsde(bench2, xi=xi.levels)
+    p, p_mean, q = lq.solve_linear_bsde(bench2, xi.levels, np.zeros((tree.num_nodes(2), 1)))
     # A = C = 0, so the value just integrates the source backward
     np.testing.assert_allclose(p[0], [[1.0]], rtol=0, atol=1e-15)
     np.testing.assert_allclose(p[1], [[0.5], [0.5]], rtol=0, atol=1e-15)
@@ -50,11 +50,13 @@ def test_bsde_with_constant_running_source(bench2):
 
 def test_bsde_rejects_mismatched_data(bench2):
     tree = bench2.tree
+    xi = lq.AdaptedProcess.constant(tree, np.zeros(1)).levels
+    eta = np.zeros((tree.num_nodes(2), 1))
     with pytest.raises(ValueError):
-        lq.solve_linear_bsde(bench2, xi=lq.AdaptedProcess.constant(tree, np.zeros(2)).levels)
+        lq.solve_linear_bsde(bench2, lq.AdaptedProcess.constant(tree, np.zeros(2)).levels, eta)
     with pytest.raises(ValueError):
         # a running level, not the leaves
-        lq.solve_linear_bsde(bench2, eta=np.zeros((tree.num_nodes(1), 1)))
+        lq.solve_linear_bsde(bench2, xi, np.zeros((tree.num_nodes(1), 1)))
 
 
 def test_adjoint_duality_is_exact():

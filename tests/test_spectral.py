@@ -84,12 +84,9 @@ def test_riccati_without_finite_bracket_raises():
 def test_shifted_cost_relaxed_benchmark(bench2):
     half = scalar_relaxed(bench2, 0.5)
     # J(1/2) = 3/16 and the shift term adds mu/2 * <u, u - 1> = 1/4 at mu = -2
-    assert lq.cost_direct(bench2, half) == pytest.approx(0.1875, abs=1e-14)
-    assert lq.shifted_cost(bench2, half, -2.0) == pytest.approx(0.4375, abs=1e-14)
-    # passing the precomputed base cost must not change anything
     base = lq.cost_direct(bench2, half)
-    assert lq.shifted_cost(bench2, half, -2.0, base_cost=base) == \
-        lq.shifted_cost(bench2, half, -2.0)
+    assert base == pytest.approx(0.1875, abs=1e-14)
+    assert lq.shifted_cost(bench2, half, -2.0, base) == pytest.approx(0.4375, abs=1e-14)
 
 
 def test_shift_is_bitwise_invisible_on_binary_controls():

@@ -49,7 +49,6 @@ def test_memory_guard(tmp_path):
         "constant": lambda: lq.AdaptedProcess.constant(tree, [1.0]),
         "control constant": lambda: lq.ControlProcess.constant(free, tree, np.ones(1)),
         "forward sweep": lambda: lq.model._forward_levels(inst, None, inst.x0),
-        "bsde": lambda: lq.solve_linear_bsde(inst),
         "control csv": lambda: lq.load_control_csv(control, free, tree),
         "relaxed samples": lambda: lq.sample_relaxed_levels(free, tree, 1, rng),
         "relaxed sample count": lambda: lq.sample_relaxed_levels(

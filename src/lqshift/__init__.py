@@ -40,7 +40,6 @@ from .model import (
     validate_instance,
 )
 from .operators import (
-    apply_N,
     assemble_N_dense,
     dense_dimension,
     solve_linear_bsde,
@@ -52,7 +51,6 @@ from .optimality import (
     check_remark1_signs,
     check_stationarity,
     hamiltonian_mu,
-    hamiltonian_mu_gradient,
     msa_candidate_search,
     run_checks,
     solve_first_adjoint,
@@ -72,7 +70,6 @@ from .spectral import (
 from .tree import (
     AdaptedProcess,
     build_tree,
-    inner_product_running,
     martingale_representation,
 )
 
@@ -92,7 +89,6 @@ __all__ = [
     "MPReport",
     "Trajectory",
     "VertexEnumerationError",
-    "apply_N",
     "assemble_N_dense",
     "brute_force_binary",
     "build_tree",
@@ -108,8 +104,6 @@ __all__ = [
     "example5_instance",
     "forward_state",
     "hamiltonian_mu",
-    "hamiltonian_mu_gradient",
-    "inner_product_running",
     "instance_digest",
     "lambda_max",
     "load_control_csv",

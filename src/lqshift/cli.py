@@ -360,15 +360,19 @@ def main(argv=None) -> int:
     except ControlFileError as exc:
         report = {"error": "bad-control-file", "message": str(exc)}
         code = 5
-    except (LqshiftError, ValueError) as exc:
+    except (LqshiftError, ValueError, OSError) as exc:
         report = {"error": "failed", "message": str(exc)}
         code = 1
     text = report_json(report)
-    sys.stdout.write(text)
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # written first, so a failed write leaves stdout one error document
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            code, text = 1, report_json({"error": "failed", "message": str(exc)})
+    sys.stdout.write(text)
     return code
 
 

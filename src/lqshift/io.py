@@ -29,12 +29,12 @@ PACKAGE_VERSION = "0.1.0"
 _TOP_KEYS = {"n", "k", "T", "depth", "x0", "coefficients", "domain"}
 
 
-def _as_int(value, path, issues, minimum=1):
+def _as_int(value, path, issues):
     if isinstance(value, bool) or not isinstance(value, int):
         issues.append((path, "must be an integer"))
         return None
-    if value < minimum:
-        issues.append((path, f"must be >= {minimum}"))
+    if value < 1:
+        issues.append((path, "must be >= 1"))
         return None
     return value
 
@@ -92,6 +92,8 @@ def load_instance(source) -> tuple[LQInstance, ControlDomain]:
             raise InstanceFormatError([("/", f"file not found: {source}")])
         except json.JSONDecodeError as exc:
             raise InstanceFormatError([("/", f"not valid JSON: {exc}")])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InstanceFormatError([("/", f"cannot read {source}: {exc}")])
     else:
         data = source
     if not isinstance(data, dict):

@@ -151,8 +151,8 @@ class LQInstance:
         return cls(n=n, k=k, T=T, depth=depth, **values)
 
 
-def example5_instance(depth: int, T: float = 1.0) -> "LQInstance":
-    """Pure control-noise scalar instance ``dX = u dW`` with indefinite cost.
+def example5_instance(depth: int) -> "LQInstance":
+    """Pure control-noise scalar instance ``dX = u dW`` on [0, 1], indefinite cost.
 
     The cost ``E[ int (X^2 - u^2/2) dt + X(T)^2 ]`` collapses, for any
     adapted control, to the explicit weight form
@@ -160,7 +160,7 @@ def example5_instance(depth: int, T: float = 1.0) -> "LQInstance":
     pipeline stage checkable in closed form.  The binary optimum is
     ``u = 0``.
     """
-    return LQInstance.constant(depth=depth, T=T, n=1, k=1, D=1.0, Q=2.0, R=-1.0, G=2.0)
+    return LQInstance.constant(depth=depth, n=1, k=1, D=1.0, Q=2.0, R=-1.0, G=2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,13 +353,6 @@ def as_process(u) -> AdaptedProcess:
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    path: str
-    message: str
-    fatal: bool = False
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     issues: tuple
 
@@ -370,10 +363,7 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "valid": self.ok,
-            "issues": [
-                {"path": i.path, "message": i.message, "fatal": i.fatal}
-                for i in self.issues
-            ],
+            "issues": [{"path": p, "message": m} for p, m in self.issues],
         }
 
 
@@ -382,19 +372,16 @@ def validate_instance(inst: LQInstance, domain: ControlDomain) -> ValidationRepo
 
     Shape, symmetry, and finiteness violations are rejected by the
     constructors already; this confirms the cross-object facts: matching
-    control dimensions and a nonempty binary control set (fatal when empty).
+    control dimensions and a nonempty binary control set.
     """
     issues = []
     if domain.k != inst.k:
-        issues.append(ValidationIssue("/domain", f"domain k={domain.k} != instance k={inst.k}",
-                                      fatal=True))
+        issues.append(("/domain", f"domain k={domain.k} != instance k={inst.k}"))
     try:
-        verts = domain.binary_vertices()
-        if verts.shape[0] == 0:
-            issues.append(ValidationIssue(
-                "/domain/halfspaces", "binary control set U is empty", fatal=True))
+        if domain.binary_vertices().shape[0] == 0:
+            issues.append(("/domain/halfspaces", "binary control set U is empty"))
     except VertexEnumerationError as exc:
-        issues.append(ValidationIssue("/domain", str(exc), fatal=True))
+        issues.append(("/domain", str(exc)))
     return ValidationReport(tuple(issues))
 
 
@@ -402,7 +389,7 @@ def validate_instance(inst: LQInstance, domain: ControlDomain) -> ValidationRepo
 
 
 def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = True):
-    """Explicit Euler sweep; ``u_levels`` may be None for the zero control.
+    """Explicit Euler sweep.
 
     All arrays may carry leading batch axes.  Returns the running level list
     (levels ``0 .. N-1``) and the leaf array.
@@ -417,12 +404,8 @@ def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = Tru
     x_levels = []
     for m in range(tree.depth):
         x_levels.append(x)
-        drift = x @ inst.A[m].T
-        diff = x @ inst.C[m].T
-        if u_levels is not None:
-            u = u_levels[m]
-            drift = drift + u @ inst.B[m].T
-            diff = diff + u @ inst.D[m].T
+        drift = x @ inst.A[m].T + u_levels[m] @ inst.B[m].T
+        diff = x @ inst.C[m].T + u_levels[m] @ inst.D[m].T
         if inhomogeneous:
             drift = drift + inst.b[m]
             diff = diff + inst.sigma[m]
@@ -453,15 +436,10 @@ def _cost_from_levels(inst: LQInstance, u_levels, x_levels, x_term):
     tree = inst.tree
     total = 0.0
     for m in range(tree.depth):
-        x = x_levels[m]
-        qx = x @ inst.Q[m]
-        level_sum = np.sum(qx * x, axis=(-2, -1))
-        if u_levels is not None:
-            u = u_levels[m]
-            sx = x @ inst.S[m].T
-            ru = u @ inst.R[m]
-            level_sum = level_sum + 2.0 * np.sum(sx * u, axis=(-2, -1)) \
-                + np.sum(ru * u, axis=(-2, -1))
+        x, u = x_levels[m], u_levels[m]
+        level_sum = (np.sum((x @ inst.Q[m]) * x, axis=(-2, -1))
+                     + 2.0 * np.sum((x @ inst.S[m].T) * u, axis=(-2, -1))
+                     + np.sum((u @ inst.R[m]) * u, axis=(-2, -1)))
         total = total + tree.path_prob(m) * level_sum
     total = total * tree.dt
     gx = x_term @ inst.G

@@ -29,16 +29,6 @@ from .tree import AdaptedProcess, ScenarioTree, martingale_representation
 DENSE_DIMENSION_CAP = 4096
 
 
-def _control_levels(inst: LQInstance, u):
-    """Accept a ControlProcess or AdaptedProcess, return its level list."""
-    proc = as_process(u)
-    if not isinstance(proc, AdaptedProcess):
-        raise TypeError("expected a control process")
-    if proc.tree != inst.tree or proc.dim != inst.k:
-        raise ValueError("control does not match the instance tree or control dimension")
-    return proc.levels
-
-
 # -- backward equation --------------------------------------------------------
 
 
@@ -103,12 +93,6 @@ def _apply_N_levels(inst: LQInstance, u_levels):
     ]
 
 
-def apply_N(inst: LQInstance, u) -> AdaptedProcess:
-    """Apply ``N = R + L* Q L + S L + L* S^T + Lhat* G Lhat`` to a control."""
-    u_levels = _control_levels(inst, u)
-    return AdaptedProcess(inst.tree, _apply_N_levels(inst, u_levels))
-
-
 # -- dense representation ------------------------------------------------------
 
 
@@ -158,13 +142,14 @@ def dense_dimension(inst: LQInstance) -> int:
     return inst.k * (inst.tree.num_nodes(inst.depth) - 1)
 
 
-def assemble_N_dense(inst: LQInstance, cap: int = DENSE_DIMENSION_CAP) -> DenseOperator:
+def assemble_N_dense(inst: LQInstance) -> DenseOperator:
     tree = inst.tree
     k = inst.k
     total = dense_dimension(inst)
-    if total > cap:
+    if total > DENSE_DIMENSION_CAP:
         raise ValueError(
-            f"dense representation needs dimension {total}, above the cap {cap}"
+            f"dense representation needs dimension {total}, "
+            f"above the cap {DENSE_DIMENSION_CAP}"
         )
     dt = tree.dt
     u_levels = []

@@ -78,18 +78,6 @@ def hamiltonian_mu(inst: LQInstance, level: int, x, u, p, q, mu: float = 0.0):
             - 0.5 * quad_x - cross - 0.5 * quad_u)
 
 
-def hamiltonian_mu_gradient(inst: LQInstance, level: int, x, u, p, q,
-                            mu: float = 0.0):
-    """Control gradient of the shifted Hamiltonian, node-wise."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    m = level
-    return (p @ inst.B[m] + q @ inst.D[m] - x @ inst.S[m].T + 0.5 * mu
-            - (u @ inst.R[m] + mu * u))
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One candidate control with its cost and gradient base.
@@ -121,11 +109,11 @@ class Trajectory:
             raise ValueError("the control's cost or gradient overflows")
         return cls(control, cost, base)
 
-    def gradient(self, inst: LQInstance, mu: float) -> list:
-        """grad_u H_mu at every node, in the float order of
-        :func:`hamiltonian_mu_gradient`."""
-        return [(g + 0.5 * mu) - (u @ inst.R[m] + mu * u)
-                for m, (g, u) in enumerate(zip(self.base, self.control.levels))]
+    def gradient(self, inst: LQInstance, mu: float):
+        """grad_u H_mu, one level array at a time, in the float order of
+        ``p B + q D - x S^T + mu/2 - (R u + mu u)``."""
+        for m, (g, u) in enumerate(zip(self.base, self.control.levels)):
+            yield (g + 0.5 * mu) - (u @ inst.R[m] + mu * u)
 
 
 # -- checkers -------------------------------------------------------------------

@@ -34,15 +34,13 @@ DEFAULT_BUDGET = 10 ** 6
 DEFAULT_SAMPLES = 10 ** 4
 ENUM_CHUNK = 8192
 RELAXED_SLICE = 2048
-TIE_CAP = 16
 BINARY_SHIFT_TOL = 1e-11
 RELAXED_MARGIN_TOL = 1e-9
 
 
 def random_instance(seed: int, *, n_max: int = 2, k_max: int = 2,
-                    depth_max: int = 2, T: float = 1.0,
-                    with_sources: bool | None = None):
-    """Small random instance plus a free control domain, deterministic in seed.
+                    depth_max: int = 2, with_sources: bool | None = None):
+    """Seeded small random instance on ``[0, 1]`` with a free control domain.
 
     Coefficients are level-dependent with entries uniform on [-1, 1]; the
     symmetric blocks are symmetrized.  Half the seeds get zero sources
@@ -61,7 +59,7 @@ def random_instance(seed: int, *, n_max: int = 2, k_max: int = 2,
 
     sources = bool(rng.integers(0, 2)) if with_sources is None else with_sources
     inst = LQInstance(
-        n=n, k=k, T=T, depth=depth,
+        n=n, k=k, T=1.0, depth=depth,
         A=u(depth, n, n), B=u(depth, n, k), C=u(depth, n, n), D=u(depth, n, k),
         b=u(depth, n) if sources else np.zeros((depth, n)),
         sigma=u(depth, n) if sources else np.zeros((depth, n)),
@@ -167,16 +165,15 @@ def _cost_bound(inst: LQInstance) -> float:
 class OracleResult:
     """Exhaustive minimum of the true cost over binary controls.
 
-    ``ties`` lists every enumerated control attaining the exact same float
-    minimum (capped), lexicographically smallest first; ``control`` is
-    ``ties[0]``.  ``recosted`` counts the controls whose cost was evaluated
-    exactly; it is not in ``to_dict``.
+    ``control`` is the lexicographically smallest control attaining the
+    exact float minimum and ``tie_count`` counts every control that does.
+    ``recosted`` counts the controls whose cost was evaluated exactly; it
+    is not in ``to_dict``.
     """
 
     control: ControlProcess
     cost: float
     enumerated: int
-    ties: tuple
     tie_count: int
     recosted: int
 
@@ -189,13 +186,11 @@ class OracleResult:
 
 
 def brute_force_binary(inst: LQInstance, domain: ControlDomain,
-                       budget: int = DEFAULT_BUDGET,
-                       chunk: int = ENUM_CHUNK) -> OracleResult:
+                       budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Minimum of the cost over every binary control, by enumeration.
 
     Every control gets its own screened total, in batches of at most
-    ``chunk`` controls; the tables behind them are built in sweeps sized
-    for at least ``ENUM_CHUNK`` controls.  A unit fixes the levels
+    ``ENUM_CHUNK`` controls.  A unit fixes the levels
     ``0 .. N-2`` and the leading digits of the last running level; its
     controls form one contiguous code range and share all but the
     last-level terms of the cost, so each total is the unit's head plus
@@ -210,8 +205,6 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
         raise ValueError("the binary control set is empty")
     if verts.shape[1] != inst.k:
         raise ValueError("domain dimension does not match the instance")
-    if chunk < 1:
-        raise ValueError("chunk must be a positive number of controls")
     tree = inst.tree
     nodes = tree.num_nodes(tree.depth) - 1
     v_count = verts.shape[0]
@@ -222,7 +215,7 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     check_node_memory(nodes, inst.k)
 
     free = tree.num_nodes(tree.depth - 1)
-    while v_count ** free > chunk:
+    while v_count ** free > ENUM_CHUNK:
         free -= 1
     block = v_count ** free
     lead = tree.num_nodes(tree.depth - 1) - free
@@ -238,17 +231,14 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     delta = 2.0 * gamma * _cost_bound(inst)
 
     best = math.inf
-    tie_codes: list[int] = []
-    tie_count = 0
+    first = tie_count = 0
     recosted = 0
     screened_min = math.inf
     # A table sweep over c // V units allocates about what c controls do.
-    # It is sized for the larger of chunk and ENUM_CHUNK controls, so a small
-    # chunk splits the outer sums but not the forward sweeps behind them.
-    step = max(1, chunk // block)
-    sweep = step * max(1, max(chunk, ENUM_CHUNK) // v_count // step)
-    for first in range(0, units, sweep):
-        ids = np.arange(first, min(first + sweep, units), dtype=np.int64)
+    step = max(1, ENUM_CHUNK // block)
+    sweep = step * max(1, ENUM_CHUNK // v_count // step)
+    for start in range(0, units, sweep):
+        ids = np.arange(start, min(start + sweep, units), dtype=np.int64)
         head, table = _cost_tables(inst, verts, ids * block, lead)
         # each unit's cheapest extension is a screened total of one control
         cheapest = head + np.sum(np.min(table, axis=-1), axis=-1)
@@ -265,23 +255,19 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
             costs = cost_many(inst, _decode_levels(tree, verts, codes))
             lo = float(np.min(costs))
             if lo < best:
-                best = lo
-                tie_codes = []
-                tie_count = 0
+                best, tie_count = lo, 0
             if lo <= best:
-                hits = codes[costs == best]
-                tie_count += int(hits.shape[0])
-                for code in hits[: max(0, TIE_CAP - len(tie_codes))]:
-                    tie_codes.append(int(code))
+                hits = costs == best
+                if tie_count == 0:  # codes increase, so this is the smallest
+                    first = int(codes[np.argmax(hits)])
+                tie_count += int(np.count_nonzero(hits))
+    if tie_count == 0:
+        raise ValueError("every binary control has a NaN cost")
 
-    tie_levels = _decode_levels(tree, verts, np.asarray(tie_codes, dtype=np.int64))
-    ties = tuple(
-        ControlProcess.from_levels(
-            domain, tree, [lvl[i] for lvl in tie_levels], "binary")
-        for i in range(len(tie_codes))
-    )
-    return OracleResult(control=ties[0], cost=best, enumerated=total,
-                        ties=ties, tie_count=tie_count, recosted=recosted)
+    levels = _decode_levels(tree, verts, np.array([first], dtype=np.int64))
+    control = ControlProcess.from_levels(domain, tree, [lvl[0] for lvl in levels], "binary")
+    return OracleResult(control=control, cost=best, enumerated=total,
+                        tie_count=tie_count, recosted=recosted)
 
 
 # -- equivalence certificate -----------------------------------------------------

@@ -49,6 +49,7 @@ DEFAULT_POWER_TOL = 1e-9
 DEFAULT_POWER_MAX_ITER = 5000
 POWER_PROBES = 16
 RICCATI_REL_WIDTH = 1e-13
+CONCAVITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,7 @@ def shifted_cost_many(inst: LQInstance, u_levels, mu: float):
 
 @dataclass(frozen=True)
 class ConcavityCertificate:
-    """Whether N + mu I is negative definite up to ``tol``.
+    """Whether N + mu I is negative definite up to ``tol`` (:data:`CONCAVITY_TOL`).
 
     ``worst`` is the top eigenvalue of N + mu I.  In Riccati mode
     ``pivot_min`` and ``pivot_level`` are the margin and level of the test
@@ -339,27 +340,26 @@ class ConcavityCertificate:
 
 
 def certify_concavity(inst: LQInstance, mu: float, mode: str = "riccati",
-                      tol: float = 1e-8,
                       top: float | None = None) -> ConcavityCertificate:
-    """Check that N + mu I is negative definite up to ``tol``.
+    """Check that N + mu I is negative definite up to :data:`CONCAVITY_TOL`.
 
-    Riccati mode runs the definiteness test on ``(tol - mu) I - N``, so
-    ``ok`` is a certificate either way; ``worst`` is ``lambda_max + mu``
-    with lambda_max from the Riccati search, or ``top`` when the caller
+    Riccati mode runs the definiteness test on ``(CONCAVITY_TOL - mu) I -
+    N``, so ``ok`` is a certificate either way; ``worst`` is ``lambda_max +
+    mu`` with lambda_max from the Riccati search, or ``top`` when the caller
     already ran it.  Dense mode reports the top eigenvalue of the assembled
     shifted matrix.
     """
     if mode == "riccati":
-        ok, level, margin = _riccati_pd(inst, tol - mu)
+        ok, level, margin = _riccati_pd(inst, CONCAVITY_TOL - mu)
         if top is None:
             top, _, _ = _riccati_secant(inst)
         return ConcavityCertificate(
-            mu=mu, mode="riccati", ok=ok, worst=top + mu, tol=tol,
+            mu=mu, mode="riccati", ok=ok, worst=top + mu, tol=CONCAVITY_TOL,
             pivot_min=margin, pivot_level=level)
     if mode == "dense":
         op = assemble_N_dense(inst)
         shifted = op.matrix + mu * np.eye(op.dimension)
         worst = float(np.linalg.eigvalsh(shifted)[-1])
-        return ConcavityCertificate(mu=mu, mode="dense", ok=worst <= tol,
-                                    worst=worst, tol=tol)
+        return ConcavityCertificate(mu=mu, mode="dense", ok=worst <= CONCAVITY_TOL,
+                                    worst=worst, tol=CONCAVITY_TOL)
     raise ValueError(f"unknown mode {mode!r}")

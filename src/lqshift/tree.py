@@ -209,15 +209,8 @@ def _node_dot(a, b):
 
 
 def _weighted_dot_levels(tree: ScenarioTree, a_levels, b_levels):
-    """Running inner product on raw level arrays; supports leading batch axes."""
+    """Running inner product ``E[ sum_n <a_n, b_n> dt ]``; supports leading batch axes."""
     total = 0.0
     for n, (a, b) in enumerate(zip(a_levels, b_levels)):
         total = total + tree.path_prob(n) * np.sum(a * b, axis=(-2, -1))
     return total * tree.dt
-
-
-def inner_product_running(u: AdaptedProcess, v: AdaptedProcess) -> float:
-    """Time-integrated expectation ``E[ sum_n <u_n, v_n> dt ]`` (left endpoints)."""
-    if u.tree != v.tree or u.dim != v.dim:
-        raise ValueError("processes live on different trees or have different dimensions")
-    return float(_weighted_dot_levels(u.tree, u.levels, v.levels))

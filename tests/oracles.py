@@ -5,6 +5,9 @@ matrices of the homogeneous dynamics, the affine split of the state, the
 adjoint images ``L* xi + Lhat* eta``, the leaf inner product and the cost
 as a quadratic in the control.  The tests compare the library's sweeps
 and the operator N against them; the library itself never calls them.
+Two plain forms of library computations live here as well: the operator
+N applied to a control process, and the node-wise control gradient of the
+shifted Hamiltonian, which ``Trajectory.gradient`` matches bit for bit.
 The binary enumeration keeps its plain form here too: every control
 decoded digit by digit and costed with ``cost_many``, the reference for
 the screened enumeration of ``lqshift.oracle``.  So does the lambda_max search: plain
@@ -28,23 +31,50 @@ from lqshift.model import (
     ControlProcess,
     LQInstance,
     _forward_levels,
+    as_process,
     cost_many,
 )
-from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, TIE_CAP, OracleResult
-from lqshift.operators import _control_levels, apply_N, solve_linear_bsde
+from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, OracleResult
+from lqshift.operators import _apply_N_levels, solve_linear_bsde
 from lqshift.optimality import CheckResult, Trajectory, _worst, solve_second_adjoint
 from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd, _step_blocks
-from lqshift.tree import (
-    AdaptedProcess,
-    ScenarioTree,
-    _weighted_dot_levels,
-    inner_product_running,
-)
+from lqshift.tree import AdaptedProcess, ScenarioTree, _weighted_dot_levels
 
 
 def leaf_dot(tree: ScenarioTree, a: np.ndarray, b: np.ndarray) -> float:
     """Expectation ``E[ <a, b> ]`` of two ``(2**N, dim)`` leaf arrays."""
     return float(tree.path_prob(tree.depth) * np.sum(a * b))
+
+
+def _control_levels(inst: LQInstance, u):
+    """Accept a ControlProcess or AdaptedProcess, return its level list."""
+    proc = as_process(u)
+    if not isinstance(proc, AdaptedProcess):
+        raise TypeError("expected a control process")
+    if proc.tree != inst.tree or proc.dim != inst.k:
+        raise ValueError("control does not match the instance tree or control dimension")
+    return proc.levels
+
+
+def _zero_control(inst: LQInstance):
+    return [np.zeros((inst.tree.num_nodes(m), inst.k)) for m in range(inst.depth)]
+
+
+def apply_N(inst: LQInstance, u) -> AdaptedProcess:
+    """Apply ``N = R + L* Q L + S L + L* S^T + Lhat* G Lhat`` to a control."""
+    return AdaptedProcess(inst.tree, _apply_N_levels(inst, _control_levels(inst, u)))
+
+
+def hamiltonian_mu_gradient(inst: LQInstance, level: int, x, u, p, q,
+                            mu: float = 0.0):
+    """Control gradient of the shifted Hamiltonian, node-wise."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    m = level
+    return (p @ inst.B[m] + q @ inst.D[m] - x @ inst.S[m].T + 0.5 * mu
+            - (u @ inst.R[m] + mu * u))
 
 
 # -- fundamental matrices ----------------------------------------------------
@@ -133,9 +163,10 @@ def decompose_state(inst: LQInstance, u) -> StateDecomposition:
     u_levels = _control_levels(inst, u)
     tree = inst.tree
     zero0 = np.zeros(inst.n)
-    hom_run, hom_term = _forward_levels(inst, None, inst.x0, inhomogeneous=False)
+    zero_u = _zero_control(inst)
+    hom_run, hom_term = _forward_levels(inst, zero_u, inst.x0, inhomogeneous=False)
     ctl_run, ctl_term = _forward_levels(inst, u_levels, zero0, inhomogeneous=False)
-    src_run, src_term = _forward_levels(inst, None, zero0, inhomogeneous=True)
+    src_run, src_term = _forward_levels(inst, zero_u, zero0, inhomogeneous=True)
     return StateDecomposition(
         from_initial=AdaptedProcess(tree, hom_run),
         from_initial_terminal=hom_term,
@@ -190,26 +221,27 @@ class QuadraticCost:
     constant: float
 
     def value(self, u) -> float:
-        u_levels = _control_levels(self.instance, u)
-        proc = AdaptedProcess(self.instance.tree, u_levels)
-        nu = apply_N(self.instance, proc)
+        inst = self.instance
+        u_levels = _control_levels(inst, u)
+        nu = _apply_N_levels(inst, u_levels)
         return float(
-            0.5 * inner_product_running(nu, proc)
-            + inner_product_running(self.linear, proc)
+            0.5 * _weighted_dot_levels(inst.tree, nu, u_levels)
+            + _weighted_dot_levels(inst.tree, self.linear.levels, u_levels)
             + 0.5 * self.constant
         )
 
 
 def quadratic_functional(inst: LQInstance) -> QuadraticCost:
     tree = inst.tree
-    z_run_levels, z_term = _forward_levels(inst, None, inst.x0, inhomogeneous=True)
+    z_run_levels, z_term = _forward_levels(inst, _zero_control(inst), inst.x0,
+                                           inhomogeneous=True)
     z = AdaptedProcess(tree, z_run_levels)
     qz = AdaptedProcess(tree, [z_run_levels[m] @ inst.Q[m] for m in range(tree.depth)])
     gz = z_term @ inst.G
     image = adjoint_apply(inst, xi=qz, eta=gz)
     sz = AdaptedProcess(tree, [z_run_levels[m] @ inst.S[m].T for m in range(tree.depth)])
     linear = image.control + sz
-    constant = inner_product_running(qz, z) + leaf_dot(tree, gz, z_term)
+    constant = _weighted_dot_levels(tree, qz.levels, z_run_levels) + leaf_dot(tree, gz, z_term)
     return QuadraticCost(instance=inst, linear=linear, constant=float(constant))
 
 
@@ -234,8 +266,7 @@ def decode_levels_reference(tree: ScenarioTree, verts: np.ndarray, codes: np.nda
 
 
 def brute_force_reference(inst: LQInstance, domain: ControlDomain,
-                          budget: int = DEFAULT_BUDGET,
-                          chunk: int = ENUM_CHUNK) -> tuple[OracleResult, float]:
+                          budget: int = DEFAULT_BUDGET) -> tuple[OracleResult, float]:
     """Every binary control costed exactly with ``cost_many``, in code order.
 
     Also returns the largest ``|<u, u> - <1, u>|`` over those controls, the
@@ -250,33 +281,26 @@ def brute_force_reference(inst: LQInstance, domain: ControlDomain,
 
     best = math.inf
     max_penalty = 0.0
-    tie_codes: list[int] = []
-    tie_count = 0
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    first = tie_count = 0
+    for start in range(0, total, ENUM_CHUNK):
+        codes = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
         levels = decode_levels_reference(tree, verts, codes)
         costs = cost_many(inst, levels)
         penalty = _weighted_dot_levels(tree, levels, [lvl - 1.0 for lvl in levels])
         max_penalty = max(max_penalty, float(np.max(np.abs(penalty))))
         lo = float(np.min(costs))
         if lo < best:
-            best = lo
-            tie_codes = []
-            tie_count = 0
+            best, tie_count = lo, 0
         if lo <= best:
-            hits = codes[costs == best]
-            tie_count += int(hits.shape[0])
-            for code in hits[: max(0, TIE_CAP - len(tie_codes))]:
-                tie_codes.append(int(code))
+            hits = costs == best
+            if tie_count == 0:
+                first = int(codes[np.argmax(hits)])
+            tie_count += int(np.count_nonzero(hits))
 
-    tie_levels = decode_levels_reference(tree, verts, np.asarray(tie_codes, dtype=np.int64))
-    ties = tuple(
-        ControlProcess.from_levels(
-            domain, tree, [lvl[i] for lvl in tie_levels], "binary")
-        for i in range(len(tie_codes))
-    )
-    result = OracleResult(control=ties[0], cost=best, enumerated=total,
-                          ties=ties, tie_count=tie_count, recosted=total)
+    levels = decode_levels_reference(tree, verts, np.array([first], dtype=np.int64))
+    control = ControlProcess.from_levels(domain, tree, [lvl[0] for lvl in levels], "binary")
+    result = OracleResult(control=control, cost=best, enumerated=total,
+                          tie_count=tie_count, recosted=total)
     return result, max_penalty
 
 

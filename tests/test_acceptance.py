@@ -11,9 +11,16 @@ from contextlib import contextmanager
 import numpy as np
 
 import lqshift as lq
+from lqshift.tree import _weighted_dot_levels
 
 from conftest import ACCEPTANCE_LINES, all_scalar_binary_controls
-from oracles import adjoint_apply, decompose_state, leaf_dot, quadratic_functional
+from oracles import (
+    adjoint_apply,
+    decompose_state,
+    hamiltonian_mu_gradient,
+    leaf_dot,
+    quadratic_functional,
+)
 
 
 @contextmanager
@@ -183,9 +190,10 @@ def test_operator_identities():
 
             image = adjoint_apply(inst, xi=xi, eta=eta)
             dec = decompose_state(inst, u)
-            lhs = lq.inner_product_running(image.control, u) \
+            lhs = _weighted_dot_levels(tree, image.control.levels, u.levels) \
                 + float(image.initial @ inst.x0)
-            rhs = lq.inner_product_running(xi, dec.from_initial + dec.from_control) \
+            rhs = _weighted_dot_levels(tree, xi.levels,
+                                       (dec.from_initial + dec.from_control).levels) \
                 + leaf_dot(tree, eta,
                            dec.from_initial_terminal + dec.from_control_terminal)
             worst_dual = max(worst_dual, abs(lhs - rhs) / max(1.0, abs(lhs)))
@@ -269,7 +277,7 @@ def test_hamiltonian_gradient():
                 m = int(rng.integers(0, tree.depth))
                 j = int(rng.integers(0, tree.num_nodes(m)))
                 i = int(rng.integers(0, inst.k))
-                grad = lq.hamiltonian_mu_gradient(
+                grad = hamiltonian_mu_gradient(
                     inst, m, x_levels[m], levels[m], p_mean[m], q[m], mu)[j, i]
                 bumped = [np.stack([lvl, lvl]) for lvl in levels]
                 bumped[m][0, j, i] += h

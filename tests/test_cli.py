@@ -485,6 +485,12 @@ def _written_verify(tmp_path):
     return ["verify", EXAMPLE5, "--control", str(control)]
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "note": "caf\xe9"}')
+    return ["validate", str(path)]
+
+
 @pytest.mark.parametrize("argv, code", [
     (lambda tmp: ["validate", EXAMPLE5], 0),
     (lambda tmp: ["spectrum", EXAMPLE5, "--certify"], 0),
@@ -493,8 +499,14 @@ def _written_verify(tmp_path):
     (lambda tmp: ["equivalence", EXAMPLE5, "--samples", "256"], 0),
     (lambda tmp: ["example5", "--depths", "2,3"], 0),
     (_overflow_verify, 1),
+    (lambda tmp: ["validate", str(tmp)], 2),
+    (_not_utf8, 2),
+    (lambda tmp: ["solve", EXAMPLE5, "--control-out", str(tmp / "missing" / "x.csv")], 1),
+    (lambda tmp: ["example5", "--depths", "2", "--csv", str(tmp / "missing" / "t.csv")], 1),
+    (lambda tmp: ["spectrum", EXAMPLE5, "--out", str(tmp / "missing" / "r.json")], 1),
 ], ids=["validate", "spectrum", "solve", "verify", "equivalence", "example5",
-        "verify-overflow"])
+        "verify-overflow", "validate-directory", "validate-not-utf8",
+        "solve-unwritable-control", "example5-unwritable-csv", "spectrum-unwritable-out"])
 def test_each_command_runs_clean_in_its_own_process(capsys, tmp_path, argv, code):
     """``python -m lqshift.cli`` runs one command per process, as the
     ``lqshift`` script does: the exit code is the expected one, stdout is

@@ -175,16 +175,17 @@ def test_empty_binary_set_is_fatal(free1):
     inst = lq.example5_instance(1)
     report = lq.validate_instance(inst, dom)
     assert not report.ok
-    assert any(issue.fatal for issue in report.issues)
+    assert [path for path, _ in report.issues] == ["/domain/halfspaces"]
 
 
 def test_validate_instance_reports(free1, bench2):
     assert lq.validate_instance(bench2, free1).ok
     # dimension mismatch between domain and instance
     report = lq.validate_instance(bench2, lq.ControlDomain.free(2))
-    assert any(issue.fatal for issue in report.issues)
+    assert [path for path, _ in report.issues] == ["/domain"]
     as_dict = report.to_dict()
-    assert as_dict["valid"] is False and as_dict["issues"]
+    assert as_dict["valid"] is False
+    assert [set(issue) for issue in as_dict["issues"]] == [{"path", "message"}]
     # non-finite coefficients never reach validation
     with pytest.raises(ValueError, match="non-finite"):
         lq.LQInstance.constant(depth=1, n=1, k=1, b=[np.inf])

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+from lqshift.tree import _weighted_dot_levels
 
 from oracles import (
     adjoint_apply,
+    apply_N,
     decompose_state,
     fundamental_matrices,
     leaf_dot,
@@ -68,14 +70,15 @@ def test_adjoint_duality_is_exact():
         u = random_control_process(inst, rng)
         dec = decompose_state(inst, u)
 
-        lhs = lq.inner_product_running(image.control, u)
-        rhs = lq.inner_product_running(xi, dec.from_control) \
+        tree = inst.tree
+        lhs = _weighted_dot_levels(tree, image.control.levels, u.levels)
+        rhs = _weighted_dot_levels(tree, xi.levels, dec.from_control.levels) \
             + leaf_dot(inst.tree, eta, dec.from_control_terminal)
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) <= 1e-10 * scale
 
         lhs0 = float(image.initial @ inst.x0)
-        rhs0 = lq.inner_product_running(xi, dec.from_initial) \
+        rhs0 = _weighted_dot_levels(tree, xi.levels, dec.from_initial.levels) \
             + leaf_dot(inst.tree, eta, dec.from_initial_terminal)
         assert abs(lhs0 - rhs0) <= 1e-10 * max(1.0, abs(lhs0))
 
@@ -99,11 +102,12 @@ def test_state_decomposition_reconstructs():
 
 def test_apply_N_benchmark_values(bench2, free1):
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
-    image = lq.apply_N(bench2, ones)
+    image = apply_N(bench2, ones)
     np.testing.assert_allclose(image.level(0), [[2.0]], rtol=0, atol=1e-14)
     np.testing.assert_allclose(image.level(1), [[1.0], [1.0]], rtol=0, atol=1e-14)
     # the cost has no affine part here, so <Nu, u> = 2 J(u)
-    assert lq.inner_product_running(image, ones.process) == pytest.approx(1.5, abs=1e-14)
+    assert _weighted_dot_levels(bench2.tree, image.levels, ones.levels) \
+        == pytest.approx(1.5, abs=1e-14)
 
 
 def test_quadratic_functional_matches_direct_cost():
@@ -137,7 +141,7 @@ def test_dense_matches_matrix_free():
         back = op.unflatten(vec)
         assert (back - u).max_abs() <= 1e-12
         dense_image = op.unflatten(op.matrix @ vec)
-        free_image = lq.apply_N(inst, u)
+        free_image = apply_N(inst, u)
         assert (dense_image - free_image).max_abs() <= 1e-10
 
 

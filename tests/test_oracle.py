@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+import lqshift.oracle as oracle_mod
 
 import oracles
 
@@ -11,7 +12,6 @@ def test_brute_force_benchmark(bench2, free1):
     assert result.enumerated == 8
     assert result.cost == 0.0
     assert result.tie_count == 1
-    assert len(result.ties) == 1
     for m in range(2):
         assert not np.any(result.control.process.level(m))
     d = result.to_dict()
@@ -25,53 +25,33 @@ def test_brute_force_budget(bench2, free1):
     assert excinfo.value.budget == 7
 
 
-def test_brute_force_chunking_is_invisible(free1):
-    inst, domain = lq.random_instance(14, depth_max=3)
-    small = lq.brute_force_binary(inst, domain, chunk=3)
-    large = lq.brute_force_binary(inst, domain)
-    assert small.cost == large.cost
-    assert small.tie_count == large.tie_count
-    for m in range(inst.depth):
-        np.testing.assert_array_equal(small.control.process.level(m),
-                                      large.control.process.level(m))
-    with pytest.raises(ValueError, match="chunk"):
-        lq.brute_force_binary(inst, domain, chunk=0)
+def test_brute_force_refuses_nan_costs(free1):
+    """Costs that overflow to NaN have no minimum, so no control is returned."""
+    inst = lq.LQInstance.constant(depth=2, n=1, k=1, A=1e300, D=1.0, Q=2.0, R=-1.0,
+                                  G=2.0, x0=[1e300])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN cost"):
+        lq.brute_force_binary(inst, free1)
 
 
-def test_small_chunks_split_batches_not_table_sweeps(monkeypatch, free1):
-    """Example 5 at depth 3 has 32 units of 4 controls, and one table sweep
-    covers them all whatever the chunk; a chunk of 7 splits only the batches."""
-    import lqshift.oracle as oracle
-
-    calls = []
-    original = oracle._cost_tables
-    monkeypatch.setattr(oracle, "_cost_tables",
-                        lambda *args: calls.append(1) or original(*args))
-    inst = lq.example5_instance(3)
-    want = lq.brute_force_binary(inst, free1)
+def test_brute_force_chunking_is_invisible(monkeypatch, free1):
+    """Smaller batches split the same enumeration, and find the same optimum."""
+    cases = [lq.random_instance(14, depth_max=3), (lq.example5_instance(3), free1)]
+    wants = [lq.brute_force_binary(inst, domain) for inst, domain in cases]
     for chunk in (1, 3, 7):
-        calls.clear()
-        _assert_same_oracle(lq.brute_force_binary(inst, free1, chunk=chunk), want, chunk)
-        assert len(calls) == 1, chunk
+        monkeypatch.setattr(oracle_mod, "ENUM_CHUNK", chunk)
+        for (inst, domain), want in zip(cases, wants):
+            _assert_same_oracle(lq.brute_force_binary(inst, domain), want, chunk)
 
 
 def test_tie_enumeration_order_and_cap(free1):
     # a cost of zero everywhere makes every control a minimizer
-    flat = lq.LQInstance.constant(depth=2, n=1, k=1, D=1.0)
-    result = lq.brute_force_binary(flat, free1)
-    assert result.tie_count == 8
-    assert len(result.ties) == 8
-    # ties come out in code order: root digit most significant
-    first = result.ties[0]
-    second = result.ties[1]
-    assert not np.any(first.process.level(0)) and not np.any(first.process.level(1))
-    np.testing.assert_array_equal(second.process.level(0), [[0.0]])
-    np.testing.assert_array_equal(second.process.level(1), [[0.0], [1.0]])
-    # the stored list is capped, the count is not
-    flat3 = lq.LQInstance.constant(depth=3, n=1, k=1, D=1.0)
-    capped = lq.brute_force_binary(flat3, free1)
-    assert capped.tie_count == 128
-    assert len(capped.ties) == 16
+    for depth, ties in ((2, 8), (3, 128)):
+        flat = lq.LQInstance.constant(depth=depth, n=1, k=1, D=1.0)
+        result = lq.brute_force_binary(flat, free1)
+        assert result.tie_count == ties
+        # the lexicographically smallest tie: code 0, all zeros
+        for m in range(depth):
+            assert not np.any(result.control.process.level(m)), depth
 
 
 def test_random_instance_is_deterministic():
@@ -120,8 +100,6 @@ def test_equivalence_on_random_instances():
 
 def test_relaxed_samples_are_costed_in_slices(monkeypatch):
     """One draw, costed slice by slice, gives the minimum of the whole batch."""
-    import lqshift.oracle as oracle_mod
-
     batches = []
     costed = oracle_mod.shifted_cost_many
 
@@ -148,8 +126,6 @@ def test_each_binary_control_is_enumerated_once(monkeypatch):
     The screen forms one total per control; ``cost_many`` sees only the
     ``recosted`` controls, fewer than all on these instances.
     """
-    import lqshift.oracle as oracle_mod
-
     totals = []
     rows = []
     screen = oracle_mod._outer_sum
@@ -205,11 +181,8 @@ def _assert_same_oracle(got, want, label):
     assert got.cost == want.cost, label
     assert got.tie_count == want.tie_count, label
     assert got.to_dict() == want.to_dict(), label
-    assert len(got.ties) == len(want.ties), label
-    for a, b in zip(got.ties, want.ties):
-        for m in range(a.tree.depth):
-            np.testing.assert_array_equal(a.process.level(m), b.process.level(m),
-                                          err_msg=label)
+    for a, b in zip(got.control.levels, want.control.levels, strict=True):
+        np.testing.assert_array_equal(a, b, err_msg=label)
 
 
 def test_decode_matches_digit_loop():
@@ -225,7 +198,7 @@ def test_decode_matches_digit_loop():
             np.testing.assert_array_equal(a, b)
 
 
-def test_screened_oracle_matches_reference():
+def test_screened_oracle_matches_reference(monkeypatch):
     """Screened totals plus exact recosting give the plain enumeration's result."""
     cases = []
     for seed in range(200):
@@ -250,12 +223,13 @@ def test_screened_oracle_matches_reference():
         if want.enumerated <= 128:
             small += 1
             for chunk in (1, 3, 7):
-                got = lq.brute_force_binary(inst, domain, chunk=chunk)
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle_mod, "ENUM_CHUNK", chunk)
+                    got = lq.brute_force_binary(inst, domain)
                 _assert_same_oracle(got, want, f"{label} chunk {chunk}")
     assert compared > 300 and small > 150
     flat = lq.brute_force_binary(lq.LQInstance.constant(depth=3, n=1, k=1, D=1.0), free1)
     assert flat.tie_count == flat.recosted == flat.enumerated == 128
-    assert len(flat.ties) == 16
 
 
 def test_shift_is_needed_for_vertex_optimality(free1):

@@ -69,16 +69,23 @@ def _as_float_array(value, shape, name):
 
 def _symmetrize_stack(mats, name):
     """Symmetrize ``(..., d, d)`` matrices, rejecting skew parts beyond
-    tolerance; holds one stack-sized temporary at a time."""
-    skew = mats - np.swapaxes(mats, -1, -2)
+    tolerance; holds one stack-sized temporary at a time.
+
+    An exactly symmetric stack is returned as it is, since the mean of m
+    and m^T is m bit for bit.  Otherwise the halves are added, which
+    cannot overflow where ``m + m^T`` would.
+    """
+    with np.errstate(over="ignore"):  # an infinite skew part is rejected below
+        skew = mats - np.swapaxes(mats, -1, -2)
     defect = float(np.max(np.abs(skew, out=skew)))
     del skew
+    if defect == 0.0:
+        return mats
     scale = max(1.0, float(mats.max()), -float(mats.min()))
     if defect > SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
-    sym = mats + np.swapaxes(mats, -1, -2)
-    sym *= 0.5
-    return sym
+    half = 0.5 * mats
+    return half + np.swapaxes(half, -1, -2)
 
 
 @dataclass(frozen=True, eq=False)

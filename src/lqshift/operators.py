@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LQInstance, _forward_levels, as_process
-from .tree import AdaptedProcess, ScenarioTree, martingale_representation
+from .model import LQInstance, _forward_levels
+from .tree import martingale_representation
 
 DENSE_DIMENSION_CAP = 4096
 
@@ -101,41 +101,14 @@ class DenseOperator:
     """Matrix of N in the weighted node basis.
 
     Basis vectors are node-component indicators scaled by
-    ``1/sqrt(2^{-m} dt)`` so that the running inner product becomes the
-    plain Euclidean dot of coefficient vectors; N is then represented by a
-    symmetric matrix whose eigenvalues are the operator spectrum.
+    ``1/sqrt(2^{-m} dt)``, in level order, so that the running inner
+    product becomes the plain Euclidean dot of coefficient vectors; N is
+    then represented by a symmetric matrix whose eigenvalues are the
+    operator spectrum.
     """
 
-    tree: ScenarioTree
-    k: int
     matrix: np.ndarray
     symmetry_defect: float
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def _weights(self):
-        dt = self.tree.dt
-        return [np.sqrt(self.tree.path_prob(m) * dt) for m in range(self.tree.depth)]
-
-    def flatten(self, u) -> np.ndarray:
-        proc = as_process(u)
-        w = self._weights()
-        return np.concatenate([
-            (proc.level(m) * w[m]).reshape(-1) for m in range(self.tree.depth)
-        ])
-
-    def unflatten(self, vec: np.ndarray) -> AdaptedProcess:
-        w = self._weights()
-        levels = []
-        pos = 0
-        for m in range(self.tree.depth):
-            count = self.tree.num_nodes(m) * self.k
-            levels.append(vec[pos:pos + count].reshape(self.tree.num_nodes(m), self.k)
-                          / w[m])
-            pos += count
-        return AdaptedProcess(self.tree, levels)
 
 
 def dense_dimension(inst: LQInstance) -> int:
@@ -170,4 +143,4 @@ def assemble_N_dense(inst: LQInstance) -> DenseOperator:
     mat = columns_by_row.T
     defect = float(np.max(np.abs(mat - mat.T))) if total else 0.0
     sym = 0.5 * (mat + mat.T)
-    return DenseOperator(tree=tree, k=k, matrix=sym, symmetry_defect=defect)
+    return DenseOperator(matrix=sym, symmetry_defect=defect)

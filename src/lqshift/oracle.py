@@ -185,6 +185,9 @@ class OracleResult:
         }
 
 
+# an overflowing cost comes out as inf or NaN, and all-NaN costs are refused
+# below, so numpy need not warn about it
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force_binary(inst: LQInstance, domain: ControlDomain,
                        budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Minimum of the cost over every binary control, by enumeration.

@@ -320,46 +320,35 @@ def shifted_cost_many(inst: LQInstance, u_levels, mu: float):
 class ConcavityCertificate:
     """Whether N + mu I is negative definite up to ``tol`` (:data:`CONCAVITY_TOL`).
 
-    ``worst`` is the top eigenvalue of N + mu I.  In Riccati mode
-    ``pivot_min`` and ``pivot_level`` are the margin and level of the test
-    chain at ``s = tol - mu`` (see :func:`_riccati_pd`): the smallest
-    eigenvalue of the level pivots ``Huu / dt`` and where it occurs, or the
-    pivot's smallest eigenvalue where the chain fails.
+    ``worst`` is the top eigenvalue of N + mu I.  ``pivot_min`` and
+    ``pivot_level`` are the margin and level of the test chain at
+    ``s = tol - mu`` (see :func:`_riccati_pd`): the smallest eigenvalue of
+    the level pivots ``Huu / dt`` and where it occurs, or the pivot's
+    smallest eigenvalue where the chain fails.
     """
 
     mu: float
-    mode: str
     ok: bool
     worst: float
     tol: float
-    pivot_min: float | None = None
-    pivot_level: int | None = None
+    pivot_min: float
+    pivot_level: int
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def certify_concavity(inst: LQInstance, mu: float, mode: str = "riccati",
+def certify_concavity(inst: LQInstance, mu: float, *,
                       top: float | None = None) -> ConcavityCertificate:
     """Check that N + mu I is negative definite up to :data:`CONCAVITY_TOL`.
 
-    Riccati mode runs the definiteness test on ``(CONCAVITY_TOL - mu) I -
-    N``, so ``ok`` is a certificate either way; ``worst`` is ``lambda_max +
-    mu`` with lambda_max from the Riccati search, or ``top`` when the caller
-    already ran it.  Dense mode reports the top eigenvalue of the assembled
-    shifted matrix.
+    The definiteness test runs on ``(CONCAVITY_TOL - mu) I - N``, so ``ok``
+    is a certificate either way; ``worst`` is ``lambda_max + mu`` with
+    lambda_max from the Riccati search, or ``top`` when the caller already
+    ran it.
     """
-    if mode == "riccati":
-        ok, level, margin = _riccati_pd(inst, CONCAVITY_TOL - mu)
-        if top is None:
-            top, _, _ = _riccati_secant(inst)
-        return ConcavityCertificate(
-            mu=mu, mode="riccati", ok=ok, worst=top + mu, tol=CONCAVITY_TOL,
-            pivot_min=margin, pivot_level=level)
-    if mode == "dense":
-        op = assemble_N_dense(inst)
-        shifted = op.matrix + mu * np.eye(op.dimension)
-        worst = float(np.linalg.eigvalsh(shifted)[-1])
-        return ConcavityCertificate(mu=mu, mode="dense", ok=worst <= CONCAVITY_TOL,
-                                    worst=worst, tol=CONCAVITY_TOL)
-    raise ValueError(f"unknown mode {mode!r}")
+    ok, level, margin = _riccati_pd(inst, CONCAVITY_TOL - mu)
+    if top is None:
+        top, _, _ = _riccati_secant(inst)
+    return ConcavityCertificate(mu=mu, ok=ok, worst=top + mu, tol=CONCAVITY_TOL,
+                                pivot_min=margin, pivot_level=level)

@@ -97,7 +97,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class AdaptedProcess:
     """A vector-valued process on the running levels ``0 .. N-1`` of a tree.
 
-    Values are stored per level as read-only ``(2**n, dim)`` arrays.
+    Values are stored per level as read-only ``(2**n, dim)`` arrays in
+    ``levels``; the class is a validated container with no arithmetic.
     """
 
     __slots__ = ("tree", "dim", "levels")
@@ -131,47 +132,11 @@ class AdaptedProcess:
     def __setattr__(self, name, value):
         raise AttributeError("AdaptedProcess is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def constant(cls, tree: ScenarioTree, value) -> "AdaptedProcess":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         check_node_memory(tree.num_nodes(tree.depth), v.size)
         return cls(tree, [np.tile(v, (tree.num_nodes(n), 1)) for n in range(tree.depth)])
-
-    # -- accessors ---------------------------------------------------------
-
-    def level(self, n: int) -> np.ndarray:
-        if not 0 <= n < self.tree.depth:
-            raise ValueError(f"running process has levels 0 .. {self.tree.depth - 1}, got {n}")
-        return self.levels[n]
-
-    # -- arithmetic (used by tests and samplers) ---------------------------
-
-    def _binary_op(self, other, op):
-        if not isinstance(other, AdaptedProcess):
-            return NotImplemented
-        if self.tree != other.tree or self.dim != other.dim:
-            raise ValueError("processes live on different trees or have different shapes")
-        return AdaptedProcess(self.tree, [op(a, b) for a, b in zip(self.levels, other.levels)])
-
-    def __add__(self, other):
-        return self._binary_op(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary_op(other, np.subtract)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return AdaptedProcess(self.tree, [s * a for a in self.levels])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(a))) if a.size else 0.0 for a in self.levels)
 
 
 # -- level-wise probabilistic operations -----------------------------------

@@ -60,9 +60,10 @@ def _zero_control(inst: LQInstance):
     return [np.zeros((inst.tree.num_nodes(m), inst.k)) for m in range(inst.depth)]
 
 
-def apply_N(inst: LQInstance, u) -> AdaptedProcess:
-    """Apply ``N = R + L* Q L + S L + L* S^T + Lhat* G Lhat`` to a control."""
-    return AdaptedProcess(inst.tree, _apply_N_levels(inst, _control_levels(inst, u)))
+def apply_N(inst: LQInstance, u) -> list:
+    """Apply ``N = R + L* Q L + S L + L* S^T + Lhat* G Lhat`` to a control;
+    returns its level list."""
+    return _apply_N_levels(inst, _control_levels(inst, u))
 
 
 def hamiltonian_mu_gradient(inst: LQInstance, level: int, x, u, p, q,
@@ -138,41 +139,41 @@ def fundamental_matrices(inst: LQInstance, singular_tol: float = 1e-10) -> Funda
 
 @dataclass(frozen=True)
 class StateDecomposition:
-    """The three affine pieces of the state: running processes on levels
+    """The three affine pieces of the state: level lists on levels
     ``0 .. N-1`` and ``(2**N, n)`` leaf arrays.
 
     ``from_initial + from_control + source`` reproduces the full state
     exactly (the scheme is affine, so the split is not approximate).
     """
 
-    from_initial: AdaptedProcess
+    from_initial: list
     from_initial_terminal: np.ndarray
-    from_control: AdaptedProcess
+    from_control: list
     from_control_terminal: np.ndarray
-    source: AdaptedProcess
+    source: list
     source_terminal: np.ndarray
 
     def state(self) -> tuple:
         """``(running, leaves)``, the full state."""
-        return (self.from_initial + self.from_control + self.source,
-                self.from_initial_terminal + self.from_control_terminal
+        running = [a + b + c for a, b, c in
+                   zip(self.from_initial, self.from_control, self.source)]
+        return (running, self.from_initial_terminal + self.from_control_terminal
                 + self.source_terminal)
 
 
 def decompose_state(inst: LQInstance, u) -> StateDecomposition:
     u_levels = _control_levels(inst, u)
-    tree = inst.tree
     zero0 = np.zeros(inst.n)
     zero_u = _zero_control(inst)
     hom_run, hom_term = _forward_levels(inst, zero_u, inst.x0, inhomogeneous=False)
     ctl_run, ctl_term = _forward_levels(inst, u_levels, zero0, inhomogeneous=False)
     src_run, src_term = _forward_levels(inst, zero_u, zero0, inhomogeneous=True)
     return StateDecomposition(
-        from_initial=AdaptedProcess(tree, hom_run),
+        from_initial=hom_run,
         from_initial_terminal=hom_term,
-        from_control=AdaptedProcess(tree, ctl_run),
+        from_control=ctl_run,
         from_control_terminal=ctl_term,
-        source=AdaptedProcess(tree, src_run),
+        source=src_run,
         source_terminal=src_term,
     )
 
@@ -184,23 +185,23 @@ def decompose_state(inst: LQInstance, u) -> StateDecomposition:
 class AdjointImage:
     """Image of ``(xi, eta)`` under the adjoints of the state maps.
 
-    ``xi`` is a state-dimension running process and ``eta`` a leaf array.
-    ``control`` is ``L* xi + Lhat* eta`` (a control-dimension running
-    process) and ``initial`` is ``Gamma* xi + Gammahat* eta`` (a state
+    ``xi`` is a state-dimension level list and ``eta`` a leaf array.
+    ``control`` is ``L* xi + Lhat* eta`` (a control-dimension level list)
+    and ``initial`` is ``Gamma* xi + Gammahat* eta`` (a state
     vector), so that exactly, in the tree inner products,
 
         <L u, xi> + <Lhat u, eta> = <u, control>,
         <Gamma x, xi> + <Gammahat x, eta> = <x, initial>.
     """
 
-    control: AdaptedProcess
+    control: list
     initial: np.ndarray
 
 
-def adjoint_apply(inst: LQInstance, xi: AdaptedProcess, eta: np.ndarray) -> AdjointImage:
-    p, p_mean, q = solve_linear_bsde(inst, xi.levels, eta)
+def adjoint_apply(inst: LQInstance, xi: list, eta: np.ndarray) -> AdjointImage:
+    p, p_mean, q = solve_linear_bsde(inst, xi, eta)
     out = [p_mean[m] @ inst.B[m] + q[m] @ inst.D[m] for m in range(inst.depth)]
-    return AdjointImage(control=AdaptedProcess(inst.tree, out), initial=p[0][0])
+    return AdjointImage(control=out, initial=p[0][0])
 
 
 # -- the cost as a quadratic -------------------------------------------------
@@ -217,7 +218,7 @@ class QuadraticCost:
     """
 
     instance: LQInstance
-    linear: AdaptedProcess
+    linear: list
     constant: float
 
     def value(self, u) -> float:
@@ -226,7 +227,7 @@ class QuadraticCost:
         nu = _apply_N_levels(inst, u_levels)
         return float(
             0.5 * _weighted_dot_levels(inst.tree, nu, u_levels)
-            + _weighted_dot_levels(inst.tree, self.linear.levels, u_levels)
+            + _weighted_dot_levels(inst.tree, self.linear, u_levels)
             + 0.5 * self.constant
         )
 
@@ -235,13 +236,12 @@ def quadratic_functional(inst: LQInstance) -> QuadraticCost:
     tree = inst.tree
     z_run_levels, z_term = _forward_levels(inst, _zero_control(inst), inst.x0,
                                            inhomogeneous=True)
-    z = AdaptedProcess(tree, z_run_levels)
-    qz = AdaptedProcess(tree, [z_run_levels[m] @ inst.Q[m] for m in range(tree.depth)])
+    qz = [z_run_levels[m] @ inst.Q[m] for m in range(tree.depth)]
     gz = z_term @ inst.G
     image = adjoint_apply(inst, xi=qz, eta=gz)
-    sz = AdaptedProcess(tree, [z_run_levels[m] @ inst.S[m].T for m in range(tree.depth)])
-    linear = image.control + sz
-    constant = _weighted_dot_levels(tree, qz.levels, z_run_levels) + leaf_dot(tree, gz, z_term)
+    linear = [c + z @ inst.S[m].T
+              for m, (c, z) in enumerate(zip(image.control, z_run_levels))]
+    constant = _weighted_dot_levels(tree, qz, z_run_levels) + leaf_dot(tree, gz, z_term)
     return QuadraticCost(instance=inst, linear=linear, constant=float(constant))
 
 

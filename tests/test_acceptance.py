@@ -180,9 +180,8 @@ def test_operator_identities():
             inst, _ = lq.random_instance(seed, depth_max=4)
             tree = inst.tree
             rng = np.random.default_rng(10_000 + seed)
-            xi = lq.AdaptedProcess(
-                tree, [rng.normal(size=(tree.num_nodes(m), inst.n))
-                       for m in range(tree.depth)])
+            xi = [rng.normal(size=(tree.num_nodes(m), inst.n))
+                  for m in range(tree.depth)]
             eta = rng.normal(size=(tree.num_nodes(tree.depth), inst.n))
             u = lq.AdaptedProcess(
                 tree, [rng.normal(size=(tree.num_nodes(m), inst.k))
@@ -190,10 +189,10 @@ def test_operator_identities():
 
             image = adjoint_apply(inst, xi=xi, eta=eta)
             dec = decompose_state(inst, u)
-            lhs = _weighted_dot_levels(tree, image.control.levels, u.levels) \
+            lhs = _weighted_dot_levels(tree, image.control, u.levels) \
                 + float(image.initial @ inst.x0)
-            rhs = _weighted_dot_levels(tree, xi.levels,
-                                       (dec.from_initial + dec.from_control).levels) \
+            linear_state = [a + b for a, b in zip(dec.from_initial, dec.from_control)]
+            rhs = _weighted_dot_levels(tree, xi, linear_state) \
                 + leaf_dot(tree, eta,
                            dec.from_initial_terminal + dec.from_control_terminal)
             worst_dual = max(worst_dual, abs(lhs - rhs) / max(1.0, abs(lhs)))

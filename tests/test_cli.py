@@ -96,7 +96,8 @@ def test_spectrum(capsys, bench_file):
     code, report = run_cli(capsys, "spectrum", bench_file, "--certify")
     assert code == 0
     assert report["result"]["concavity"]["ok"] is True
-    assert report["result"]["concavity"]["mode"] == "riccati"
+    assert set(report["result"]["concavity"]) == {
+        "mu", "ok", "worst", "tol", "pivot_min", "pivot_level"}
     # the dense and power cross-checks are library calls the CLI does not offer
     assert _exit_code(capsys, "spectrum", bench_file, "--method", "dense") == 2
 
@@ -116,7 +117,7 @@ def test_solve(capsys, bench_file, tmp_path, bench2, free1):
     assert set(report["timings"]) == {"spectrum", "search", "checks"}
     loaded = lq.load_control_csv(control_file, free1, bench2.tree)
     for m in range(2):
-        assert not np.any(loaded.process.level(m))
+        assert not np.any(loaded.process.levels[m])
 
 
 def test_solve_iteration_cap_exit_code(capsys, bench_file, tmp_path,
@@ -432,18 +433,31 @@ def _refuse_constant(name):
     raise ValueError(f"non-strict JSON token {name}")
 
 
+def _example5_with(tmp_path, name, fields=(), **coefficients):
+    """The file ``name``: Example 5 with top-level ``fields`` and
+    ``coefficients`` replaced."""
+    doc = json.loads(Path(EXAMPLE5).read_text())
+    doc.update(fields)
+    doc["coefficients"].update(coefficients)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _overflow_instance(tmp_path, scale=1e300, depth=4):
+    """Example 5 with ``x0 = A = scale``."""
+    return _example5_with(tmp_path, "overflow.json", {"depth": depth, "x0": [scale]},
+                          A=[[scale]])
+
+
 def _overflow_verify(tmp_path, scale=1e300, depth=4):
     """verify of the all-ones control on Example 5 with ``x0 = A = scale``."""
-    doc = json.loads(Path(EXAMPLE5).read_text())
-    doc.update(depth=depth, x0=[scale])
-    doc["coefficients"]["A"] = [[scale]]
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(doc))
-    inst, domain = lq.load_instance(str(path))
+    path = _overflow_instance(tmp_path, scale, depth)
+    inst, domain = lq.load_instance(path)
     control = tmp_path / "ones.csv"
     lq.write_control_csv(control, lq.ControlProcess.constant(domain, inst.tree,
                                                              np.ones(1), "binary"))
-    return ["verify", str(path), "--control", str(control), "--mu", "-3"]
+    return ["verify", path, "--control", str(control), "--mu", "-3"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -499,13 +513,17 @@ def _not_utf8(tmp_path):
     (lambda tmp: ["equivalence", EXAMPLE5, "--samples", "256"], 0),
     (lambda tmp: ["example5", "--depths", "2,3"], 0),
     (_overflow_verify, 1),
+    (lambda tmp: ["equivalence", _overflow_instance(tmp, depth=2), "--mu", "-3"], 1),
+    (lambda tmp: ["validate", _example5_with(tmp, "huge.json", Q=[[1e308]], G=[[1.7e308]])],
+     0),
     (lambda tmp: ["validate", str(tmp)], 2),
     (_not_utf8, 2),
     (lambda tmp: ["solve", EXAMPLE5, "--control-out", str(tmp / "missing" / "x.csv")], 1),
     (lambda tmp: ["example5", "--depths", "2", "--csv", str(tmp / "missing" / "t.csv")], 1),
     (lambda tmp: ["spectrum", EXAMPLE5, "--out", str(tmp / "missing" / "r.json")], 1),
 ], ids=["validate", "spectrum", "solve", "verify", "equivalence", "example5",
-        "verify-overflow", "validate-directory", "validate-not-utf8",
+        "verify-overflow", "equivalence-overflow", "validate-huge-weights",
+        "validate-directory", "validate-not-utf8",
         "solve-unwritable-control", "example5-unwritable-csv", "spectrum-unwritable-out"])
 def test_each_command_runs_clean_in_its_own_process(capsys, tmp_path, argv, code):
     """``python -m lqshift.cli`` runs one command per process, as the

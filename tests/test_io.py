@@ -209,8 +209,10 @@ def test_with_depth_resampling(bench2):
 
 
 def test_with_depth_peaks_near_its_stacks(bench2):
-    """Resampling holds at most one stack-sized temporary beyond the new
-    stacks, so the coefficient memory bound stays close to the peak."""
+    """Resampling holds the level index and at most one stack-sized
+    temporary beyond the new stacks, so the coefficient memory bound stays
+    close to the peak: Example 5's nine level stacks peak at 1.22 times
+    their size."""
     tracemalloc.start()
     try:
         deep = lq.with_depth(bench2, 100_000)
@@ -218,7 +220,7 @@ def test_with_depth_peaks_near_its_stacks(bench2):
     finally:
         tracemalloc.stop()
     stacks = sum(getattr(deep, name).nbytes for name in COEFFICIENTS)
-    assert peak <= 1.4 * stacks
+    assert peak <= 1.25 * stacks
 
 
 def test_control_csv_round_trip(tmp_path, bench2, free1, bits_control):
@@ -227,15 +229,15 @@ def test_control_csv_round_trip(tmp_path, bench2, free1, bits_control):
     lq.write_control_csv(path, control)
     loaded = lq.load_control_csv(path, free1, bench2.tree)
     for m in range(bench2.tree.depth):
-        np.testing.assert_array_equal(loaded.process.level(m),
-                                      control.process.level(m))
+        np.testing.assert_array_equal(loaded.process.levels[m],
+                                      control.process.levels[m])
     # row order in the file does not matter
     lines = path.read_text().strip().splitlines()
     shuffled = [lines[0]] + lines[1:][::-1]
     path.write_text("\n".join(shuffled) + "\n")
     reloaded = lq.load_control_csv(path, free1, bench2.tree)
-    np.testing.assert_array_equal(reloaded.process.level(1),
-                                  control.process.level(1))
+    np.testing.assert_array_equal(reloaded.process.levels[1],
+                                  control.process.levels[1])
 
 
 def test_control_csv_error_modes(tmp_path, bench2, free1):
@@ -316,13 +318,13 @@ def test_control_csv_accepted_syntax(tmp_path, bench2, free1):
     # surrounding spaces and CRLF line ends
     crlf = b" level , index , u1 \r\n 0 , 0 , 1.0 \r\n\r\n1,0,0.0\r\n1 ,1, 1\r\n"
     loaded = _load_text(tmp_path, bench2.tree, free1, crlf)
-    np.testing.assert_array_equal(loaded.process.level(0), [[1.0]])
-    np.testing.assert_array_equal(loaded.process.level(1), [[0.0], [1.0]])
+    np.testing.assert_array_equal(loaded.process.levels[0], [[1.0]])
+    np.testing.assert_array_equal(loaded.process.levels[1], [[0.0], [1.0]])
     # no final newline, and signed literals
     loaded = _load_text(tmp_path, bench2.tree, free1,
                         "level,index,u1\n+0,0,-0.0\n1,0,1e0\n1,1,0")
-    assert str(loaded.process.level(0)[0, 0]) == "-0.0"
-    np.testing.assert_array_equal(loaded.process.level(1), [[1.0], [0.0]])
+    assert str(loaded.process.levels[0][0, 0]) == "-0.0"
+    np.testing.assert_array_equal(loaded.process.levels[1], [[1.0], [0.0]])
 
 
 def test_control_csv_rejected_syntax(tmp_path, bench2, free1):

@@ -12,7 +12,7 @@ def cost_closed_form(inst, control):
     tree = inst.tree
     total = 0.0
     for m in range(tree.depth):
-        u = control.process.level(m)
+        u = control.process.levels[m]
         mean_sq = tree.path_prob(m) * float(np.sum(u * u))
         total += mean_sq * (1.5 - (m + 1) * tree.dt) * tree.dt
     return total
@@ -40,6 +40,21 @@ def test_symmetric_blocks():
     inst = lq.LQInstance.constant(depth=1, n=2, k=1,
                                   Q=[[1.0, 1e-14], [0.0, 1.0]])
     np.testing.assert_array_equal(inst.Q[0], inst.Q[0].T)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetric_blocks_near_the_largest_float():
+    """Symmetrizing never overflows: finite weights stay finite."""
+    inst = lq.LQInstance.constant(depth=2, n=1, k=1, Q=1e308, G=1.7e308)
+    assert np.all(inst.Q == 1e308) and np.all(inst.G == 1.7e308)
+    big = 1.7e308
+    inst = lq.LQInstance.constant(depth=1, n=2, k=1,
+                                  Q=[[big, big], [np.nextafter(big, 0.0), big]])
+    assert np.all(np.isfinite(inst.Q))
+    np.testing.assert_array_equal(inst.Q[0], inst.Q[0].T)
+    # a skew part too large for a float is still a visible asymmetry
+    with pytest.raises(ValueError, match="symmetric"):
+        lq.LQInstance.constant(depth=1, n=2, k=1, Q=[[0.0, big], [-big, 0.0]])
 
 
 def test_instance_arrays_are_frozen():
@@ -117,7 +132,7 @@ def test_sign_flipped_benchmark_prefers_ones(free1):
     flip = lq.LQInstance.constant(depth=1, n=1, k=1, D=1.0, Q=-2.0, R=1.0, G=-2.0)
     result = lq.brute_force_binary(flip, free1)
     assert result.cost == pytest.approx(-0.5, abs=1e-15)
-    np.testing.assert_array_equal(result.control.process.level(0), [[1.0]])
+    np.testing.assert_array_equal(result.control.process.levels[0], [[1.0]])
 
 
 def test_free_domain_vertices():

@@ -24,8 +24,7 @@ from oracles import (
 
 def random_xi_eta(inst, rng):
     tree = inst.tree
-    xi = lq.AdaptedProcess(
-        tree, [rng.normal(size=(tree.num_nodes(m), inst.n)) for m in range(tree.depth)])
+    xi = [rng.normal(size=(tree.num_nodes(m), inst.n)) for m in range(tree.depth)]
     eta = rng.normal(size=(tree.num_nodes(tree.depth), inst.n))
     return xi, eta
 
@@ -43,7 +42,7 @@ def test_bsde_with_constant_running_source(bench2):
     # A = C = 0, so the value just integrates the source backward
     np.testing.assert_allclose(p[0], [[1.0]], rtol=0, atol=1e-15)
     np.testing.assert_allclose(p[1], [[0.5], [0.5]], rtol=0, atol=1e-15)
-    assert lq.AdaptedProcess(tree, q).max_abs() == 0.0
+    assert not any(np.any(lvl) for lvl in q)
     # the last level averages the zero target
     assert np.max(np.abs(p_mean[-1])) == 0.0
     np.testing.assert_allclose(p[0][0], [1.0], rtol=0, atol=1e-15)
@@ -71,14 +70,14 @@ def test_adjoint_duality_is_exact():
         dec = decompose_state(inst, u)
 
         tree = inst.tree
-        lhs = _weighted_dot_levels(tree, image.control.levels, u.levels)
-        rhs = _weighted_dot_levels(tree, xi.levels, dec.from_control.levels) \
+        lhs = _weighted_dot_levels(tree, image.control, u.levels)
+        rhs = _weighted_dot_levels(tree, xi, dec.from_control) \
             + leaf_dot(inst.tree, eta, dec.from_control_terminal)
         scale = max(1.0, abs(lhs))
         assert abs(lhs - rhs) <= 1e-10 * scale
 
         lhs0 = float(image.initial @ inst.x0)
-        rhs0 = _weighted_dot_levels(tree, xi.levels, dec.from_initial.levels) \
+        rhs0 = _weighted_dot_levels(tree, xi, dec.from_initial) \
             + leaf_dot(inst.tree, eta, dec.from_initial_terminal)
         assert abs(lhs0 - rhs0) <= 1e-10 * max(1.0, abs(lhs0))
 
@@ -91,22 +90,23 @@ def test_state_decomposition_reconstructs():
         dec = decompose_state(inst, u)
         x_levels, x_term = lq.forward_state(inst, u)
         running, leaves = dec.state()
-        assert (running - lq.AdaptedProcess(inst.tree, x_levels)).max_abs() <= 1e-12
+        for got, want in zip(running, x_levels, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12
         assert np.max(np.abs(leaves - x_term)) <= 1e-12
         # and the control piece vanishes for the zero control
         zero = lq.AdaptedProcess.constant(inst.tree, np.zeros(inst.k))
         dec0 = decompose_state(inst, zero)
-        assert dec0.from_control.max_abs() == 0.0
+        assert not any(np.any(lvl) for lvl in dec0.from_control)
         assert np.max(np.abs(dec0.from_control_terminal)) == 0.0
 
 
 def test_apply_N_benchmark_values(bench2, free1):
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
     image = apply_N(bench2, ones)
-    np.testing.assert_allclose(image.level(0), [[2.0]], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(image.level(1), [[1.0], [1.0]], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(image[0], [[2.0]], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(image[1], [[1.0], [1.0]], rtol=0, atol=1e-14)
     # the cost has no affine part here, so <Nu, u> = 2 J(u)
-    assert _weighted_dot_levels(bench2.tree, image.levels, ones.levels) \
+    assert _weighted_dot_levels(bench2.tree, image, ones.levels) \
         == pytest.approx(1.5, abs=1e-14)
 
 
@@ -123,7 +123,7 @@ def test_quadratic_functional_matches_direct_cost():
 
 def test_dense_operator_benchmark(bench2):
     op = lq.assemble_N_dense(bench2)
-    assert op.dimension == lq.dense_dimension(bench2) == 3
+    assert op.matrix.shape == (lq.dense_dimension(bench2),) * 2 == (3, 3)
     np.testing.assert_allclose(op.matrix, np.diag([2.0, 1.0, 1.0]),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.eigvalsh(op.matrix), [1.0, 1.0, 2.0],
@@ -132,17 +132,20 @@ def test_dense_operator_benchmark(bench2):
 
 
 def test_dense_matches_matrix_free():
+    """In the weighted node basis, level m scaled by sqrt(2^-m dt) and
+    flattened in level order, the dense matrix maps u to N u."""
     inst, _ = lq.random_instance(6, depth_max=3, with_sources=True)
+    tree = inst.tree
     op = lq.assemble_N_dense(inst)
+    weights = np.concatenate([np.full(tree.num_nodes(m) * inst.k,
+                                      np.sqrt(tree.path_prob(m) * tree.dt))
+                              for m in range(tree.depth)])
     rng = np.random.default_rng(17)
     for _ in range(4):
         u = random_control_process(inst, rng)
-        vec = op.flatten(u)
-        back = op.unflatten(vec)
-        assert (back - u).max_abs() <= 1e-12
-        dense_image = op.unflatten(op.matrix @ vec)
-        free_image = apply_N(inst, u)
-        assert (dense_image - free_image).max_abs() <= 1e-10
+        dense_image = op.matrix @ (weights * np.concatenate(u.levels).ravel()) / weights
+        free_image = np.concatenate(apply_N(inst, u)).ravel()
+        assert np.max(np.abs(dense_image - free_image)) <= 1e-10
 
 
 def test_dense_cap_is_enforced():
@@ -187,7 +190,7 @@ def variation_of_constants(inst, control, inverter):
     acc = np.asarray(inst.x0, dtype=float)[None, :]
     worst = 0.0
     for m in range(tree.depth):
-        u = control.process.level(m)
+        u = control.process.levels[m]
         drift = (u @ inst.B[m].T + inst.b[m]) * dt
         diff = u @ inst.D[m].T + inst.sigma[m]
         inv = inverter(fm, m + 1)

@@ -61,7 +61,7 @@ def test_gradient_matches_finite_differences():
         j = int(rng.integers(0, tree.num_nodes(m)))
         i = int(rng.integers(0, inst.k))
         grad = hamiltonian_mu_gradient(
-            inst, m, x_levels[m], u.process.level(m), p_mean[m], q[m], mu)[j, i]
+            inst, m, x_levels[m], u.process.levels[m], p_mean[m], q[m], mu)[j, i]
         bumped = [np.stack([lvl, lvl]) for lvl in levels]
         bumped[m][0, j, i] += h
         bumped[m][1, j, i] -= h
@@ -211,7 +211,7 @@ def test_msa_finds_the_benchmark_optimum(bench2, free1):
     assert result.cost == 0.0
     assert result.iterations == 1
     for m in range(bench2.tree.depth):
-        assert not np.any(result.control.process.level(m))
+        assert not np.any(result.control.process.levels[m])
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
     from_ones = lq.msa_candidate_search(bench2, free1, mu=-2.0, start=ones)
     assert from_ones.status == "fixed-point"
@@ -306,7 +306,7 @@ def test_one_trajectory_per_candidate(sweep_counter):
         gradient = list(traj.gradient(inst, mu))
         for m in range(tree.depth):
             expected = hamiltonian_mu_gradient(
-                inst, m, x_levels[m], control.process.level(m), p_mean[m], q[m], mu)
+                inst, m, x_levels[m], control.process.levels[m], p_mean[m], q[m], mu)
             np.testing.assert_array_equal(gradient[m], expected)
         cost = lq.cost_direct(inst, control)
         separate = lq.MPReport(

@@ -13,7 +13,7 @@ def test_brute_force_benchmark(bench2, free1):
     assert result.cost == 0.0
     assert result.tie_count == 1
     for m in range(2):
-        assert not np.any(result.control.process.level(m))
+        assert not np.any(result.control.process.levels[m])
     d = result.to_dict()
     assert d == {"cost": 0.0, "enumerated": 8, "tie_count": 1}
 
@@ -51,7 +51,7 @@ def test_tie_enumeration_order_and_cap(free1):
         assert result.tie_count == ties
         # the lexicographically smallest tie: code 0, all zeros
         for m in range(depth):
-            assert not np.any(result.control.process.level(m)), depth
+            assert not np.any(result.control.process.levels[m]), depth
 
 
 def test_random_instance_is_deterministic():

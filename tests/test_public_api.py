@@ -1,7 +1,15 @@
 """The public API, spelled out: adding or removing a name from ``lqshift``
-is an edit to this list."""
+is an edit to this list.  The README's library quickstart runs as printed."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import lqshift as lq
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "AdaptedProcess",
@@ -61,3 +69,19 @@ def test_public_api_inventory():
     # test references live in tests/oracles.py, not in the package
     for name in ("apply_N", "hamiltonian_mu_gradient", "inner_product_running"):
         assert not hasattr(lq, name), name
+
+
+def test_readme_quickstart_prints_its_output():
+    """The "Library quickstart" block, run in a fresh interpreter, prints the
+    "Output:" block that follows it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
+    code, output = re.fullmatch(r"\s*```python\n(.*?)```\s*Output:\s*```\n(.*?)```.*",
+                                section, re.DOTALL).groups()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == output

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.spectral import _riccati_pd
+from lqshift.spectral import CONCAVITY_TOL, _riccati_pd
 
 import oracles
 
@@ -104,38 +104,23 @@ def test_shift_is_bitwise_invisible_on_binary_controls():
         np.testing.assert_array_equal(shifted, base)
 
 
-def test_certify_concavity_dense(bench2):
-    good = lq.certify_concavity(bench2, mu=-2.0, mode="dense")
-    assert good.ok
-    assert good.worst <= 1e-8
-    bad = lq.certify_concavity(bench2, mu=-1.5, mode="dense")
-    assert not bad.ok
-    assert bad.worst == pytest.approx(0.5, abs=1e-10)
-    d = bad.to_dict()
-    assert d["mode"] == "dense" and d["ok"] is False
-
-
 def test_certify_concavity_riccati(bench2):
     good = lq.certify_concavity(bench2, mu=-2.0 - 1e-6)
-    assert good.ok and good.mode == "riccati"
+    assert good.ok
     assert good.worst == pytest.approx(-1e-6, abs=1e-12)
     assert good.pivot_min > 0.0
     assert 0 <= good.pivot_level < bench2.depth
-    # the shifted spectrum at mu = -1.5 tops out at 0.5, as in dense mode
+    # the shifted spectrum {-0.5, -0.5, 0.5} at mu = -1.5 tops out at 0.5
     bad = lq.certify_concavity(bench2, mu=-1.5)
     assert not bad.ok
     assert bad.worst == pytest.approx(0.5, abs=1e-12)
     assert bad.pivot_min <= 0.0
     assert 0 <= bad.pivot_level < bench2.depth
     d = bad.to_dict()
-    assert d["mode"] == "riccati" and d["ok"] is False
-    assert d["pivot_level"] == bad.pivot_level
+    assert list(d) == ["mu", "ok", "worst", "tol", "pivot_min", "pivot_level"]
+    assert d["ok"] is False and d["pivot_level"] == bad.pivot_level
     # the margins are deterministic, so reports stay byte-identical
     assert lq.certify_concavity(bench2, mu=-1.5) == bad
-    assert lq.certify_concavity(bench2, mu=-2.0, mode="dense").pivot_min is None
-    for retired in ("montecarlo", "sample", "auto"):
-        with pytest.raises(ValueError):
-            lq.certify_concavity(bench2, mu=-2.0, mode=retired)
 
 
 def _random_cases(count):
@@ -197,10 +182,9 @@ def test_riccati_certificate_agrees_with_dense():
         top = lq.lambda_max(inst, method="dense").lambda_max
         for offset, expected in ((-1e-6, True), (1e-6, False)):
             mu = -top + offset
-            dense = lq.certify_concavity(inst, mu, mode="dense")
             riccati = lq.certify_concavity(inst, mu)
-            assert riccati.ok == dense.ok == expected, f"seed {seed}"
-            assert riccati.worst == pytest.approx(dense.worst, abs=1e-10)
+            assert riccati.ok == (top + mu <= CONCAVITY_TOL) == expected, f"seed {seed}"
+            assert riccati.worst == pytest.approx(top + mu, abs=1e-10)
 
 
 def test_riccati_closed_form_at_depth():

@@ -78,8 +78,6 @@ def test_adapted_process_validation():
     with pytest.raises(ValueError):
         # the leaf level is not a running level
         lq.AdaptedProcess(tree, good + [np.zeros((4, 2))])
-    with pytest.raises(ValueError):
-        proc.level(2)
 
 
 def test_adapted_process_is_immutable():
@@ -88,29 +86,12 @@ def test_adapted_process_is_immutable():
     with pytest.raises(AttributeError):
         proc.dim = 5
     with pytest.raises(ValueError):
-        proc.level(0)[0, 0] = 3.0
+        proc.levels[0][0, 0] = 3.0
     # mutating the input afterwards must not leak into the process
     src = [np.ones((1, 1)), np.ones((2, 1))]
     proc2 = lq.AdaptedProcess(tree, src)
     src[0][0, 0] = 99.0
-    assert proc2.level(0)[0, 0] == 1.0
-
-
-def test_adapted_process_arithmetic():
-    tree = lq.build_tree(2, 1.0)
-    a = lq.AdaptedProcess.constant(tree, [2.0])
-    b = lq.AdaptedProcess.constant(tree, [0.5])
-    c = a + b
-    d = a - b
-    assert c.level(1)[0, 0] == 2.5
-    assert d.level(1)[1, 0] == 1.5
-    assert (a * 3.0).level(0)[0, 0] == 6.0
-    assert (-a).level(0)[0, 0] == -2.0
-    assert a.max_abs() == 2.0
-    with pytest.raises(ValueError):
-        a + lq.AdaptedProcess.constant(tree, np.zeros(2))
-    with pytest.raises(ValueError):
-        a + lq.AdaptedProcess.constant(lq.build_tree(3, 1.0), np.zeros(1))
+    assert proc2.levels[0][0, 0] == 1.0
 
 
 def test_conditional_expectation_and_martingale_split():

@@ -35,12 +35,12 @@ from .io import (
     write_control_csv,
 )
 from .model import (
+    ControlDomain,
     ControlProcess,
     cost_direct,
     example5_instance,
     validate_instance,
 )
-from .model import ControlDomain
 from .optimality import (
     DEFAULT_MSA_MAX_ITER,
     hamiltonian_mu,
@@ -98,135 +98,105 @@ def _parse_depths(text: str) -> list[int]:
     return depths
 
 
-def _load(args) -> tuple:
-    inst, domain = load_instance(args.instance)
-    if getattr(args, "depth", None) is not None:
-        inst = with_depth(inst, args.depth)
-    return inst, domain
-
-
 def _resolve_mu(args, inst):
-    """Returns (mu, spectral dict or None)."""
+    """Returns (mu, the result keys the spectral solve adds)."""
     if args.mu is not None:
-        return args.mu, None
+        return args.mu, {}
     report = lambda_max(inst)
-    return report.mu, report.to_dict()
+    return report.mu, {"spectral": report.to_dict()}
 
 
-def cmd_validate(args) -> tuple[int, dict]:
-    inst, domain = _load(args)
+def _instance_command(command, args) -> tuple[int, dict]:
+    """Load the instance at ``--depth``, run ``command`` and wrap its result.
+
+    ``command(args, inst, domain, clock)`` returns ``(code, result,
+    parameters)``; ``clock(stage, fn, *args)`` calls ``fn`` and records its
+    wall time under ``stage`` in the report's ``timings``.
+    """
+    inst, domain = load_instance(args.instance)
+    if args.depth is not None:
+        inst = with_depth(inst, args.depth)
+    timings = {}
+
+    def clock(stage, fn, *fn_args, **fn_kwargs):
+        t0 = time.perf_counter()
+        out = fn(*fn_args, **fn_kwargs)
+        timings[stage] = time.perf_counter() - t0
+        return out
+
+    code, result, parameters = command(args, inst, domain, clock)
+    if hasattr(args, "mu"):
+        parameters["mu"] = "auto" if args.mu is None else args.mu
+    return code, make_report(args.command, result, digest=instance_digest(inst, domain),
+                             parameters=parameters, timings=timings)
+
+
+def cmd_validate(args, inst, domain, clock):
     report = validate_instance(inst, domain)
-    result = report.to_dict()
-    result["depth"] = inst.depth
-    result["n"] = inst.n
-    result["k"] = inst.k
-    out = make_report("validate", result, digest=instance_digest(inst, domain))
-    return (0 if report.ok else 2), out
+    result = dict(report.to_dict(), depth=inst.depth, n=inst.n, k=inst.k)
+    return (0 if report.ok else 2), result, {}
 
 
-def cmd_spectrum(args) -> tuple[int, dict]:
-    inst, domain = _load(args)
-    t0 = time.perf_counter()
-    report = lambda_max(inst)
-    timings = {"spectrum": time.perf_counter() - t0}
+def cmd_spectrum(args, inst, domain, clock):
+    report = clock("spectrum", lambda_max, inst)
     result = report.to_dict()
     if args.certify:
-        t0 = time.perf_counter()
-        cert = certify_concavity(inst, report.mu, top=report.lambda_max)
-        timings["certify"] = time.perf_counter() - t0
-        result["concavity"] = cert.to_dict()
-    out = make_report("spectrum", result, digest=instance_digest(inst, domain),
-                      timings=timings)
-    return 0, out
+        result["concavity"] = clock("certify", certify_concavity, inst, report.mu,
+                                    top=report.lambda_max).to_dict()
+    return 0, result, {}
 
 
-def cmd_solve(args) -> tuple[int, dict]:
-    inst, domain = _load(args)
-    timings = {}
-    t0 = time.perf_counter()
-    mu, spectral = _resolve_mu(args, inst)
-    timings["spectrum"] = time.perf_counter() - t0
+def cmd_solve(args, inst, domain, clock):
+    mu, spectral = clock("spectrum", _resolve_mu, args, inst)
     start = None
     if args.start:
-        t0 = time.perf_counter()
-        start = load_control_csv(args.start, domain, inst.tree, kind="binary")
-        timings["load_control"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    search = msa_candidate_search(inst, domain, mu, start=start, max_iter=args.max_iter)
-    timings["search"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    checks = run_checks(inst, search.control, mu, trajectory=search.trajectory)
-    timings["checks"] = time.perf_counter() - t0
+        start = clock("load_control", load_control_csv, args.start, domain, inst.tree,
+                      kind="binary")
+    search = clock("search", msa_candidate_search, inst, domain, mu, start=start,
+                   max_iter=args.max_iter)
+    checks = clock("checks", run_checks, inst, search.control, mu,
+                   trajectory=search.trajectory)
     if args.control_out:
         write_control_csv(args.control_out, search.control)
-    result = {
-        "mu": mu,
-        "search": search.to_dict(),
-        "checks": checks.to_dict(),
-    }
-    if spectral is not None:
-        result["spectral"] = spectral
-    out = make_report("solve", result, digest=instance_digest(inst, domain),
-                      parameters={"max_iter": args.max_iter,
-                                  "mu": "auto" if args.mu is None else args.mu},
-                      timings=timings)
-    return (3 if search.status == "max-iter" else 0), out
+    result = {"mu": mu, "search": search.to_dict(), "checks": checks.to_dict(), **spectral}
+    return (3 if search.status == "max-iter" else 0), result, {"max_iter": args.max_iter}
 
 
-def cmd_verify(args) -> tuple[int, dict]:
-    inst, domain = _load(args)
-    t0 = time.perf_counter()
-    control = load_control_csv(args.control, domain, inst.tree, kind=args.kind)
-    timings = {"load_control": time.perf_counter() - t0}
-    t0 = time.perf_counter()
-    mu, spectral = _resolve_mu(args, inst)
-    timings["spectrum"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    checks = run_checks(inst, control, mu)
-    timings["checks"] = time.perf_counter() - t0
-    result = checks.to_dict()
-    if spectral is not None:
-        result["spectral"] = spectral
-    out = make_report("verify", result, digest=instance_digest(inst, domain),
-                      parameters={"control": str(args.control), "kind": args.kind,
-                                  "mu": "auto" if args.mu is None else args.mu},
-                      timings=timings)
-    return (0 if checks.ok else 1), out
+def cmd_verify(args, inst, domain, clock):
+    control = clock("load_control", load_control_csv, args.control, domain, inst.tree,
+                    kind=args.kind)
+    mu, spectral = clock("spectrum", _resolve_mu, args, inst)
+    checks = clock("checks", run_checks, inst, control, mu)
+    return ((0 if checks.ok else 1), {**checks.to_dict(), **spectral},
+            {"control": str(args.control), "kind": args.kind})
 
 
-def cmd_equivalence(args) -> tuple[int, dict]:
-    inst, domain = _load(args)
-    timings = {}
-    t0 = time.perf_counter()
-    cert, oracle = equivalence_check(inst, domain, mu=args.mu,
-                                     samples=args.samples, budget=args.budget,
-                                     seed=args.seed)
-    timings["equivalence"] = time.perf_counter() - t0
-    result = cert.to_dict()
-    result["oracle"] = oracle.to_dict()
+def cmd_equivalence(args, inst, domain, clock):
+    cert, oracle = clock("equivalence", equivalence_check, inst, domain, mu=args.mu,
+                         samples=args.samples, budget=args.budget, seed=args.seed)
     if args.control_out:
         write_control_csv(args.control_out, oracle.control)
-    out = make_report("equivalence", result, digest=instance_digest(inst, domain),
-                      parameters={"samples": args.samples, "budget": args.budget,
-                                  "seed": args.seed,
-                                  "mu": "auto" if args.mu is None else args.mu},
-                      timings=timings)
-    return (0 if cert.ok else 1), out
+    return ((0 if cert.ok else 1), {**cert.to_dict(), "oracle": oracle.to_dict()},
+            {"samples": args.samples, "budget": args.budget, "seed": args.seed})
+
+
+_EXAMPLE5_COLUMNS = ("depth", "cost_ones", "lambda_max", "mu",
+                    "hamiltonian_quadratic", "hamiltonian_linear")
+_EXTRAPOLATED = ("cost_ones", "lambda_max", "hamiltonian_quadratic", "hamiltonian_linear")
 
 
 def cmd_example5(args) -> tuple[int, dict]:
     domain = ControlDomain.free(1)
+    zeros1 = np.zeros((1, 1))
     rows = []
     for depth in args.depths:
         inst = example5_instance(depth)
         ones = ControlProcess.constant(domain, inst.tree, np.ones(1), "binary")
         cost_ones = cost_direct(inst, ones)
         spectral = lambda_max(inst)
-        zeros1 = np.zeros((1, 1))
-        h_plus = float(hamiltonian_mu(inst, 0, zeros1, np.ones((1, 1)),
-                                      zeros1, zeros1, spectral.mu)[0])
-        h_minus = float(hamiltonian_mu(inst, 0, zeros1, -np.ones((1, 1)),
-                                       zeros1, zeros1, spectral.mu)[0])
+        h_plus, h_minus = (float(hamiltonian_mu(inst, 0, zeros1, sign * np.ones((1, 1)),
+                                                zeros1, zeros1, spectral.mu)[0])
+                           for sign in (1.0, -1.0))
         row = {
             "depth": depth,
             "cost_ones": cost_ones,
@@ -248,32 +218,17 @@ def cmd_example5(args) -> tuple[int, dict]:
     result: dict = {"depths": rows}
     if len(args.depths) >= 2:
         d1, d2 = sorted(args.depths)[-2:]
-        r1 = next(r for r in rows if r["depth"] == d1)
-        r2 = next(r for r in rows if r["depth"] == d2)
-
-        def extrap(key):
-            return (d2 * r2[key] - d1 * r1[key]) / (d2 - d1)
-
-        result["extrapolated"] = {
-            "from_depths": [d1, d2],
-            "cost_ones": extrap("cost_ones"),
-            "lambda_max": extrap("lambda_max"),
-            "hamiltonian_quadratic": extrap("hamiltonian_quadratic"),
-            "hamiltonian_linear": extrap("hamiltonian_linear"),
-        }
+        r1, r2 = (next(r for r in rows if r["depth"] == d) for d in (d1, d2))
+        result["extrapolated"] = {"from_depths": [d1, d2], **{
+            key: (d2 * r2[key] - d1 * r1[key]) / (d2 - d1) for key in _EXTRAPOLATED}}
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["depth", "cost_ones", "lambda_max", "mu",
-                             "hamiltonian_quadratic", "hamiltonian_linear",
-                             "optimal_cost"])
+            writer.writerow(_EXAMPLE5_COLUMNS + ("optimal_cost",))
             for row in rows:
-                writer.writerow([
-                    row["depth"], repr(row["cost_ones"]), repr(row["lambda_max"]),
-                    repr(row["mu"]), repr(row["hamiltonian_quadratic"]),
-                    repr(row["hamiltonian_linear"]),
-                    "" if row["optimum"] is None else repr(row["optimum"]["cost"]),
-                ])
+                optimum = row["optimum"]
+                writer.writerow([repr(row[key]) for key in _EXAMPLE5_COLUMNS]
+                                + ["" if optimum is None else repr(optimum["cost"])])
     out = make_report("example5", result,
                       parameters={"depths": args.depths, "budget": args.budget})
     return 0, out
@@ -302,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check an instance file")
     _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=functools.partial(_instance_command, cmd_validate))
 
     p = sub.add_parser("spectrum", help="top eigenvalue and shift")
     _add_common(p)
     p.add_argument("--certify", action="store_true",
                    help="also certify concavity of the shifted cost")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=functools.partial(_instance_command, cmd_spectrum))
 
     p = sub.add_parser("solve", help="search for a binary optimum")
     _add_common(p, mu=True)
@@ -316,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default=None, help="CSV control file to start from")
     p.add_argument("--control-out", default=None,
                    help="write the found control to this CSV file")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=functools.partial(_instance_command, cmd_solve))
 
     p = sub.add_parser("verify", help="run optimality checks on a control file")
     _add_common(p, mu=True)
     p.add_argument("--control", required=True, help="CSV control file")
     p.add_argument("--kind", choices=["binary", "relaxed"], default="binary")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=functools.partial(_instance_command, cmd_verify))
 
     p = sub.add_parser("equivalence",
                        help="certify the shifted problem against enumeration")
@@ -332,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--control-out", default=None,
                    help="write the enumerated optimum to this CSV file")
-    p.set_defaults(func=cmd_equivalence)
+    p.set_defaults(func=functools.partial(_instance_command, cmd_equivalence))
 
     p = sub.add_parser("example5", help="closed-form benchmark study")
     _add_common(p, instance=False)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ControlFileError, InstanceFormatError
-from .model import (COEFFICIENTS, ControlDomain, ControlProcess, LQInstance, as_process,
+from .model import (COEFFICIENTS, ControlDomain, ControlProcess, LQInstance,
                     check_coefficient_memory, coefficient_shape)
 from .tree import ScenarioTree, check_node_memory
 
@@ -241,9 +241,8 @@ def write_control_csv(path, control) -> None:
     Each distinct value (bit pattern, so ``-0.0`` stays apart from ``0.0``)
     is formatted once and the rows index into those strings.
     """
-    proc = as_process(control)
-    depth = proc.tree.depth
-    values = np.concatenate(proc.levels)
+    depth = control.tree.depth
+    values = np.concatenate(control.levels)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     text = [repr(v) for v in bits.view(np.float64).tolist()]
     inverse = inverse.reshape(values.shape)
@@ -251,8 +250,8 @@ def write_control_csv(path, control) -> None:
     columns = [list(chain.from_iterable(repeat(str(m), 1 << m) for m in range(depth))),
                list(chain.from_iterable(numbers[:1 << m] for m in range(depth)))]
     columns += [list(map(text.__getitem__, inverse[:, i].tolist()))
-                for i in range(proc.dim)]
-    lines = [",".join(_control_header(proc.dim))]
+                for i in range(control.dim)]
+    lines = [",".join(_control_header(control.dim))]
     lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

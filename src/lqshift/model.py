@@ -343,6 +343,10 @@ class ControlProcess:
     def levels(self):
         return self.process.levels
 
+    @property
+    def dim(self) -> int:
+        return self.process.dim
+
     @classmethod
     def from_levels(cls, domain: ControlDomain, tree: ScenarioTree, levels,
                     kind: str = "binary") -> "ControlProcess":
@@ -352,11 +356,6 @@ class ControlProcess:
     def constant(cls, domain: ControlDomain, tree: ScenarioTree, value,
                  kind: str = "binary") -> "ControlProcess":
         return cls(AdaptedProcess.constant(tree, value), domain, kind)
-
-
-def as_process(u) -> AdaptedProcess:
-    """The adapted process behind a :class:`ControlProcess`; others pass through."""
-    return u.process if isinstance(u, ControlProcess) else u
 
 
 @dataclass(frozen=True)
@@ -432,10 +431,9 @@ def forward_state(inst: LQInstance, u):
     Returns ``(x_levels, x_term)``: the state on levels ``0 .. N-1`` as a
     list of ``(2**m, n)`` arrays, and the ``(2**N, n)`` leaf array.
     """
-    u_proc = as_process(u)
-    if u_proc.tree != inst.tree or u_proc.dim != inst.k:
+    if u.tree != inst.tree or u.dim != inst.k:
         raise ValueError("control does not match the instance tree or control dimension")
-    return _forward_levels(inst, u_proc.levels, inst.x0)
+    return _forward_levels(inst, u.levels, inst.x0)
 
 
 def _cost_from_levels(inst: LQInstance, u_levels, x_levels, x_term):
@@ -456,9 +454,8 @@ def _cost_from_levels(inst: LQInstance, u_levels, x_levels, x_term):
 
 def cost_direct(inst: LQInstance, u) -> float:
     """Evaluate the cost by forward simulation and weighted summation."""
-    u_proc = as_process(u)
-    x_levels, x_term = forward_state(inst, u_proc)
-    return float(_cost_from_levels(inst, u_proc.levels, x_levels, x_term))
+    x_levels, x_term = forward_state(inst, u)
+    return float(_cost_from_levels(inst, u.levels, x_levels, x_term))
 
 
 def cost_many(inst: LQInstance, u_levels):

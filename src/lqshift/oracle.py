@@ -27,7 +27,7 @@ from .model import (
     sample_relaxed_levels,
 )
 from .optimality import Trajectory, check_stationarity
-from .spectral import lambda_max, shifted_cost_many
+from .spectral import ConcavityCertificate, certify_concavity, lambda_max, shifted_cost_many
 from .tree import ScenarioTree, check_node_memory
 
 DEFAULT_BUDGET = 10 ** 6
@@ -280,17 +280,19 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
 class EquivalenceCertificate:
     """Evidence that minimizing the shifted cost solves the binary problem.
 
-    Three ingredients: the shifted and raw costs agree on every binary
-    control (``binary_max_shift_gap`` bounds their difference, from the
-    binary vertices); no sampled relaxed control beats the binary minimum
-    of the shifted cost; and the binary minimizer passes the first-order
-    check.  ``warnings`` flags domains whose relaxation has non-binary
-    vertices, where vertex attainment arguments weaken.
+    Four ingredients: the Riccati test certifies that the shift makes the
+    quadratic part concave (``concavity``); the shifted and raw costs agree
+    on every binary control (``binary_max_shift_gap`` bounds their
+    difference, from the binary vertices); no sampled relaxed control beats
+    the binary minimum of the shifted cost; and the binary minimizer passes
+    the first-order check.  ``warnings`` names the level where the concavity
+    test fails, and flags domains whose relaxation has non-binary vertices,
+    where vertex attainment arguments weaken.
     """
 
     mu: float
     lambda_max: float
-    spectral_method: str
+    concavity: ConcavityCertificate
     binary_enumerated: int
     binary_best_cost: float
     binary_max_shift_gap: float
@@ -306,7 +308,7 @@ class EquivalenceCertificate:
         return {
             "mu": self.mu,
             "lambda_max": self.lambda_max,
-            "spectral_method": self.spectral_method,
+            "concavity": self.concavity.to_dict(),
             "binary": {
                 "enumerated": self.binary_enumerated,
                 "best_cost": self.binary_best_cost,
@@ -331,11 +333,9 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
                       samples: int = DEFAULT_SAMPLES,
                       budget: int = DEFAULT_BUDGET,
                       seed: int = 0) -> tuple[EquivalenceCertificate, OracleResult]:
-    if mu is None:
-        report = lambda_max(inst)
-        mu_val, lam, method = report.mu, report.lambda_max, report.method
-    else:
-        mu_val, lam, method = float(mu), -float(mu), "given"
+    lam = lambda_max(inst).lambda_max
+    mu_val = -lam if mu is None else float(mu)
+    concavity = certify_concavity(inst, mu_val, top=lam)
 
     oracle = brute_force_binary(inst, domain, budget=budget)
     best = oracle.cost
@@ -358,15 +358,20 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
     stat = check_stationarity(inst, Trajectory.of(inst, oracle.control), mu_val)
 
     warnings = []
+    if not concavity.ok:
+        warnings.append(
+            f"the shift does not make the quadratic part concave: the Riccati "
+            f"test fails at level {concavity.pivot_level}")
     if domain.halfspaces:
         rv = domain.relaxed_vertices()
         if rv.size and np.any(np.abs(rv * (rv - 1.0)) > 1e-12):
             warnings.append(
                 "the relaxed polytope has non-binary vertices; the sampled "
                 "bound does not certify binary attainment")
-    ok = (max_gap <= BINARY_SHIFT_TOL and margin >= -RELAXED_MARGIN_TOL and stat.ok)
+    ok = (concavity.ok and max_gap <= BINARY_SHIFT_TOL
+          and margin >= -RELAXED_MARGIN_TOL and stat.ok)
     cert = EquivalenceCertificate(
-        mu=mu_val, lambda_max=lam, spectral_method=method,
+        mu=mu_val, lambda_max=lam, concavity=concavity,
         binary_enumerated=oracle.enumerated, binary_best_cost=best,
         binary_max_shift_gap=max_gap,
         relaxed_samples=samples, relaxed_min_cost=relaxed_min,

@@ -37,12 +37,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceError, LqshiftError
-from .model import LQInstance, as_process
-from .operators import (
-    _apply_N_levels,
-    assemble_N_dense,
-    dense_dimension,
-)
+from .model import LQInstance
+from .operators import _apply_N_levels, assemble_N_dense
 from .tree import _weighted_dot_levels, check_node_memory
 
 DEFAULT_POWER_TOL = 1e-9
@@ -57,7 +53,6 @@ class SpectralReport:
     lambda_max: float
     mu: float
     method: str
-    dimension: int
     iterations: int = 0
     residual: float = 0.0
     shift: float = 0.0
@@ -94,6 +89,8 @@ def _step_blocks(inst: LQInstance):
     return blocks
 
 
+# an overflowing chain fails the test below, so numpy need not warn about it
+@np.errstate(over="ignore", invalid="ignore")
 def _riccati_pd(inst: LQInstance, s: float):
     """Whether ``sI - N`` is positive definite in the tree inner product.
 
@@ -277,18 +274,17 @@ def lambda_max(inst: LQInstance, method: str = "riccati",
     or ``"power"`` (power iteration; ``tol``, ``max_iter`` and ``seed``
     apply to it only).
     """
-    dim = dense_dimension(inst)
     if method == "riccati":
         top, width, chains = _riccati_secant(inst)
-        return SpectralReport(lambda_max=top, mu=-top, method="riccati", dimension=dim,
+        return SpectralReport(lambda_max=top, mu=-top, method="riccati",
                               iterations=chains, residual=width)
     if method == "dense":
         op = assemble_N_dense(inst)
         top = float(np.linalg.eigvalsh(op.matrix)[-1])
-        return SpectralReport(lambda_max=top, mu=-top, method="dense", dimension=dim)
+        return SpectralReport(lambda_max=top, mu=-top, method="dense")
     if method == "power":
         top, iterations, residual, c = _power_iteration(inst, tol, max_iter, seed)
-        return SpectralReport(lambda_max=top, mu=-top, method="power", dimension=dim,
+        return SpectralReport(lambda_max=top, mu=-top, method="power",
                               iterations=iterations, residual=residual, shift=c)
     raise ValueError(f"unknown method {method!r}")
 
@@ -299,7 +295,7 @@ def lambda_max(inst: LQInstance, method: str = "riccati",
 def shifted_cost(inst: LQInstance, u, mu: float, base_cost: float) -> float:
     """``base_cost``, the cost of ``u``, plus ``mu/2`` times the weighted
     ``<u, u - 1>``."""
-    levels = as_process(u).levels
+    levels = u.levels
     penalty = _weighted_dot_levels(inst.tree, levels, [lvl - 1.0 for lvl in levels])
     return float(base_cost + 0.5 * mu * penalty)
 

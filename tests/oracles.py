@@ -31,14 +31,13 @@ from lqshift.model import (
     ControlProcess,
     LQInstance,
     _forward_levels,
-    as_process,
     cost_many,
 )
 from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, OracleResult
 from lqshift.operators import _apply_N_levels, solve_linear_bsde
 from lqshift.optimality import CheckResult, Trajectory, _worst, solve_second_adjoint
 from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd, _step_blocks
-from lqshift.tree import AdaptedProcess, ScenarioTree, _weighted_dot_levels
+from lqshift.tree import ScenarioTree, _weighted_dot_levels
 
 
 def leaf_dot(tree: ScenarioTree, a: np.ndarray, b: np.ndarray) -> float:
@@ -48,12 +47,9 @@ def leaf_dot(tree: ScenarioTree, a: np.ndarray, b: np.ndarray) -> float:
 
 def _control_levels(inst: LQInstance, u):
     """Accept a ControlProcess or AdaptedProcess, return its level list."""
-    proc = as_process(u)
-    if not isinstance(proc, AdaptedProcess):
-        raise TypeError("expected a control process")
-    if proc.tree != inst.tree or proc.dim != inst.k:
+    if u.tree != inst.tree or u.dim != inst.k:
         raise ValueError("control does not match the instance tree or control dimension")
-    return proc.levels
+    return u.levels
 
 
 def _zero_control(inst: LQInstance):

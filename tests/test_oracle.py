@@ -150,7 +150,7 @@ def test_each_binary_control_is_enumerated_once(monkeypatch):
         cert, oracle = lq.equivalence_check(inst, domain, samples=64, seed=seed)
         assert sum(totals) == cert.binary_enumerated == oracle.enumerated, f"seed {seed}"
         assert sum(rows) == oracle.recosted < oracle.enumerated, f"seed {seed}"
-        assert set(cert.to_dict()) == {"mu", "lambda_max", "spectral_method", "binary",
+        assert set(cert.to_dict()) == {"mu", "lambda_max", "concavity", "binary",
                                        "relaxed", "stationarity", "warnings", "ok"}
         assert set(cert.to_dict()["binary"]) == {"enumerated", "best_cost",
                                                  "max_shift_gap"}

@@ -31,7 +31,6 @@ def test_top_eigenvalue_closed_form():
 def test_spectral_report_fields(bench2):
     dense = lq.lambda_max(bench2, method="dense")
     assert dense.method == "dense"
-    assert dense.dimension == 3
     assert dense.iterations == 0
     power = lq.lambda_max(bench2, method="power")
     assert power.method == "power"
@@ -39,11 +38,9 @@ def test_spectral_report_fields(bench2):
     assert power.shift > 0.0
     assert power.residual <= 1e-7
     d = power.to_dict()
-    assert set(d) == {"lambda_max", "mu", "method", "dimension",
-                      "iterations", "residual", "shift"}
+    assert set(d) == {"lambda_max", "mu", "method", "iterations", "residual", "shift"}
     riccati = lq.lambda_max(bench2)
     assert riccati.method == "riccati"
-    assert riccati.dimension == 3
     assert riccati.iterations > 0
     assert 0.0 < riccati.residual <= 1e-13 * max(1.0, riccati.lambda_max)
     assert riccati.shift == 0.0

@@ -202,7 +202,6 @@ def cmd_example5(args) -> tuple[int, dict]:
             "cost_ones": cost_ones,
             "lambda_max": spectral.lambda_max,
             "mu": spectral.mu,
-            "spectral_method": spectral.method,
             "hamiltonian_quadratic": 0.5 * (h_plus + h_minus),
             "hamiltonian_linear": 0.5 * (h_plus - h_minus),
         }

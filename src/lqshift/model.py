@@ -88,6 +88,20 @@ def _symmetrize_stack(mats, name):
     return half + np.swapaxes(half, -1, -2)
 
 
+def _flat_matmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``x @ M`` for a coefficient ``M`` (a matrix or a vector), as one 2-D
+    product over all leading axes of ``x``.
+
+    numpy multiplies a stack one BLAS call per element, each on a few rows;
+    a batch of ``(2**m, n)`` level arrays is one ``(batch * 2**m, n)``
+    matrix instead.  A 2-D ``x`` is multiplied as it is, so one control's
+    sweep keeps its float order.
+    """
+    if x.ndim <= 2:
+        return x @ M
+    return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class LQInstance:
     """Problem data; coefficient index ``m`` applies on ``[t_m, t_{m+1})``."""
@@ -218,7 +232,7 @@ class ControlDomain:
         pts = np.asarray(points, dtype=float)
         ok = np.all((pts >= -tol) & (pts <= 1.0 + tol), axis=-1)
         for g, h in self.halfspaces:
-            ok &= pts @ g <= h + tol
+            ok &= _flat_matmul(pts, g) <= h + tol
         return ok
 
     def contains_binary(self, points: np.ndarray) -> np.ndarray:
@@ -410,8 +424,9 @@ def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = Tru
     x_levels = []
     for m in range(tree.depth):
         x_levels.append(x)
-        drift = x @ inst.A[m].T + u_levels[m] @ inst.B[m].T
-        diff = x @ inst.C[m].T + u_levels[m] @ inst.D[m].T
+        u = u_levels[m]
+        drift = _flat_matmul(x, inst.A[m].T) + _flat_matmul(u, inst.B[m].T)
+        diff = _flat_matmul(x, inst.C[m].T) + _flat_matmul(u, inst.D[m].T)
         if inhomogeneous:
             drift = drift + inst.b[m]
             diff = diff + inst.sigma[m]
@@ -442,12 +457,12 @@ def _cost_from_levels(inst: LQInstance, u_levels, x_levels, x_term):
     total = 0.0
     for m in range(tree.depth):
         x, u = x_levels[m], u_levels[m]
-        level_sum = (np.sum((x @ inst.Q[m]) * x, axis=(-2, -1))
-                     + 2.0 * np.sum((x @ inst.S[m].T) * u, axis=(-2, -1))
-                     + np.sum((u @ inst.R[m]) * u, axis=(-2, -1)))
+        level_sum = (np.sum(_flat_matmul(x, inst.Q[m]) * x, axis=(-2, -1))
+                     + 2.0 * np.sum(_flat_matmul(x, inst.S[m].T) * u, axis=(-2, -1))
+                     + np.sum(_flat_matmul(u, inst.R[m]) * u, axis=(-2, -1)))
         total = total + tree.path_prob(m) * level_sum
     total = total * tree.dt
-    gx = x_term @ inst.G
+    gx = _flat_matmul(x_term, inst.G)
     total = total + tree.path_prob(tree.depth) * np.sum(gx * x_term, axis=(-2, -1))
     return 0.5 * total
 
@@ -479,13 +494,12 @@ def sample_relaxed_levels(domain: ControlDomain, tree: ScenarioTree, count: int,
     check_node_memory(int(count) * nodes, domain.k)
     draw = rng.uniform(size=(count, nodes, domain.k))
     if domain.halfspaces:
-        accepted_first = int(np.sum(domain.contains_relaxed(draw, tol=0.0)))
-        rate = accepted_first / float(count * nodes)
+        bad = ~domain.contains_relaxed(draw, tol=0.0)
+        rate = (bad.size - np.count_nonzero(bad)) / bad.size
         if rate < 1e-3:
             raise DegenerateDomainError(
                 f"relaxed rejection sampling accepts only {rate:.2e} of the unit box"
             )
-        bad = ~domain.contains_relaxed(draw, tol=0.0)
         while np.any(bad):
             idx = np.nonzero(bad)
             draw[idx] = rng.uniform(size=(len(idx[0]), domain.k))

@@ -22,6 +22,7 @@ from .model import (
     ControlProcess,
     LQInstance,
     _cost_from_levels,
+    _flat_matmul,
     _forward_levels,
     cost_many,
     sample_relaxed_levels,
@@ -87,9 +88,9 @@ def _decode_levels(tree: ScenarioTree, verts: np.ndarray, codes: np.ndarray):
 
 def _stage(inst: LQInstance, m: int, x, u):
     """Per-node running cost ``<Q x, x> + 2 <S x, u> + <R u, u>`` at level ``m``."""
-    return (np.sum((x @ inst.Q[m]) * x, axis=-1)
-            + 2.0 * np.sum((x @ inst.S[m].T) * u, axis=-1)
-            + np.sum((u @ inst.R[m]) * u, axis=-1))
+    return (np.sum(_flat_matmul(x, inst.Q[m]) * x, axis=-1)
+            + 2.0 * np.sum(_flat_matmul(x, inst.S[m].T) * u, axis=-1)
+            + np.sum(_flat_matmul(u, inst.R[m]) * u, axis=-1))
 
 
 def _cost_tables(inst: LQInstance, verts: np.ndarray, codes: np.ndarray, lead: int):
@@ -116,7 +117,7 @@ def _cost_tables(inst: LQInstance, verts: np.ndarray, codes: np.ndarray, lead: i
     for m in range(last):
         level = np.sum(_stage(inst, m, x_levels[m], prefix[m][:, None]), axis=(-2, -1))
         part = part + tree.path_prob(m) * level
-    leaf = np.sum((x_term @ inst.G) * x_term, axis=-1)
+    leaf = np.sum(_flat_matmul(x_term, inst.G) * x_term, axis=-1)
     table = 0.5 * (tree.dt * tree.path_prob(last)
                    * _stage(inst, last, x_levels[last], verts[:, None, :])
                    + tree.path_prob(tree.depth) * (leaf[..., 0::2] + leaf[..., 1::2]))

@@ -14,7 +14,11 @@ the screened enumeration of ``lqshift.oracle``.  So does the lambda_max search: 
 bisection on the Riccati test, the reference for the secant search of
 ``lqshift.spectral``.  And the second-order spike test: the per-vertex
 deficit ``delta . (g - 1/2 H delta)`` over a ``(nodes, V, k)`` array, the
-reference for the vertex-pair tables of ``lqshift.optimality``.
+reference for the vertex-pair tables of ``lqshift.optimality``.  And the
+two-pass relaxed sampler, which tests membership over the whole draw once
+for the acceptance rate and once more for the rejected nodes, with each
+halfspace product taken over the stacked points: the reference for the
+one-pass ``sample_relaxed_levels``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 
 import numpy as np
 
-from lqshift.errors import BudgetExceededError, LqshiftError
+from lqshift.errors import BudgetExceededError, DegenerateDomainError, LqshiftError
 from lqshift.model import (
     ControlDomain,
     ControlProcess,
@@ -298,6 +302,39 @@ def brute_force_reference(inst: LQInstance, domain: ControlDomain,
     result = OracleResult(control=control, cost=best, enumerated=total,
                           tie_count=tie_count, recosted=total)
     return result, max_penalty
+
+
+# -- relaxed sampling --------------------------------------------------------
+
+
+def _relaxed_member_reference(domain: ControlDomain, pts: np.ndarray) -> np.ndarray:
+    """Relaxed membership at tolerance 0 over ``(..., k)`` points."""
+    ok = np.all((pts >= 0.0) & (pts <= 1.0), axis=-1)
+    for g, h in domain.halfspaces:
+        ok &= pts @ g <= h
+    return ok
+
+
+def sample_relaxed_reference(domain: ControlDomain, tree: ScenarioTree, count: int,
+                             rng: np.random.Generator):
+    """Box proposals rejection-filtered node by node, testing the first
+    draw twice: once for the acceptance rate, once for the nodes to redraw."""
+    nodes = tree.num_nodes(tree.depth) - 1
+    draw = rng.uniform(size=(count, nodes, domain.k))
+    if domain.halfspaces:
+        accepted_first = int(np.sum(_relaxed_member_reference(domain, draw)))
+        rate = accepted_first / float(count * nodes)
+        if rate < 1e-3:
+            raise DegenerateDomainError(
+                f"relaxed rejection sampling accepts only {rate:.2e} of the unit box"
+            )
+        bad = ~_relaxed_member_reference(domain, draw)
+        while np.any(bad):
+            idx = np.nonzero(bad)
+            draw[idx] = rng.uniform(size=(len(idx[0]), domain.k))
+            bad[idx] = ~_relaxed_member_reference(domain, draw[idx])
+    offsets = np.cumsum([0] + [tree.num_nodes(m) for m in range(tree.depth)])
+    return [draw[:, offsets[m]:offsets[m + 1], :] for m in range(tree.depth)]
 
 
 # -- lambda_max by bisection ---------------------------------------------------

@@ -250,6 +250,10 @@ def test_example5_study(capsys, tmp_path):
     assert code == 0
     rows = report["result"]["depths"]
     assert [row["depth"] for row in rows] == [2, 4]
+    row_keys = {"depth", "cost_ones", "lambda_max", "mu", "hamiltonian_quadratic",
+                "hamiltonian_linear", "optimum"}
+    assert set(rows[0]) == row_keys
+    assert set(rows[1]) == row_keys | {"optimum_skipped"}
     assert rows[0]["optimum"]["cost"] == 0.0
     # depth 4 needs 2^15 evaluations, above the tiny budget
     assert rows[1]["optimum"] is None

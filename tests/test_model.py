@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.model import MEMBERSHIP_TOL, check_coefficient_memory
+from lqshift.model import MEMBERSHIP_TOL, _flat_matmul, check_coefficient_memory
+from lqshift.oracle import _cost_bound
 
+import oracles
 from conftest import all_scalar_binary_controls
+
+EPS = np.finfo(float).eps
 
 
 def cost_closed_form(inst, control):
@@ -126,6 +130,62 @@ def test_cost_many_agrees_with_direct(free1):
         assert batch[i] == pytest.approx(lq.cost_direct(inst, control), abs=1e-12)
 
 
+def test_flat_matmul_leaves_two_dimensional_products_alone():
+    rng = np.random.default_rng(2)
+    for rows, n, k in ((1, 1, 1), (4, 2, 3), (64, 3, 2)):
+        x = rng.uniform(-1.0, 1.0, size=(rows, n))
+        M = rng.uniform(-1.0, 1.0, size=(k, n))
+        for coef in (M.T, np.ascontiguousarray(M.T), M[0]):
+            assert _flat_matmul(x, coef).tobytes() == (x @ coef).tobytes()
+        stacked = rng.uniform(-1.0, 1.0, size=(3, 5, rows, n))
+        assert _flat_matmul(stacked, M.T).shape == (3, 5, rows, k)
+        assert _flat_matmul(stacked, M[0]).shape == (3, 5, rows)
+
+
+def _three_axis_costs(inst, domain, prefix, points, kind, units=4):
+    """Costs of the enumeration's layout: ``(units, 1, 2**m, k)`` prefix
+    levels and a ``(units, V, nodes, k)`` broadcast view of ``points`` on
+    the last running level, batched and one control at a time."""
+    tree = inst.tree
+    last = tree.depth - 1
+    count = points.shape[0]
+    u_last = np.broadcast_to(points[:, None, :], (units, count, tree.num_nodes(last), inst.k))
+    batch = lq.cost_many(inst, prefix + [u_last])
+    assert batch.shape == (units, count)
+    for p in range(units):
+        for v in range(count):
+            control = lq.ControlProcess.from_levels(
+                domain, tree, [lvl[p, 0] for lvl in prefix] + [u_last[p, v]], kind)
+            yield batch[p, v], lq.cost_direct(inst, control)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_binary_sweeps_with_three_leading_axes_match_direct(seed):
+    inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=3)
+    if seed % 3 == 0:
+        domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 1.5),))
+    verts = domain.binary_vertices()
+    rng = np.random.default_rng(seed)
+    prefix = [verts[rng.integers(0, verts.shape[0], size=(4, 1, inst.tree.num_nodes(m)))]
+              for m in range(inst.depth - 1)]
+    for batched, direct in _three_axis_costs(inst, domain, prefix, verts, "binary"):
+        assert abs(batched - direct) <= 4 * EPS * abs(direct)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_relaxed_sweeps_with_three_leading_axes_match_direct(seed):
+    """Relaxed values round differently in a flattened product; the gap is
+    measured against the cost's absolute terms, which bound the rounding."""
+    inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=3)
+    rng = np.random.default_rng(seed)
+    prefix = [rng.uniform(size=(4, 1, inst.tree.num_nodes(m), inst.k))
+              for m in range(inst.depth - 1)]
+    points = rng.uniform(size=(5, inst.k))
+    scale = _cost_bound(inst)
+    for batched, direct in _three_axis_costs(inst, domain, prefix, points, "relaxed"):
+        assert abs(batched - direct) <= 4 * EPS * scale
+
+
 def test_sign_flipped_benchmark_prefers_ones(free1):
     # negating (Q, R, G) turns the cost into a reward, so the all-ones
     # control becomes the unique minimizer
@@ -234,6 +294,45 @@ def test_sampling_is_deterministic_and_feasible():
         np.testing.assert_array_equal(lvl_a, lvl_b)
         flat = lvl_a.reshape(-1, 2)
         assert np.all(dom.contains_relaxed(flat))
+
+
+@pytest.mark.parametrize("g, h", [((1.0, 1.0, 1.0), 2.0), ((1.0, 1.0), 1.5),
+                                  ((1.0, -1.0), 0.0), ((0.0, 1.0, -1.0), 0.0)])
+def test_sampling_draws_what_the_two_pass_sampler_draws(g, h):
+    """Sum cuts and order cuts: the same draws, and the same generator
+    state after them."""
+    dom = lq.ControlDomain(k=len(g), halfspaces=((np.array(g), h),))
+    tree = lq.build_tree(3, 1.0)
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = lq.sample_relaxed_levels(dom, tree, 300, rng)
+        want = oracles.sample_relaxed_reference(dom, tree, 300, ref_rng)
+        for lvl, ref in zip(got, want):
+            assert np.array_equal(lvl, ref)
+        assert rng.uniform() == ref_rng.uniform()
+
+
+def test_sampling_refuses_at_the_two_pass_acceptance_rate():
+    """Around the 0.1 percent floor, the sampler refuses exactly where the
+    two-pass sampler does, with the same rate in its message."""
+    tree = lq.build_tree(2, 1.0)
+    outcomes = set()
+    for h in (1e-4, 8e-4, 1e-3, 1.2e-3, 5e-3):
+        dom = lq.ControlDomain(k=1, halfspaces=((np.array([1.0]), h),))
+        for seed in range(3):
+            def run(sampler):
+                try:
+                    return sampler(dom, tree, 500, np.random.default_rng(seed))
+                except lq.DegenerateDomainError as exc:
+                    return str(exc)
+            got, want = run(lq.sample_relaxed_levels), run(oracles.sample_relaxed_reference)
+            outcomes.add(isinstance(want, str))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert not isinstance(got, str)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert outcomes == {True, False}
 
 
 def test_degenerate_domain_sampling_raises():

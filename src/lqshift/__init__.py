@@ -41,7 +41,6 @@ from .model import (
 )
 from .operators import (
     assemble_N_dense,
-    dense_dimension,
     solve_linear_bsde,
 )
 from .optimality import (
@@ -98,7 +97,6 @@ __all__ = [
     "check_stationarity",
     "cost_direct",
     "cost_many",
-    "dense_dimension",
     "dump_instance",
     "equivalence_check",
     "example5_instance",

@@ -322,7 +322,8 @@ class ControlProcess:
 
     ``kind`` is ``"binary"`` (every node value lies in ``U``) or
     ``"relaxed"`` (values lie in the relaxed polytope); membership is
-    verified node-wise on construction to :data:`MEMBERSHIP_TOL`.
+    verified node-wise on construction to :data:`MEMBERSHIP_TOL`.  A binary
+    value is then held as the vertex it lies within that tolerance of.
     """
 
     process: AdaptedProcess
@@ -338,16 +339,20 @@ class ControlProcess:
             raise ValueError(f"kind must be 'binary' or 'relaxed', got {self.kind!r}")
         check = (self.domain.contains_binary if self.kind == "binary"
                  else self.domain.contains_relaxed)
-        if np.all(check(np.concatenate(self.process.levels))):
-            return
-        for level, arr in enumerate(self.process.levels):  # name the first node outside
-            ok = check(arr)
-            if not np.all(ok):
-                j = int(np.flatnonzero(~ok)[0])
-                raise ValueError(
-                    f"control value {arr[j]} at node ({level}, {j}) is outside the "
-                    f"{self.kind} control set"
-                )
+        values = np.concatenate(self.process.levels)
+        ok = check(values)
+        if not np.all(ok):  # name the first node outside, as the CSV reader does
+            node = int(np.argmin(ok))
+            m = (node + 1).bit_length() - 1
+            raise ValueError(
+                f"control value {values[node]} at node ({m}, {node + 1 - (1 << m)}) "
+                f"is outside the {self.kind} control set"
+            )
+        if self.kind == "binary":
+            exact = np.rint(values) + 0.0
+            if not np.array_equal(exact, values):
+                object.__setattr__(self, "process", AdaptedProcess(self.tree, [
+                    exact[(1 << m) - 1:(2 << m) - 1] for m in range(self.tree.depth)]))
 
     @property
     def tree(self) -> ScenarioTree:

@@ -111,14 +111,10 @@ class DenseOperator:
     symmetry_defect: float
 
 
-def dense_dimension(inst: LQInstance) -> int:
-    return inst.k * (inst.tree.num_nodes(inst.depth) - 1)
-
-
 def assemble_N_dense(inst: LQInstance) -> DenseOperator:
     tree = inst.tree
     k = inst.k
-    total = dense_dimension(inst)
+    total = k * (tree.num_nodes(tree.depth) - 1)
     if total > DENSE_DIMENSION_CAP:
         raise ValueError(
             f"dense representation needs dimension {total}, "

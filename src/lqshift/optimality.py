@@ -378,7 +378,7 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        key = b"".join(lvl.tobytes() for lvl in current.levels)
+        key = np.packbits(np.concatenate(current.levels) != 0.0).tobytes()
         if key in seen:
             status = "cycle"
             current, traj = best_control, best_traj

@@ -25,8 +25,8 @@ safeguards in spirit); it takes about 10 tests where bisection to the
 same width takes 46.  The result is the upper end of the final bracket,
 a shift where the test passed, within ``RICCATI_REL_WIDTH`` (relative)
 of one where it failed, so ``mu = -hi`` is certified, not estimated.
-The dense eigendecomposition and power iteration remain only as test
-cross-checks; no command of the CLI reaches them.
+The dense eigendecomposition (``method="dense"``) and ``_power_iteration``
+remain only as test cross-checks; no command of the CLI reaches them.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .model import LQInstance
 from .operators import _apply_N_levels, assemble_N_dense
 from .tree import _weighted_dot_levels, check_node_memory
 
-DEFAULT_POWER_TOL = 1e-9
-DEFAULT_POWER_MAX_ITER = 5000
 POWER_PROBES = 16
 RICCATI_REL_WIDTH = 1e-13
 CONCAVITY_TOL = 1e-8
@@ -52,10 +50,8 @@ CONCAVITY_TOL = 1e-8
 class SpectralReport:
     lambda_max: float
     mu: float
-    method: str
     iterations: int = 0
     residual: float = 0.0
-    shift: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,7 +215,8 @@ def _power_iteration(inst: LQInstance, tol: float, max_iter: int, seed: int):
     The positive offset c is sized from operator-norm probes so that the
     spectrum of N + cI is positive and its top eigenvalue is
     lambda_max(N) + c.  Everything runs in the weighted (tree) inner
-    product, on raw level arrays.
+    product, on raw level arrays.  Returns ``(lambda_max, iterations,
+    residual, c)``.
     """
     tree = inst.tree
     rng = np.random.default_rng(seed)
@@ -261,31 +258,20 @@ def _power_iteration(inst: LQInstance, tol: float, max_iter: int, seed: int):
         residual=residual, iterations=max_iter)
 
 
-def lambda_max(inst: LQInstance, method: str = "riccati",
-               tol: float = DEFAULT_POWER_TOL,
-               max_iter: int = DEFAULT_POWER_MAX_ITER,
-               seed: int = 0) -> SpectralReport:
+def lambda_max(inst: LQInstance, method: str = "riccati") -> SpectralReport:
     """Compute lambda_max(N) and the shift mu = -lambda_max.
 
     ``method`` is ``"riccati"`` (a safeguarded secant search on the Riccati
     test; ``iterations`` counts the tests and ``residual`` is the final
-    bracket width),
-    ``"dense"`` (eigendecomposition of the assembled matrix, a test oracle)
-    or ``"power"`` (power iteration; ``tol``, ``max_iter`` and ``seed``
-    apply to it only).
+    bracket width) or ``"dense"`` (eigendecomposition of the assembled
+    matrix, a test oracle).
     """
     if method == "riccati":
         top, width, chains = _riccati_secant(inst)
-        return SpectralReport(lambda_max=top, mu=-top, method="riccati",
-                              iterations=chains, residual=width)
+        return SpectralReport(lambda_max=top, mu=-top, iterations=chains, residual=width)
     if method == "dense":
-        op = assemble_N_dense(inst)
-        top = float(np.linalg.eigvalsh(op.matrix)[-1])
-        return SpectralReport(lambda_max=top, mu=-top, method="dense")
-    if method == "power":
-        top, iterations, residual, c = _power_iteration(inst, tol, max_iter, seed)
-        return SpectralReport(lambda_max=top, mu=-top, method="power",
-                              iterations=iterations, residual=residual, shift=c)
+        top = float(np.linalg.eigvalsh(assemble_N_dense(inst).matrix)[-1])
+        return SpectralReport(lambda_max=top, mu=-top)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -334,17 +320,13 @@ class ConcavityCertificate:
         return asdict(self)
 
 
-def certify_concavity(inst: LQInstance, mu: float, *,
-                      top: float | None = None) -> ConcavityCertificate:
+def certify_concavity(inst: LQInstance, mu: float, *, top: float) -> ConcavityCertificate:
     """Check that N + mu I is negative definite up to :data:`CONCAVITY_TOL`.
 
     The definiteness test runs on ``(CONCAVITY_TOL - mu) I - N``, so ``ok``
-    is a certificate either way; ``worst`` is ``lambda_max + mu`` with
-    lambda_max from the Riccati search, or ``top`` when the caller already
-    ran it.
+    is a certificate either way; ``worst`` is ``top + mu``, with ``top`` the
+    lambda_max the caller already holds.
     """
     ok, level, margin = _riccati_pd(inst, CONCAVITY_TOL - mu)
-    if top is None:
-        top, _, _ = _riccati_secant(inst)
     return ConcavityCertificate(mu=mu, ok=ok, worst=top + mu, tol=CONCAVITY_TOL,
                                 pivot_min=margin, pivot_level=level)

@@ -87,7 +87,7 @@ def test_spectrum(capsys, bench_file):
     code, report = run_cli(capsys, "spectrum", bench_file)
     assert code == 0
     result = report["result"]
-    assert result["method"] == "riccati"
+    assert set(result) == {"lambda_max", "mu", "iterations", "residual"}
     assert abs(result["lambda_max"] - 2.0) <= 1e-8
     assert result["mu"] == -result["lambda_max"]
 
@@ -109,7 +109,7 @@ def test_solve(capsys, bench_file, tmp_path, bench2, free1):
     assert result["search"]["status"] == "fixed-point"
     assert result["search"]["cost"] == 0.0
     assert result["checks"]["ok"] is True
-    assert result["spectral"]["method"] == "riccati"
+    assert set(result["spectral"]) == {"lambda_max", "mu", "iterations", "residual"}
     assert report["parameters"]["mu"] == "auto"
     loaded = lq.load_control_csv(control_file, free1, bench2.tree)
     for m in range(2):
@@ -482,6 +482,33 @@ def test_verify_repeats_the_equivalence_stationarity(capsys, tmp_path):
                                    "--control", str(control))
             stationarity = report["result"]["checks"]["stationarity"]
             assert {key: stationarity[key] for key in expected} == expected, (seed, mu)
+
+
+def test_near_binary_control_files_read_as_their_vertices(capsys, tmp_path):
+    """A control file that writes each 1 as 0.9999999995, within the
+    membership tolerance, verifies as the exact file does, and solve
+    started from it writes the vertex back."""
+    exact, near = tmp_path / "exact.csv", tmp_path / "near.csv"
+    written, written_near = tmp_path / "written.csv", tmp_path / "written-near.csv"
+    for seed in (3, 5, 11, 17):
+        inst, domain = lq.random_instance(seed, depth_max=3)
+        path = tmp_path / f"inst{seed}.json"
+        path.write_text(json.dumps(lq.dump_instance(inst, domain)))
+        run_cli(capsys, "equivalence", str(path), "--samples", "16",
+                "--control-out", str(exact))
+        # the file writes each 1 as 1.0, and its integer fields hold no "."
+        near.write_bytes(exact.read_bytes().replace(b"1.0", b"0.9999999995"))
+        assert b"0.9999999995" in near.read_bytes(), seed
+        (code, report), (near_code, near_report) = [
+            run_cli(capsys, "verify", str(path), "--control", str(f)) for f in (exact, near)]
+        assert near_code == code
+        assert near_report["result"] == report["result"], seed
+        assert near_report["result"]["cost"] == near_report["result"]["cost_shifted"]
+        for start, out in ((exact, written), (near, written_near)):
+            run_cli(capsys, "solve", str(path), "--start", str(start),
+                    "--control-out", str(out))
+        assert written_near.read_bytes() == written.read_bytes(), seed
+        assert b",1.0" in written.read_bytes() and b"0.99" not in written.read_bytes()
 
 
 def _refuse_constant(name):

@@ -285,6 +285,21 @@ def test_control_membership_enforced(free1, bench2):
         lq.ControlProcess.from_levels(free1, deep, levels, "binary")
 
 
+def test_near_binary_values_are_held_as_vertices(free1):
+    tree = lq.build_tree(2, 1.0)
+    levels = [np.array([[1.0 - 5e-10]]), np.array([[5e-10], [-5e-10]])]
+    near = lq.ControlProcess.from_levels(free1, tree, levels, "binary")
+    for got, want in zip(near.levels, ([[1.0]], [[0.0], [0.0]])):
+        assert got.tobytes() == np.array(want).tobytes()  # no -0.0 either
+    # exact values keep their arrays; relaxed values are not rounded
+    exact = lq.AdaptedProcess(tree, [np.ones((1, 1)), np.zeros((2, 1))])
+    assert lq.ControlProcess(exact, free1, "binary").process is exact
+    relaxed = lq.ControlProcess.from_levels(free1, tree, levels, "relaxed")
+    assert relaxed.levels[0][0, 0] == 1.0 - 5e-10
+    with pytest.raises(ValueError, match=r"at node \(0, 0\) is outside the binary"):
+        lq.ControlProcess.from_levels(free1, tree, [np.array([[1.0 - 2e-9]]), levels[1]])
+
+
 def test_sampling_is_deterministic_and_feasible():
     dom = lq.ControlDomain(k=2, halfspaces=((np.array([1.0, 1.0]), 1.5),))
     tree = lq.build_tree(3, 1.0)

@@ -444,3 +444,28 @@ def test_overflow_is_refused_not_certified():
             _worst("stationarity", scores, [(0,), (1,)])
     with pytest.raises(ValueError, match=r"overflows at node \(0, 0\)"):
         _worst("stationarity", [np.full((1, 2), -np.inf)], [(0,), (1,)])
+
+
+def _nudged(levels):
+    """``levels`` with every 1 moved 5e-10 below it, inside the membership tolerance."""
+    return [np.where(lvl == 1.0, 1.0 - 5e-10, lvl) for lvl in levels]
+
+
+def test_near_binary_controls_get_their_vertex_verdicts():
+    """A value within the membership tolerance of a vertex is checked as
+    that vertex, for enumerated optima and for impostors one switch away."""
+    for seed in range(60):
+        inst, domain = lq.random_instance(seed, n_max=2, k_max=2, depth_max=3)
+        mu = lq.lambda_max(inst).mu
+        optimum = [np.array(lvl) for lvl in lq.brute_force_binary(inst, domain).control.levels]
+        impostor = [lvl.copy() for lvl in optimum]
+        impostor[0][0, 0] = 1.0 - impostor[0][0, 0]
+        for label, levels in (("optimum", optimum), ("impostor", impostor)):
+            try:
+                exact = lq.ControlProcess.from_levels(domain, inst.tree, levels)
+            except ValueError:  # the switch left a cut domain
+                continue
+            near = lq.ControlProcess.from_levels(domain, inst.tree, _nudged(levels))
+            report = lq.run_checks(inst, exact, mu).to_dict()
+            assert lq.run_checks(inst, near, mu).to_dict() == report, (seed, label)
+            assert report["ok"] == (label == "optimum"), (seed, label)

@@ -34,7 +34,6 @@ PUBLIC = [
     "check_stationarity",
     "cost_direct",
     "cost_many",
-    "dense_dimension",
     "dump_instance",
     "equivalence_check",
     "example5_instance",

@@ -24,7 +24,6 @@ UNREACHED = {
     "operators._apply_N_levels":
         "the operator N, used by power iteration and the dense assembly",
     "operators.assemble_N_dense": "the dense matrix of N, a test oracle",
-    "operators.dense_dimension": "the dense matrix's size, read by assemble_N_dense",
     "errors.ConvergenceError.__init__": "raised only by power iteration",
     "oracle.random_instance": "a seeded test fixture",
     "tree.AdaptedProcess.__setattr__": "the immutability guard, which nothing trips",

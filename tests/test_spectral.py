@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.spectral import CONCAVITY_TOL, _riccati_pd
+from lqshift.spectral import CONCAVITY_TOL, _power_iteration, _riccati_pd
 
 import oracles
 
@@ -19,40 +19,34 @@ def test_top_eigenvalue_closed_form():
         expected = 3.0 - 2.0 / depth
         riccati = lq.lambda_max(inst)
         dense = lq.lambda_max(inst, method="dense")
-        power = lq.lambda_max(inst, method="power", seed=0)
+        power, _, _, _ = _power_iteration(inst, 1e-9, 5000, 0)
         assert abs(riccati.lambda_max - expected) <= 1e-12
         assert abs(dense.lambda_max - expected) <= 1e-8
-        assert abs(power.lambda_max - expected) <= 1e-8
+        assert abs(power - expected) <= 1e-8
         assert riccati.mu == -riccati.lambda_max
         assert dense.mu == -dense.lambda_max
-        assert power.mu == -power.lambda_max
 
 
 def test_spectral_report_fields(bench2):
     dense = lq.lambda_max(bench2, method="dense")
-    assert dense.method == "dense"
     assert dense.iterations == 0
-    power = lq.lambda_max(bench2, method="power")
-    assert power.method == "power"
-    assert power.iterations > 0
-    assert power.shift > 0.0
-    assert power.residual <= 1e-7
-    d = power.to_dict()
-    assert set(d) == {"lambda_max", "mu", "method", "iterations", "residual", "shift"}
+    _, iterations, residual, offset = _power_iteration(bench2, 1e-9, 5000, 0)
+    assert iterations > 0
+    assert offset > 0.0
+    assert residual <= 1e-7
     riccati = lq.lambda_max(bench2)
-    assert riccati.method == "riccati"
     assert riccati.iterations > 0
     assert 0.0 < riccati.residual <= 1e-13 * max(1.0, riccati.lambda_max)
-    assert riccati.shift == 0.0
-    assert set(riccati.to_dict()) == set(d)
-    for retired in ("exact", "auto"):
+    assert list(riccati.to_dict()) == ["lambda_max", "mu", "iterations", "residual"]
+    assert set(dense.to_dict()) == set(riccati.to_dict())
+    for retired in ("exact", "auto", "power"):
         with pytest.raises(ValueError):
             lq.lambda_max(bench2, method=retired)
 
 
 def test_power_iteration_reports_non_convergence(bench2):
     with pytest.raises(lq.ConvergenceError) as excinfo:
-        lq.lambda_max(bench2, method="power", max_iter=1)
+        _power_iteration(bench2, 1e-9, 1, 0)
     assert excinfo.value.iterations == 1
     assert excinfo.value.residual is not None
 
@@ -65,9 +59,9 @@ def test_negative_top_eigenvalue():
     assert dense.lambda_max == pytest.approx(-1.0, abs=1e-12)
     riccati = lq.lambda_max(flip)
     assert riccati.lambda_max == pytest.approx(-1.0, abs=1e-12)
-    power = lq.lambda_max(flip, method="power")
-    assert power.lambda_max == pytest.approx(-1.0, abs=1e-8)
-    assert power.mu == pytest.approx(1.0, abs=1e-8)
+    power, _, _, offset = _power_iteration(flip, 1e-9, 5000, 0)
+    assert power == pytest.approx(-1.0, abs=1e-8)
+    assert offset > 0.0
 
 
 def test_riccati_without_finite_bracket_raises():
@@ -102,13 +96,14 @@ def test_shift_is_bitwise_invisible_on_binary_controls():
 
 
 def test_certify_concavity_riccati(bench2):
-    good = lq.certify_concavity(bench2, mu=-2.0 - 1e-6)
+    top = lq.lambda_max(bench2).lambda_max
+    good = lq.certify_concavity(bench2, mu=-2.0 - 1e-6, top=top)
     assert good.ok
     assert good.worst == pytest.approx(-1e-6, abs=1e-12)
     assert good.pivot_min > 0.0
     assert 0 <= good.pivot_level < bench2.depth
     # the shifted spectrum {-0.5, -0.5, 0.5} at mu = -1.5 tops out at 0.5
-    bad = lq.certify_concavity(bench2, mu=-1.5)
+    bad = lq.certify_concavity(bench2, mu=-1.5, top=top)
     assert not bad.ok
     assert bad.worst == pytest.approx(0.5, abs=1e-12)
     assert bad.pivot_min <= 0.0
@@ -117,7 +112,7 @@ def test_certify_concavity_riccati(bench2):
     assert list(d) == ["mu", "ok", "worst", "tol", "pivot_min", "pivot_level"]
     assert d["ok"] is False and d["pivot_level"] == bad.pivot_level
     # the margins are deterministic, so reports stay byte-identical
-    assert lq.certify_concavity(bench2, mu=-1.5) == bad
+    assert lq.certify_concavity(bench2, mu=-1.5, top=top) == bad
 
 
 def _random_cases(count):
@@ -177,9 +172,10 @@ def test_riccati_certificate_agrees_with_dense():
     cases = [(None, lq.example5_instance(4))] + list(_random_cases(40))
     for seed, inst in cases:
         top = lq.lambda_max(inst, method="dense").lambda_max
+        searched = lq.lambda_max(inst).lambda_max
         for offset, expected in ((-1e-6, True), (1e-6, False)):
             mu = -top + offset
-            riccati = lq.certify_concavity(inst, mu)
+            riccati = lq.certify_concavity(inst, mu, top=searched)
             assert riccati.ok == (top + mu <= CONCAVITY_TOL) == expected, f"seed {seed}"
             assert riccati.worst == pytest.approx(top + mu, abs=1e-10)
 
@@ -190,4 +186,4 @@ def test_riccati_closed_form_at_depth():
         inst = lq.example5_instance(depth)
         report = lq.lambda_max(inst)
         assert report.lambda_max == pytest.approx(3.0 - 2.0 / depth, rel=1e-12), depth
-        assert lq.certify_concavity(inst, report.mu).ok, depth
+        assert lq.certify_concavity(inst, report.mu, top=report.lambda_max).ok, depth

@@ -127,21 +127,6 @@ def _cost_tables(inst: LQInstance, verts: np.ndarray, codes: np.ndarray, lead: i
     return head, table[:, lead:]
 
 
-def _outer_sum(head: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """``head[p] + sum_j tables[p, j, v_j]`` for every digit tuple, in code order.
-
-    Returns ``(P, V ** F)`` for ``tables`` of shape ``(P, F, V)``; the
-    first digit is the most significant.
-    """
-    units, free, v_count = tables.shape
-    if v_count == 1:
-        return (head + np.sum(tables, axis=(1, 2)))[:, None]
-    out = head[:, None]
-    for j in range(free):
-        out = (out[:, :, None] + tables[:, j, None, :]).reshape(units, -1)
-    return out
-
-
 def _cost_bound(inst: LQInstance) -> float:
     """Bound on the absolute terms of the cost of any binary control.
 
@@ -168,8 +153,8 @@ class OracleResult:
 
     ``control`` is the lexicographically smallest control attaining the
     exact float minimum and ``tie_count`` counts every control that does.
-    ``recosted`` counts the controls whose cost was evaluated exactly; it
-    is not in ``to_dict``.
+    ``recosted`` counts the controls whose cost was evaluated exactly: the
+    contender units times their block.  It is not in ``to_dict``.
     """
 
     control: ControlProcess
@@ -193,16 +178,19 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
                        budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Minimum of the cost over every binary control, by enumeration.
 
-    Every control gets its own screened total, in batches of at most
-    ``ENUM_CHUNK`` controls.  A unit fixes the levels
-    ``0 .. N-2`` and the leading digits of the last running level; its
-    controls form one contiguous code range and share all but the
-    last-level terms of the cost, so each total is the unit's head plus
-    one table entry per free last-level node.  A screened total is within ``delta``, a running
-    error bound, of the cost ``cost_many`` gives, so only controls
-    screened within ``2 delta`` of the screened minimum can attain the
-    exact minimum.  Those are recosted with ``cost_many`` in code order,
-    which gives the result that costing every control exactly gives.
+    A unit fixes the levels ``0 .. N-2`` and the leading digits of the last
+    running level: its ``block`` controls share a code range and all but
+    the last-level terms of the cost.  A control's screened total is the
+    unit's head plus one table entry per free node, added left to right,
+    and is within ``delta``, a running error bound that covers that order,
+    of the cost ``cost_many`` gives.  Float addition is monotone, so the
+    unit's least total, its head plus each node's table minimum added in
+    that order, is bit for bit its smallest screened total.  A control in a
+    unit whose least total exceeds the smallest, ``m``, by more than ``2
+    delta`` costs more than ``m + delta``, which bounds the cost of the
+    control screened at ``m``: it cannot attain the minimum.  Every control
+    of the other units (NaN ones included) is recosted with ``cost_many``
+    in code order, which gives the result that costing all of them gives.
     """
     verts = domain.binary_vertices()
     if verts.shape[0] == 0:
@@ -218,8 +206,9 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     # the budget bounds the batch, but not one control: one vertex gives total 1
     check_node_memory(nodes, inst.k)
 
+    # at least one free node: a unit's table covers all its vertices anyway
     free = tree.num_nodes(tree.depth - 1)
-    while v_count ** free > ENUM_CHUNK:
+    while free > 1 and v_count ** free > ENUM_CHUNK:
         free -= 1
     block = v_count ** free
     lead = tree.num_nodes(tree.depth - 1) - free
@@ -234,44 +223,39 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     gamma = rounds * unit_roundoff / (1.0 - rounds * unit_roundoff)
     delta = 2.0 * gamma * _cost_bound(inst)
 
-    best = math.inf
-    first = tie_count = 0
-    recosted = 0
-    screened_min = math.inf
     # A table sweep over c // V units allocates about what c controls do.
-    step = max(1, ENUM_CHUNK // block)
-    sweep = step * max(1, ENUM_CHUNK // v_count // step)
+    sweep = max(1, ENUM_CHUNK // v_count)
+    least = np.empty(units)
     for start in range(0, units, sweep):
         ids = np.arange(start, min(start + sweep, units), dtype=np.int64)
         head, table = _cost_tables(inst, verts, ids * block, lead)
-        # each unit's cheapest extension is a screened total of one control
-        cheapest = head + np.sum(np.min(table, axis=-1), axis=-1)
-        screened_min = min(screened_min, float(np.min(cheapest)))
+        terms = np.column_stack([head, np.min(table, axis=-1)])
+        least[start:start + ids.shape[0]] = np.cumsum(terms, axis=1)[:, -1]
+    cut = np.min(least, initial=math.inf, where=~np.isnan(least)) + 2.0 * delta
+    contenders = np.flatnonzero(~(least > cut))
 
-        for at in range(0, ids.shape[0], step):
-            screened = _outer_sum(head[at:at + step], table[at:at + step])
-            screened_min = min(screened_min, float(np.min(screened)))
-            p, offset = np.nonzero(~(screened > screened_min + 2.0 * delta))
-            if p.shape[0] == 0:
-                continue
-            codes = ids[at + p] * block + offset
-            recosted += codes.shape[0]
-            costs = cost_many(inst, _decode_levels(tree, verts, codes))
-            lo = float(np.min(costs))
-            if lo < best:
-                best, tie_count = lo, 0
-            if lo <= best:
-                hits = costs == best
-                if tie_count == 0:  # codes increase, so this is the smallest
-                    first = int(codes[np.argmax(hits)])
-                tie_count += int(np.count_nonzero(hits))
+    best = math.inf
+    first = tie_count = 0
+    batch = max(1, ENUM_CHUNK // block)
+    offsets = np.arange(block, dtype=np.int64)
+    for at in range(0, contenders.shape[0], batch):
+        codes = (contenders[at:at + batch, None] * block + offsets).ravel()
+        costs = cost_many(inst, _decode_levels(tree, verts, codes))
+        lo = float(np.min(costs))
+        if lo < best:
+            best, tie_count = lo, 0
+        if lo <= best:
+            hits = costs == best
+            if tie_count == 0:  # codes increase, so this is the smallest
+                first = int(codes[np.argmax(hits)])
+            tie_count += int(np.count_nonzero(hits))
     if tie_count == 0:
         raise ValueError("every binary control has a NaN cost")
 
     levels = _decode_levels(tree, verts, np.array([first], dtype=np.int64))
     control = ControlProcess.from_levels(domain, tree, [lvl[0] for lvl in levels], "binary")
     return OracleResult(control=control, cost=best, enumerated=total,
-                        tie_count=tie_count, recosted=recosted)
+                        tie_count=tie_count, recosted=contenders.shape[0] * block)
 
 
 # -- equivalence certificate -----------------------------------------------------
@@ -329,6 +313,8 @@ class EquivalenceCertificate:
         }
 
 
+# as in brute_force_binary: Trajectory.of refuses a cost that overflows
+@np.errstate(over="ignore", invalid="ignore")
 def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
                       mu: float | None = None,
                       samples: int = DEFAULT_SAMPLES,

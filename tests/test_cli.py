@@ -598,6 +598,11 @@ def _not_utf8(tmp_path):
     (lambda tmp: ["example5", "--depths", "2,3"], 0),
     (_overflow_verify, 1),
     (lambda tmp: ["equivalence", _overflow_instance(tmp, depth=2), "--mu", "-3"], 1),
+    # costs overflow while lambda_max stays finite
+    (lambda tmp: ["equivalence", _example5_with(tmp, "x0.json", {"depth": 2, "x0": [1e300]})],
+     1),
+    (lambda tmp: ["equivalence", _example5_with(tmp, "x0.json", {"depth": 2, "x0": [1e300]}),
+                  "--mu", "-3"], 1),
     (lambda tmp: ["validate", _example5_with(tmp, "huge.json", Q=[[1e308]], G=[[1.7e308]])],
      0),
     (lambda tmp: ["validate", str(tmp)], 2),
@@ -606,7 +611,8 @@ def _not_utf8(tmp_path):
     (lambda tmp: ["example5", "--depths", "2", "--csv", str(tmp / "missing" / "t.csv")], 1),
     (lambda tmp: ["spectrum", EXAMPLE5, "--out", str(tmp / "missing" / "r.json")], 1),
 ], ids=["validate", "spectrum", "spectrum-deep", "solve", "verify", "equivalence", "example5",
-        "verify-overflow", "equivalence-overflow", "validate-huge-weights",
+        "verify-overflow", "equivalence-overflow", "equivalence-x0-overflow",
+        "equivalence-x0-overflow-mu", "validate-huge-weights",
         "validate-directory", "validate-not-utf8",
         "solve-unwritable-control", "example5-unwritable-csv", "spectrum-unwritable-out"])
 def test_each_command_runs_clean_in_its_own_process(capsys, tmp_path, argv, code):

@@ -1,3 +1,11 @@
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +13,10 @@ import lqshift as lq
 import lqshift.oracle as oracle_mod
 
 import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+REFERENCE = ROOT / "perfbench" / "reference.py"
 
 
 def test_brute_force_benchmark(bench2, free1):
@@ -120,41 +132,146 @@ def test_relaxed_samples_are_costed_in_slices(monkeypatch):
         assert cert.relaxed_min_cost == float(np.min(whole)), f"seed {seed}"
 
 
-def test_each_binary_control_is_enumerated_once(monkeypatch):
-    """One pass totals every control once and recosts only the contenders.
+def _enum_input(seed):
+    """The ``enum-equivalence`` benchmark input of ``seed``: 7 vertices a node."""
+    spec = importlib.util.spec_from_file_location("reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    doc = reference.draw_instance(np.random.default_rng([seed, 4]), n=2, k=3, depth=3,
+                                  halfspaces=[((1.0, 1.0, 1.0), 2.0)])
+    return lq.load_instance(doc)
 
-    The screen forms one total per control; ``cost_many`` sees only the
-    ``recosted`` controls, fewer than all on these instances.
-    """
-    totals = []
-    rows = []
-    screen = oracle_mod._outer_sum
-    counted = oracle_mod.cost_many
 
-    def counting_screen(head, tables):
-        out = screen(head, tables)
-        totals.append(int(np.size(out)))
-        return out
+def _recording(monkeypatch):
+    """Record the codes ``brute_force_binary`` decodes and the rows it recosts."""
+    decoded, rows = [], []
+    decode, counted = oracle_mod._decode_levels, oracle_mod.cost_many
+
+    def recording(tree, verts, codes):
+        decoded.append(codes.copy())
+        return decode(tree, verts, codes)
 
     def counting(inst, levels):
         costs = counted(inst, levels)
         rows.append(int(np.size(costs)))
         return costs
 
-    monkeypatch.setattr(oracle_mod, "_outer_sum", counting_screen)
+    monkeypatch.setattr(oracle_mod, "_decode_levels", recording)
     monkeypatch.setattr(oracle_mod, "cost_many", counting)
-    for seed in range(6):
-        inst, domain = lq.random_instance(seed, depth_max=3)
-        totals.clear()
+    return decoded, rows
+
+
+def test_contender_units_are_recosted_whole_and_once(monkeypatch):
+    """The screen keeps whole units, and ``cost_many`` sees each control once.
+
+    The recosted codes are whole units in increasing order, fewer than all
+    controls, and they hold every control whose own cost is the minimum.
+    """
+    cases = [(f"seed {seed}",) + lq.random_instance(seed, depth_max=3) for seed in range(6)]
+    cases.append(("enum seed 1",) + _enum_input(1))
+    decoded, rows = _recording(monkeypatch)
+    for label, inst, domain in cases:
+        decoded.clear()
         rows.clear()
-        cert, oracle = lq.equivalence_check(inst, domain, samples=64, seed=seed)
-        assert sum(totals) == cert.binary_enumerated == oracle.enumerated, f"seed {seed}"
-        assert sum(rows) == oracle.recosted < oracle.enumerated, f"seed {seed}"
+        cert, oracle = lq.equivalence_check(inst, domain, samples=64, seed=0)
+        codes = np.concatenate(decoded[:-1])  # the last decodes the returned control
+        # every last-level node is free at these sizes, so a unit is one
+        # code range of this many controls
+        verts = domain.binary_vertices()
+        block = verts.shape[0] ** inst.tree.num_nodes(inst.depth - 1)
+        assert sum(rows) == codes.shape[0] == oracle.recosted, label
+        # at depth 1 the only unit is every control
+        assert oracle.recosted < oracle.enumerated or oracle.enumerated == block, label
+        units = codes.reshape(-1, block)
+        assert np.all(units - units[:, :1] == np.arange(block)), label
+        assert np.all(units[:, 0] % block == 0) and np.all(np.diff(codes) > 0), label
+
+        everything = np.arange(oracle.enumerated, dtype=np.int64)
+        costs = np.concatenate([
+            lq.cost_many(inst, oracles.decode_levels_reference(inst.tree, verts, part))
+            for part in np.array_split(everything, -(-oracle.enumerated // 8192))])
+        minimizers = np.flatnonzero(costs == oracle.cost)
+        assert minimizers.shape[0] == oracle.tie_count, label
+        assert np.all(np.isin(minimizers, codes)), label
+        assert cert.binary_enumerated == oracle.enumerated, label
         assert set(cert.to_dict()) == {"mu", "lambda_max", "concavity", "binary",
                                        "relaxed", "stationarity", "warnings", "ok"}
         assert set(cert.to_dict()["binary"]) == {"enumerated", "best_cost",
                                                  "max_shift_gap"}
         assert set(oracle.to_dict()) == {"cost", "enumerated", "tie_count"}
+
+
+def test_nan_least_totals_stay_contenders(monkeypatch, free1):
+    """A unit whose least total is NaN is recosted, and the cut comes from
+    the smallest total that is not NaN (inf when every total is NaN)."""
+    inst, domain = lq.random_instance(4, depth_max=3)
+    assert inst.depth == 3  # 64 units of 256 controls
+    want, _ = oracles.brute_force_reference(inst, domain)
+    decoded, rows = _recording(monkeypatch)
+    tables = oracle_mod._cost_tables
+
+    def first_unit_nan(inst, verts, codes, lead):
+        head, table = tables(inst, verts, codes, lead)
+        return np.where(codes == 0, np.nan, head), table
+
+    monkeypatch.setattr(oracle_mod, "_cost_tables", first_unit_nan)
+    got = lq.brute_force_binary(inst, domain)
+    _assert_same_oracle(got, want, "first unit NaN")
+    np.testing.assert_array_equal(decoded[0][:256], np.arange(256))
+    assert got.recosted < got.enumerated
+
+    # every cost overflows to NaN; a finite bound keeps the cut from being NaN
+    monkeypatch.setattr(oracle_mod, "_cost_tables", tables)
+    monkeypatch.setattr(oracle_mod, "_cost_bound", lambda inst: 1.0)
+    rows.clear()
+    nan = lq.LQInstance.constant(depth=2, n=1, k=1, A=1e300, D=1.0, Q=2.0, R=-1.0,
+                                 G=2.0, x0=[1e300])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN cost"):
+        lq.brute_force_binary(nan, free1)
+    assert sum(rows) == 8
+
+
+def test_wide_vertex_sets_keep_one_free_node(monkeypatch):
+    """More than ``ENUM_CHUNK`` vertices a node: a unit keeps one free node,
+    so a table sweep forms no more rows than there are controls."""
+    child = textwrap.dedent("""
+        import json, resource
+        import lqshift as lq
+        inst, domain = lq.random_instance(7, n_max=1, k_max=14, depth_max=1)
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        got = lq.brute_force_binary(inst, domain)
+        print(json.dumps([got.cost, got.tie_count, got.enumerated,
+                          [level.tolist() for level in got.control.levels]]))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    cost, tie_count, enumerated, levels = json.loads(done.stdout)
+    inst, domain = lq.random_instance(7, n_max=1, k_max=14, depth_max=1)
+    assert inst.k == 14 and enumerated == 2 ** 14
+    want, _ = oracles.brute_force_reference(inst, domain)
+    assert (cost, tie_count, enumerated) == (want.cost, want.tie_count, want.enumerated)
+    for a, b in zip(levels, want.control.levels, strict=True):
+        np.testing.assert_array_equal(np.asarray(a), b)
+
+    rows = []
+    tables = oracle_mod._cost_tables
+
+    def counting(inst, verts, codes, lead):
+        rows.append(codes.shape[0] * verts.shape[0])
+        return tables(inst, verts, codes, lead)
+
+    monkeypatch.setattr(oracle_mod, "_cost_tables", counting)
+    inst, domain = lq.random_instance(0, depth_max=2)
+    assert (inst.k, inst.depth) == (2, 2)
+    want = lq.brute_force_binary(inst, domain)
+    for chunk in (1, 3):
+        monkeypatch.setattr(oracle_mod, "ENUM_CHUNK", chunk)
+        rows.clear()
+        _assert_same_oracle(lq.brute_force_binary(inst, domain), want, f"chunk {chunk}")
+        assert sum(rows) <= want.enumerated == 64, f"chunk {chunk}"
 
 
 def test_shift_gap_is_zero_on_every_binary_control():

@@ -5,7 +5,7 @@ The pipeline: represent the cost through its control-space operator N,
 shift by ``mu = -lambda_max(N)`` to make the problem concave without
 changing it on binary controls, characterize optima through a discrete
 maximum principle with first- and second-order checks, and cross-validate
-everything against exhaustive enumeration on small trees.
+everything against the exact binary optimum on small trees.
 """
 
 from .errors import (
@@ -58,7 +58,6 @@ from .optimality import (
 from .oracle import (
     brute_force_binary,
     equivalence_check,
-    random_instance,
 )
 from .spectral import (
     certify_concavity,
@@ -109,7 +108,6 @@ __all__ = [
     "make_report",
     "martingale_representation",
     "msa_candidate_search",
-    "random_instance",
     "report_json",
     "run_checks",
     "sample_relaxed_levels",

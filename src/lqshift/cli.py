@@ -3,8 +3,8 @@
 Subcommands: ``validate``, ``spectrum``, ``solve``, ``verify``,
 ``equivalence``, ``example5``.  Every command prints a JSON report to
 stdout (and to ``--out`` when given).  Exit codes: 0 success, 2 invalid
-instance, 3 ``solve`` stopped at its iteration cap, 4 enumeration budget
-exceeded, 5 bad control file, 1 for other failures including failed
+instance, 3 ``solve`` stopped at its iteration cap, 4 binary-control
+budget exceeded, 5 bad control file, 1 for other failures including failed
 optimality checks.
 """
 
@@ -211,7 +211,7 @@ def cmd_example5(args) -> tuple[int, dict]:
                               "tie_count": oracle.tie_count}
         except BudgetExceededError as exc:
             row["optimum"] = None
-            row["optimum_skipped"] = f"enumeration needs {exc.required} evaluations"
+            row["optimum_skipped"] = str(exc)
         rows.append(row)
 
     result: dict = {"depths": rows}
@@ -279,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=functools.partial(_instance_command, cmd_verify))
 
     p = sub.add_parser("equivalence",
-                       help="certify the shifted problem against enumeration")
+                       help="certify the shifted problem against the binary optimum")
     _add_common(p, mu=True)
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--control-out", default=None,
-                   help="write the enumerated optimum to this CSV file")
+                   help="write the binary optimum to this CSV file")
     p.set_defaults(func=functools.partial(_instance_command, cmd_equivalence))
 
     p = sub.add_parser("example5", help="closed-form benchmark study")

@@ -31,11 +31,11 @@ class ConvergenceError(LqshiftError):
 
 
 class BudgetExceededError(LqshiftError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """The binary controls an exact optimum ranges over exceed the budget."""
 
     def __init__(self, required, budget):
         super().__init__(
-            f"enumeration needs {required} control evaluations, budget is {budget}"
+            f"the optimum ranges over {required} binary controls, budget is {budget}"
         )
         self.required = required
         self.budget = budget

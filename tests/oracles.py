@@ -10,7 +10,7 @@ N applied to a control process, and the node-wise control gradient of the
 shifted Hamiltonian, which ``Trajectory.gradient`` matches bit for bit.
 The binary enumeration keeps its plain form here too: every control
 decoded digit by digit and costed with ``cost_many``, the reference for
-the screened enumeration of ``lqshift.oracle``.  So does the lambda_max search: plain
+the backward recursion of ``lqshift.oracle``.  So does the lambda_max search: plain
 bisection on the Riccati test, the reference for the secant search of
 ``lqshift.spectral``.  And the second-order spike test: the per-vertex
 deficit ``delta . (g - 1/2 H delta)`` over a ``(nodes, V, k)`` array, the
@@ -18,7 +18,9 @@ reference for the vertex-pair tables of ``lqshift.optimality``.  And the
 two-pass relaxed sampler, which tests membership over the whole draw once
 for the acceptance rate and once more for the rejected nodes, with each
 halfspace product taken over the stacked points: the reference for the
-one-pass ``sample_relaxed_levels``.
+one-pass ``sample_relaxed_levels``.  Two fixtures close the list: the
+seeded ``random_instance`` family most tests draw from, and ``cost_bound``,
+the scale against which they measure rounding in a cost.
 """
 
 from __future__ import annotations
@@ -31,17 +33,74 @@ import numpy as np
 
 from lqshift.errors import BudgetExceededError, DegenerateDomainError, LqshiftError
 from lqshift.model import (
+    COEFFICIENTS,
     ControlDomain,
     ControlProcess,
     LQInstance,
+    _cost_from_levels,
     _forward_levels,
     cost_many,
 )
-from lqshift.oracle import DEFAULT_BUDGET, ENUM_CHUNK, OracleResult
+from lqshift.oracle import DEFAULT_BUDGET, OracleResult
 from lqshift.operators import _apply_N_levels, solve_linear_bsde
 from lqshift.optimality import CheckResult, Trajectory, _worst, solve_second_adjoint
 from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd, _step_blocks
 from lqshift.tree import ScenarioTree, _weighted_dot_levels
+
+
+# controls costed per batch by the plain enumeration
+ENUM_CHUNK = 8192
+
+
+def random_instance(seed: int, *, n_max: int = 2, k_max: int = 2,
+                    depth_max: int = 2, with_sources: bool | None = None):
+    """Seeded small random instance on ``[0, 1]`` with a free control domain.
+
+    Coefficients are level-dependent with entries uniform on [-1, 1]; the
+    symmetric blocks are symmetrized.  Half the seeds get zero sources
+    (``b = sigma = 0``) unless ``with_sources`` pins the choice.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, n_max + 1))
+    k = int(rng.integers(1, k_max + 1))
+    depth = int(rng.integers(1, depth_max + 1))
+
+    def u(*shape):
+        return rng.uniform(-1.0, 1.0, size=shape)
+
+    def sym(stack):
+        return 0.5 * (stack + np.swapaxes(stack, -1, -2))
+
+    sources = bool(rng.integers(0, 2)) if with_sources is None else with_sources
+    inst = LQInstance(
+        n=n, k=k, T=1.0, depth=depth,
+        A=u(depth, n, n), B=u(depth, n, k), C=u(depth, n, n), D=u(depth, n, k),
+        b=u(depth, n) if sources else np.zeros((depth, n)),
+        sigma=u(depth, n) if sources else np.zeros((depth, n)),
+        Q=sym(u(depth, n, n)), S=u(depth, k, n), R=sym(u(depth, k, k)),
+        G=sym(u(n, n)), x0=u(n),
+    )
+    return inst, ControlDomain.free(k)
+
+
+def cost_bound(inst: LQInstance) -> float:
+    """Bound on the absolute terms of the cost of any binary control.
+
+    This is the cost of the all-ones control with every coefficient and
+    ``x0`` replaced by its absolute value, and the noise folded into the
+    drift (``dt |C| / sqrt(dt) = sqrt(dt) |C|``): both children of a node
+    then carry ``X + dt (|A| X + |B| 1 + |b|) + sqrt(dt) (|C| X + |D| 1 +
+    |sigma|)``, which bounds the absolute terms each state expands into.
+    """
+    s = inst.tree.sqrt_dt
+    values = {name: np.abs(getattr(inst, name)) for name in COEFFICIENTS}
+    for drift, noise in (("A", "C"), ("B", "D"), ("b", "sigma")):
+        values[drift] = values[drift] + values[noise] / s
+        values[noise] = np.zeros_like(values[noise])
+    mag = LQInstance(n=inst.n, k=inst.k, T=inst.T, depth=inst.depth, **values)
+    ones = [np.ones((inst.tree.num_nodes(m), inst.k)) for m in range(inst.depth)]
+    x_levels, x_term = _forward_levels(mag, ones, mag.x0)
+    return float(_cost_from_levels(mag, ones, x_levels, x_term))
 
 
 def leaf_dot(tree: ScenarioTree, a: np.ndarray, b: np.ndarray) -> float:
@@ -300,7 +359,7 @@ def brute_force_reference(inst: LQInstance, domain: ControlDomain,
     levels = decode_levels_reference(tree, verts, np.array([first], dtype=np.int64))
     control = ControlProcess.from_levels(domain, tree, [lvl[0] for lvl in levels], "binary")
     result = OracleResult(control=control, cost=best, enumerated=total,
-                          tie_count=tie_count, recosted=total)
+                          tie_count=tie_count)
     return result, max_penalty
 
 

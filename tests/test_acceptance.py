@@ -21,6 +21,7 @@ from oracles import (
     hamiltonian_mu_gradient,
     leaf_dot,
     quadratic_functional,
+    random_instance,
 )
 
 
@@ -178,7 +179,7 @@ def test_operator_identities():
         worst_func = 0.0
         worst_sym = 0.0
         for seed in range(50):
-            inst, _ = lq.random_instance(seed, depth_max=4)
+            inst, _ = random_instance(seed, depth_max=4)
             tree = inst.tree
             rng = np.random.default_rng(10_000 + seed)
             xi = [rng.normal(size=(tree.num_nodes(m), inst.n))
@@ -220,7 +221,7 @@ def test_equivalence_certificates():
         worst_margin = np.inf
         all_ok = True
         for seed in range(20):
-            inst, domain = lq.random_instance(seed)
+            inst, domain = random_instance(seed)
             cert, _ = lq.equivalence_check(inst, domain, samples=10_000,
                                            seed=seed)
             worst_gap = max(worst_gap, cert.binary_max_shift_gap)
@@ -236,7 +237,7 @@ def test_optimality_checks_accept_and_reject():
     with criterion("optimality-checks", 30.0) as state:
         accepted = True
         for seed in range(20):
-            inst, domain = lq.random_instance(seed)
+            inst, domain = random_instance(seed)
             mu = lq.lambda_max(inst).mu
             best = lq.brute_force_binary(inst, domain).control
             report = lq.run_checks(inst, best, mu)
@@ -263,7 +264,7 @@ def test_hamiltonian_gradient():
         h = 1e-6
         worst = 0.0
         for seed in (8, 21):
-            inst, domain = lq.random_instance(seed, depth_max=3,
+            inst, domain = random_instance(seed, depth_max=3,
                                               with_sources=True)
             mu = lq.lambda_max(inst).mu
             tree = inst.tree

@@ -13,6 +13,8 @@ import lqshift as lq
 from lqshift.cli import build_parser, main
 from lqshift.tree import NODE_BYTES_BOUND
 
+from oracles import random_instance
+
 
 @pytest.fixture
 def bench_file(tmp_path, bench2, free1):
@@ -426,7 +428,7 @@ def test_solve_builds_each_trajectory_once(capsys, monkeypatch, tmp_path):
     seen = set()
     control_file = tmp_path / "found.csv"
     for seed in range(10):
-        inst, domain = lq.random_instance(seed, depth_max=4)
+        inst, domain = random_instance(seed, depth_max=4)
         path = tmp_path / f"inst{seed}.json"
         path.write_text(json.dumps(lq.dump_instance(inst, domain)))
         for options in ((), ("--mu", "0"), ("--mu", "0", "--max-iter", "2")):
@@ -470,7 +472,7 @@ def test_verify_repeats_the_equivalence_stationarity(capsys, tmp_path):
     reports for it."""
     control = tmp_path / "optimum.csv"
     for seed in (3, 11, 17):
-        inst, domain = lq.random_instance(seed, depth_max=3)
+        inst, domain = random_instance(seed, depth_max=3)
         path = tmp_path / f"inst{seed}.json"
         path.write_text(json.dumps(lq.dump_instance(inst, domain)))
         for mu in ("auto", "-3"):
@@ -491,7 +493,7 @@ def test_near_binary_control_files_read_as_their_vertices(capsys, tmp_path):
     exact, near = tmp_path / "exact.csv", tmp_path / "near.csv"
     written, written_near = tmp_path / "written.csv", tmp_path / "written-near.csv"
     for seed in (3, 5, 11, 17):
-        inst, domain = lq.random_instance(seed, depth_max=3)
+        inst, domain = random_instance(seed, depth_max=3)
         path = tmp_path / f"inst{seed}.json"
         path.write_text(json.dumps(lq.dump_instance(inst, domain)))
         run_cli(capsys, "equivalence", str(path), "--samples", "16",

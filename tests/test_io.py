@@ -9,6 +9,8 @@ import pytest
 import lqshift as lq
 from lqshift.model import COEFFICIENTS, coefficient_shape
 
+from oracles import random_instance
+
 
 def minimal_payload(**overrides):
     payload = {
@@ -24,7 +26,7 @@ def issue_paths(excinfo):
 
 
 def test_round_trip_through_json(tmp_path):
-    inst, domain = lq.random_instance(5, with_sources=True)
+    inst, domain = random_instance(5, with_sources=True)
     payload = lq.dump_instance(inst, domain)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(payload))
@@ -67,7 +69,7 @@ def _payload_level_by_level(stack):
 
 
 def test_digest_matches_the_level_by_level_payload(monkeypatch):
-    cases = [lq.random_instance(seed, n_max=3, k_max=3, depth_max=6) for seed in range(40)]
+    cases = [random_instance(seed, n_max=3, k_max=3, depth_max=6) for seed in range(40)]
     free1 = lq.ControlDomain.free(1)
     cases += [(lq.example5_instance(depth), free1) for depth in (1, 2, 200)]
     digests = [lq.instance_digest(inst, domain) for inst, domain in cases]

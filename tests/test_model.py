@@ -3,7 +3,6 @@ import pytest
 
 import lqshift as lq
 from lqshift.model import MEMBERSHIP_TOL, _flat_matmul, check_coefficient_memory
-from lqshift.oracle import _cost_bound
 
 import oracles
 from conftest import all_scalar_binary_controls
@@ -120,7 +119,7 @@ def test_cost_matches_closed_form(bits_control):
 
 
 def test_cost_many_agrees_with_direct(free1):
-    inst, domain = lq.random_instance(3, with_sources=True)
+    inst, domain = oracles.random_instance(3, with_sources=True)
     rng = np.random.default_rng(5)
     levels = lq.sample_relaxed_levels(domain, inst.tree, 16, rng)
     batch = lq.cost_many(inst, levels)
@@ -161,7 +160,7 @@ def _three_axis_costs(inst, domain, prefix, points, kind, units=4):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_batched_binary_sweeps_with_three_leading_axes_match_direct(seed):
-    inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=3)
+    inst, domain = oracles.random_instance(seed, n_max=3, k_max=3, depth_max=3)
     if seed % 3 == 0:
         domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 1.5),))
     verts = domain.binary_vertices()
@@ -176,12 +175,12 @@ def test_batched_binary_sweeps_with_three_leading_axes_match_direct(seed):
 def test_batched_relaxed_sweeps_with_three_leading_axes_match_direct(seed):
     """Relaxed values round differently in a flattened product; the gap is
     measured against the cost's absolute terms, which bound the rounding."""
-    inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=3)
+    inst, domain = oracles.random_instance(seed, n_max=3, k_max=3, depth_max=3)
     rng = np.random.default_rng(seed)
     prefix = [rng.uniform(size=(4, 1, inst.tree.num_nodes(m), inst.k))
               for m in range(inst.depth - 1)]
     points = rng.uniform(size=(5, inst.k))
-    scale = _cost_bound(inst)
+    scale = oracles.cost_bound(inst)
     for batched, direct in _three_axis_costs(inst, domain, prefix, points, "relaxed"):
         assert abs(batched - direct) <= 4 * EPS * scale
 

@@ -19,6 +19,7 @@ from oracles import (
     fundamental_matrices,
     leaf_dot,
     quadratic_functional,
+    random_instance,
 )
 
 
@@ -62,7 +63,7 @@ def test_bsde_rejects_mismatched_data(bench2):
 
 def test_adjoint_duality_is_exact():
     for seed in range(30):
-        inst, _ = lq.random_instance(seed, depth_max=3)
+        inst, _ = random_instance(seed, depth_max=3)
         rng = np.random.default_rng(1000 + seed)
         xi, eta = random_xi_eta(inst, rng)
         image = adjoint_apply(inst, xi=xi, eta=eta)
@@ -84,7 +85,7 @@ def test_adjoint_duality_is_exact():
 
 def test_state_decomposition_reconstructs():
     for seed in (2, 7, 12):
-        inst, _ = lq.random_instance(seed, depth_max=3, with_sources=True)
+        inst, _ = random_instance(seed, depth_max=3, with_sources=True)
         rng = np.random.default_rng(seed)
         u = random_control_process(inst, rng)
         dec = decompose_state(inst, u)
@@ -112,7 +113,7 @@ def test_apply_N_benchmark_values(bench2, free1):
 
 def test_quadratic_functional_matches_direct_cost():
     for seed in range(12):
-        inst, domain = lq.random_instance(seed, depth_max=3)
+        inst, domain = random_instance(seed, depth_max=3)
         func = quadratic_functional(inst)
         rng = np.random.default_rng(40 + seed)
         for _ in range(3):
@@ -134,7 +135,7 @@ def test_dense_operator_benchmark(bench2):
 def test_dense_matches_matrix_free():
     """In the weighted node basis, level m scaled by sqrt(2^-m dt) and
     flattened in level order, the dense matrix maps u to N u."""
-    inst, _ = lq.random_instance(6, depth_max=3, with_sources=True)
+    inst, _ = random_instance(6, depth_max=3, with_sources=True)
     tree = inst.tree
     op = lq.assemble_N_dense(inst)
     weights = np.concatenate([np.full(tree.num_nodes(m) * inst.k,

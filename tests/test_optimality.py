@@ -8,7 +8,7 @@ import lqshift as lq
 from lqshift.optimality import CHECK_TOL, _worst
 
 from conftest import all_scalar_binary_controls
-from oracles import general_smp_reference, hamiltonian_mu_gradient
+from oracles import general_smp_reference, hamiltonian_mu_gradient, random_instance
 
 S = np.sqrt(0.5)
 
@@ -45,7 +45,7 @@ def test_hamiltonian_benchmark_coefficients():
 
 
 def test_gradient_matches_finite_differences():
-    inst, domain = lq.random_instance(8, depth_max=3, with_sources=True)
+    inst, domain = random_instance(8, depth_max=3, with_sources=True)
     mu = lq.lambda_max(inst).mu
     tree = inst.tree
     rng = np.random.default_rng(3)
@@ -143,7 +143,7 @@ def test_second_adjoint_gives_the_dense_diagonal_blocks():
     P = P_{m+1}: the curvature of a one-node switch, read off the dense
     oracle."""
     for seed in range(30):
-        inst, _ = lq.random_instance(seed, n_max=3, k_max=3, depth_max=4,
+        inst, _ = random_instance(seed, n_max=3, k_max=3, depth_max=4,
                                      with_sources=bool(seed % 2))
         dense = lq.assemble_N_dense(inst).matrix
         second = lq.solve_second_adjoint(inst)
@@ -166,7 +166,7 @@ def test_second_order_check_is_the_exact_one_switch_gain():
     rng = np.random.default_rng(11)
     flagged = 0
     for seed in range(30):
-        inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=3)
+        inst, domain = random_instance(seed, n_max=3, k_max=3, depth_max=3)
         tree, verts = inst.tree, domain.binary_vertices()
         for _ in range(10):
             levels = [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
@@ -198,7 +198,7 @@ def test_second_order_check_accepts_exhaustive_optima():
     vertex scores exactly 0, so the spike test reports the node, vertex
     and violation the per-vertex form reports."""
     for seed in range(40):
-        inst, domain = lq.random_instance(seed, depth_max=3)
+        inst, domain = random_instance(seed, depth_max=3)
         traj = lq.Trajectory.of(inst, lq.brute_force_binary(inst, domain).control)
         result = lq.check_general_smp(inst, traj)
         assert result.ok, f"seed {seed}: violation {result.violation}"
@@ -246,7 +246,7 @@ def test_msa_against_enumeration():
     matches = 0
     missed_but_flagged = 0
     for seed in range(20):
-        inst, domain = lq.random_instance(seed)
+        inst, domain = random_instance(seed)
         mu = lq.lambda_max(inst).mu
         search = lq.msa_candidate_search(inst, domain, mu)
         assert search.status == "fixed-point"
@@ -290,7 +290,7 @@ def test_one_trajectory_per_candidate(sweep_counter):
     a separate forward state and first adjoint."""
     rng = np.random.default_rng(5)
     for seed in range(20):
-        inst, domain = lq.random_instance(seed)
+        inst, domain = random_instance(seed)
         mu = lq.lambda_max(inst).mu
         tree, verts = inst.tree, domain.binary_vertices()
         levels = [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
@@ -319,7 +319,7 @@ def test_one_trajectory_per_candidate(sweep_counter):
 
 def test_msa_sweeps_once_per_iteration(sweep_counter, bench2, free1):
     for seed in range(20):
-        inst, domain = lq.random_instance(seed)
+        inst, domain = random_instance(seed)
         for mu in (0.0, lq.lambda_max(inst).mu):
             sweep_counter.update(forward=0, backward=0)
             result = lq.msa_candidate_search(inst, domain, mu)
@@ -380,7 +380,7 @@ def test_spike_test_matches_the_per_vertex_deficit():
     the per-vertex deficit bit for bit: the same node, vertex and violation."""
     rng = np.random.default_rng(12)
     for seed in range(120):
-        inst, domain = lq.random_instance(seed, n_max=3, k_max=3, depth_max=7)
+        inst, domain = random_instance(seed, n_max=3, k_max=3, depth_max=7)
         if seed % 2 and inst.k > 1:  # a cut that drops the all-ones vertex
             domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), inst.k - 1.0),))
         for _ in range(5):
@@ -406,7 +406,7 @@ def test_spike_test_is_exact_on_a_tie_beside_a_large_gradient():
 
 
 def test_spike_test_refuses_a_relaxed_control():
-    inst, _ = lq.random_instance(3, k_max=2)
+    inst, _ = random_instance(3, k_max=2)
     control = lq.ControlProcess.constant(lq.ControlDomain.free(inst.k), inst.tree,
                                          np.full(inst.k, 0.5), "relaxed")
     with pytest.raises(ValueError, match="binary controls"):
@@ -417,7 +417,7 @@ def test_spike_test_builds_no_per_vertex_array():
     """At depth 14 with n = k = 2 the spike test peaks below three
     ``(2**13, V, k)`` arrays, the leaf level's share of a per-vertex
     ``delta``; the per-vertex form peaks near four."""
-    inst = next(inst for inst, _ in (lq.random_instance(seed) for seed in range(100))
+    inst = next(inst for inst, _ in (random_instance(seed) for seed in range(100))
                 if inst.n == inst.k == 2)
     inst = lq.with_depth(inst, 14)
     free = lq.ControlDomain.free(2)
@@ -455,7 +455,7 @@ def test_near_binary_controls_get_their_vertex_verdicts():
     """A value within the membership tolerance of a vertex is checked as
     that vertex, for enumerated optima and for impostors one switch away."""
     for seed in range(60):
-        inst, domain = lq.random_instance(seed, n_max=2, k_max=2, depth_max=3)
+        inst, domain = random_instance(seed, n_max=2, k_max=2, depth_max=3)
         mu = lq.lambda_max(inst).mu
         optimum = [np.array(lvl) for lvl in lq.brute_force_binary(inst, domain).control.levels]
         impostor = [lvl.copy() for lvl in optimum]

@@ -45,16 +45,6 @@ def test_brute_force_refuses_nan_costs(free1):
         lq.brute_force_binary(inst, free1)
 
 
-def test_brute_force_chunking_is_invisible(monkeypatch, free1):
-    """Smaller batches split the same enumeration, and find the same optimum."""
-    cases = [lq.random_instance(14, depth_max=3), (lq.example5_instance(3), free1)]
-    wants = [lq.brute_force_binary(inst, domain) for inst, domain in cases]
-    for chunk in (1, 3, 7):
-        monkeypatch.setattr(oracle_mod, "ENUM_CHUNK", chunk)
-        for (inst, domain), want in zip(cases, wants):
-            _assert_same_oracle(lq.brute_force_binary(inst, domain), want, chunk)
-
-
 def test_tie_enumeration_order_and_cap(free1):
     # a cost of zero everywhere makes every control a minimizer
     for depth, ties in ((2, 8), (3, 128)):
@@ -67,17 +57,17 @@ def test_tie_enumeration_order_and_cap(free1):
 
 
 def test_random_instance_is_deterministic():
-    a, dom_a = lq.random_instance(123, with_sources=True)
-    b, dom_b = lq.random_instance(123, with_sources=True)
+    a, dom_a = oracles.random_instance(123, with_sources=True)
+    b, dom_b = oracles.random_instance(123, with_sources=True)
     assert dom_a.k == dom_b.k
     for name in ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "G", "x0"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    c, _ = lq.random_instance(124, with_sources=True)
+    c, _ = oracles.random_instance(124, with_sources=True)
     assert c.depth != a.depth or not np.array_equal(a.A, c.A)
-    quiet, _ = lq.random_instance(5, with_sources=False)
+    quiet, _ = oracles.random_instance(5, with_sources=False)
     assert not np.any(quiet.b) and not np.any(quiet.sigma)
     for seed in range(10):
-        inst, domain = lq.random_instance(seed)
+        inst, domain = oracles.random_instance(seed)
         assert 1 <= inst.n <= 2 and 1 <= inst.k <= 2 and 1 <= inst.depth <= 2
         assert domain.k == inst.k
         np.testing.assert_array_equal(inst.G, inst.G.T)
@@ -103,7 +93,7 @@ def test_equivalence_certificate_benchmark(bench2, free1):
 
 def test_equivalence_on_random_instances():
     for seed in (0, 1, 2):
-        inst, domain = lq.random_instance(seed)
+        inst, domain = oracles.random_instance(seed)
         cert, _ = lq.equivalence_check(inst, domain, samples=512, seed=seed)
         assert cert.ok, f"seed {seed}"
         assert cert.binary_max_shift_gap == 0.0
@@ -122,7 +112,7 @@ def test_relaxed_samples_are_costed_in_slices(monkeypatch):
     monkeypatch.setattr(oracle_mod, "RELAXED_SLICE", 100)
     monkeypatch.setattr(oracle_mod, "shifted_cost_many", counting)
     for seed in range(4):
-        inst, _ = lq.random_instance(seed, k_max=2, with_sources=True)
+        inst, _ = oracles.random_instance(seed, k_max=2, with_sources=True)
         domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 0.9),))
         batches.clear()
         cert, _ = lq.equivalence_check(inst, domain, mu=-2.0, samples=250, seed=seed)
@@ -142,136 +132,122 @@ def _enum_input(seed):
     return lq.load_instance(doc)
 
 
-def _recording(monkeypatch):
-    """Record the codes ``brute_force_binary`` decodes and the rows it recosts."""
-    decoded, rows = [], []
-    decode, counted = oracle_mod._decode_levels, oracle_mod.cost_many
+def test_nan_branches_are_never_chosen(monkeypatch):
+    """A vertex whose stage term is NaN on level 1 makes NaN the cost of
+    every control that takes it there.  The recursion returns the optimum
+    over the other controls, and refuses when every branch is NaN."""
+    stage = oracle_mod._stage
 
-    def recording(tree, verts, codes):
-        decoded.append(codes.copy())
-        return decode(tree, verts, codes)
+    def nan_at(level, vertex):
+        def patched(inst, m, x, u):
+            out = stage(inst, m, x, u)
+            hit = (m == level) & (np.arange(out.shape[-1]) == vertex)
+            return np.where(hit, np.nan, out)
+        return patched
 
-    def counting(inst, levels):
-        costs = counted(inst, levels)
-        rows.append(int(np.size(costs)))
-        return costs
+    compared = 0
+    for seed in range(12):
+        inst, free = oracles.random_instance(seed, k_max=2, depth_max=3)
+        if inst.depth < 2:
+            continue
+        cut = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 1.0),))
+        for domain in (free, cut):
+            verts = domain.binary_vertices()
+            codes = np.arange(verts.shape[0] ** (2 ** inst.depth - 1), dtype=np.int64)
+            levels = oracles.decode_levels_reference(inst.tree, verts, codes)
+            costs = lq.cost_many(inst, levels)
+            for vertex in range(verts.shape[0]):
+                label = f"seed {seed}, {verts.shape[0]} vertices, NaN at {vertex}"
+                poisoned = np.any(np.all(levels[1] == verts[vertex], axis=-1), axis=-1)
+                best = float(np.min(costs[~poisoned]))
+                hits = ~poisoned & (costs == best)
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle_mod, "_stage", nan_at(1, vertex))
+                    got = lq.brute_force_binary(inst, domain)
+                assert got.cost == best, label
+                assert got.tie_count == np.count_nonzero(hits), label
+                first = int(np.argmax(hits))
+                for a, b in zip(got.control.levels, levels, strict=True):
+                    np.testing.assert_array_equal(a, b[first], err_msg=label)
+                compared += 1
+    assert compared >= 20
 
-    monkeypatch.setattr(oracle_mod, "_decode_levels", recording)
-    monkeypatch.setattr(oracle_mod, "cost_many", counting)
-    return decoded, rows
-
-
-def test_contender_units_are_recosted_whole_and_once(monkeypatch):
-    """The screen keeps whole units, and ``cost_many`` sees each control once.
-
-    The recosted codes are whole units in increasing order, fewer than all
-    controls, and they hold every control whose own cost is the minimum.
-    """
-    cases = [(f"seed {seed}",) + lq.random_instance(seed, depth_max=3) for seed in range(6)]
-    cases.append(("enum seed 1",) + _enum_input(1))
-    decoded, rows = _recording(monkeypatch)
-    for label, inst, domain in cases:
-        decoded.clear()
-        rows.clear()
-        cert, oracle = lq.equivalence_check(inst, domain, samples=64, seed=0)
-        codes = np.concatenate(decoded[:-1])  # the last decodes the returned control
-        # every last-level node is free at these sizes, so a unit is one
-        # code range of this many controls
-        verts = domain.binary_vertices()
-        block = verts.shape[0] ** inst.tree.num_nodes(inst.depth - 1)
-        assert sum(rows) == codes.shape[0] == oracle.recosted, label
-        # at depth 1 the only unit is every control
-        assert oracle.recosted < oracle.enumerated or oracle.enumerated == block, label
-        units = codes.reshape(-1, block)
-        assert np.all(units - units[:, :1] == np.arange(block)), label
-        assert np.all(units[:, 0] % block == 0) and np.all(np.diff(codes) > 0), label
-
-        everything = np.arange(oracle.enumerated, dtype=np.int64)
-        costs = np.concatenate([
-            lq.cost_many(inst, oracles.decode_levels_reference(inst.tree, verts, part))
-            for part in np.array_split(everything, -(-oracle.enumerated // 8192))])
-        minimizers = np.flatnonzero(costs == oracle.cost)
-        assert minimizers.shape[0] == oracle.tie_count, label
-        assert np.all(np.isin(minimizers, codes)), label
-        assert cert.binary_enumerated == oracle.enumerated, label
-        assert set(cert.to_dict()) == {"mu", "lambda_max", "concavity", "binary",
-                                       "relaxed", "stationarity", "warnings", "ok"}
-        assert set(cert.to_dict()["binary"]) == {"enumerated", "best_cost",
-                                                 "max_shift_gap"}
-        assert set(oracle.to_dict()) == {"cost", "enumerated", "tie_count"}
+    inst, domain = oracles.random_instance(0, depth_max=2)
+    monkeypatch.setattr(oracle_mod, "_stage", lambda inst, m, x, u: np.full(
+        np.broadcast_shapes(x.shape[:-1], u.shape[:-1]), np.nan))
+    with pytest.raises(ValueError, match="every binary control has a NaN cost"):
+        lq.brute_force_binary(inst, domain)
 
 
-def test_nan_least_totals_stay_contenders(monkeypatch, free1):
-    """A unit whose least total is NaN is recosted, and the cut comes from
-    the smallest total that is not NaN (inf when every total is NaN)."""
-    inst, domain = lq.random_instance(4, depth_max=3)
-    assert inst.depth == 3  # 64 units of 256 controls
-    want, _ = oracles.brute_force_reference(inst, domain)
-    decoded, rows = _recording(monkeypatch)
-    tables = oracle_mod._cost_tables
-
-    def first_unit_nan(inst, verts, codes, lead):
-        head, table = tables(inst, verts, codes, lead)
-        return np.where(codes == 0, np.nan, head), table
-
-    monkeypatch.setattr(oracle_mod, "_cost_tables", first_unit_nan)
-    got = lq.brute_force_binary(inst, domain)
-    _assert_same_oracle(got, want, "first unit NaN")
-    np.testing.assert_array_equal(decoded[0][:256], np.arange(256))
-    assert got.recosted < got.enumerated
-
-    # every cost overflows to NaN; a finite bound keeps the cut from being NaN
-    monkeypatch.setattr(oracle_mod, "_cost_tables", tables)
-    monkeypatch.setattr(oracle_mod, "_cost_bound", lambda inst: 1.0)
-    rows.clear()
-    nan = lq.LQInstance.constant(depth=2, n=1, k=1, A=1e300, D=1.0, Q=2.0, R=-1.0,
-                                 G=2.0, x0=[1e300])
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN cost"):
-        lq.brute_force_binary(nan, free1)
-    assert sum(rows) == 8
+def _run_limited(child):
+    """Run ``child`` in a fresh interpreter that sees ``src`` and ``tests``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), str(ROOT / "tests"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(child)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
-def test_wide_vertex_sets_keep_one_free_node(monkeypatch):
-    """More than ``ENUM_CHUNK`` vertices a node: a unit keeps one free node,
-    so a table sweep forms no more rows than there are controls."""
-    child = textwrap.dedent("""
+def test_wide_vertex_sets_keep_one_free_node():
+    """2**14 vertices at the one node of a depth-1 tree: the recursion's
+    (2V, n) leaf states and (1, V) stage totals fit a 1 GB address space,
+    and it finds the plain enumeration's optimum."""
+    done = _run_limited("""
         import json, resource
         import lqshift as lq
-        inst, domain = lq.random_instance(7, n_max=1, k_max=14, depth_max=1)
+        from oracles import random_instance
+        inst, domain = random_instance(7, n_max=1, k_max=14, depth_max=1)
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         got = lq.brute_force_binary(inst, domain)
         print(json.dumps([got.cost, got.tie_count, got.enumerated,
                           [level.tolist() for level in got.control.levels]]))
     """)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     cost, tie_count, enumerated, levels = json.loads(done.stdout)
-    inst, domain = lq.random_instance(7, n_max=1, k_max=14, depth_max=1)
+    inst, domain = oracles.random_instance(7, n_max=1, k_max=14, depth_max=1)
     assert inst.k == 14 and enumerated == 2 ** 14
     want, _ = oracles.brute_force_reference(inst, domain)
     assert (cost, tie_count, enumerated) == (want.cost, want.tie_count, want.enumerated)
     for a, b in zip(levels, want.control.levels, strict=True):
         np.testing.assert_array_equal(np.asarray(a), b)
 
-    rows = []
-    tables = oracle_mod._cost_tables
 
-    def counting(inst, verts, codes, lead):
-        rows.append(codes.shape[0] * verts.shape[0])
-        return tables(inst, verts, codes, lead)
+def test_deep_states_are_refused_before_they_are_allocated():
+    """Example 5 at depth 16 has 4**16 leaf states, 32 GiB: with the budget
+    out of the way, the node memory bound refuses them before any per-node
+    array exists, inside a 1 GB address space."""
+    done = _run_limited("""
+        import resource
+        import lqshift as lq
+        inst, domain = lq.example5_instance(16), lq.ControlDomain.free(1)
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        try:
+            lq.brute_force_binary(inst, domain, budget=10 ** 30000)
+        except ValueError as exc:
+            print(exc)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"per-node values need {8 * 4 ** 16} bytes"), done.stdout
 
-    monkeypatch.setattr(oracle_mod, "_cost_tables", counting)
-    inst, domain = lq.random_instance(0, depth_max=2)
-    assert (inst.k, inst.depth) == (2, 2)
-    want = lq.brute_force_binary(inst, domain)
-    for chunk in (1, 3):
-        monkeypatch.setattr(oracle_mod, "ENUM_CHUNK", chunk)
-        rows.clear()
-        _assert_same_oracle(lq.brute_force_binary(inst, domain), want, f"chunk {chunk}")
-        assert sum(rows) <= want.enumerated == 64, f"chunk {chunk}"
+
+def test_ties_multiply_up_the_tree_past_int64(free1):
+    """Every one of the 2**127 controls of a depth-7 all-zero cost ties; the
+    count is exact, and the first of them is all zeros."""
+    flat = lq.LQInstance.constant(depth=7, n=1, k=1, D=1.0)
+    got = lq.brute_force_binary(flat, free1, budget=10 ** 40)
+    assert got.tie_count == got.enumerated == 2 ** 127
+    assert type(got.tie_count) is int and got.cost == 0.0
+    assert not any(np.any(level) for level in got.control.levels)
+
+
+def test_example5_optimum_past_enumeration(free1):
+    """Example 5 at depth 8 ranges over 2**255 controls; the recursion finds
+    the zero control, cost 0.0, which ``cost_direct`` confirms."""
+    inst = lq.example5_instance(8)
+    got = lq.brute_force_binary(inst, free1, budget=2 ** 255)
+    assert got.enumerated == 2 ** 255
+    assert got.cost == 0.0 == lq.cost_direct(inst, got.control)
+    assert not any(np.any(level) for level in got.control.levels)
 
 
 def test_shift_gap_is_zero_on_every_binary_control():
@@ -280,9 +256,9 @@ def test_shift_gap_is_zero_on_every_binary_control():
     from the vertices reports a gap of exactly 0.0 at a nonzero shift."""
     cases = []
     for seed in range(6):
-        inst, free = lq.random_instance(seed, depth_max=3)
+        inst, free = oracles.random_instance(seed, depth_max=3)
         cases.append((f"seed {seed}", inst, free))
-    inst, _ = lq.random_instance(4, depth_max=3)
+    inst, _ = oracles.random_instance(4, depth_max=3)
     cut = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 1.0),))
     cases.append(("seed 4 cut", inst, cut))
     for label, inst, domain in cases:
@@ -315,11 +291,12 @@ def test_decode_matches_digit_loop():
             np.testing.assert_array_equal(a, b)
 
 
-def test_screened_oracle_matches_reference(monkeypatch):
-    """Screened totals plus exact recosting give the plain enumeration's result."""
+def test_screened_oracle_matches_reference():
+    """The backward recursion gives the plain enumeration's result: control
+    bytes, cost bits, ``enumerated`` and ``tie_count``."""
     cases = []
     for seed in range(200):
-        inst, free = lq.random_instance(seed, n_max=3, k_max=3, depth_max=4)
+        inst, free = oracles.random_instance(seed, n_max=3, k_max=3, depth_max=4)
         cut = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 1.0),))
         cases += [(f"seed {seed} free", inst, free), (f"seed {seed} cut", inst, cut)]
     free1 = lq.ControlDomain.free(1)
@@ -328,8 +305,9 @@ def test_screened_oracle_matches_reference(monkeypatch):
     for depth in (2, 3):
         flat = lq.LQInstance.constant(depth=depth, n=1, k=1, D=1.0)
         cases.append((f"all ties depth {depth}", flat, free1))
+    cases.append(("enum seed 1",) + _enum_input(1))
 
-    compared = small = 0
+    compared = 0
     for label, inst, domain in cases:
         try:
             want, _ = oracles.brute_force_reference(inst, domain)
@@ -337,16 +315,9 @@ def test_screened_oracle_matches_reference(monkeypatch):
             continue
         compared += 1
         _assert_same_oracle(lq.brute_force_binary(inst, domain), want, label)
-        if want.enumerated <= 128:
-            small += 1
-            for chunk in (1, 3, 7):
-                with monkeypatch.context() as patch:
-                    patch.setattr(oracle_mod, "ENUM_CHUNK", chunk)
-                    got = lq.brute_force_binary(inst, domain)
-                _assert_same_oracle(got, want, f"{label} chunk {chunk}")
-    assert compared > 300 and small > 150
+    assert compared > 300
     flat = lq.brute_force_binary(lq.LQInstance.constant(depth=3, n=1, k=1, D=1.0), free1)
-    assert flat.tie_count == flat.recosted == flat.enumerated == 128
+    assert flat.tie_count == flat.enumerated == 128
 
 
 def test_shift_is_needed_for_vertex_optimality(free1):

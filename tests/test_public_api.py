@@ -46,7 +46,6 @@ PUBLIC = [
     "make_report",
     "martingale_representation",
     "msa_candidate_search",
-    "random_instance",
     "report_json",
     "run_checks",
     "sample_relaxed_levels",

@@ -81,7 +81,7 @@ def test_shifted_cost_relaxed_benchmark(bench2):
 
 
 def test_shift_is_bitwise_invisible_on_binary_controls():
-    inst, domain = lq.random_instance(4, depth_max=3, with_sources=True)
+    inst, domain = oracles.random_instance(4, depth_max=3, with_sources=True)
     verts = domain.binary_vertices()
     rng = np.random.default_rng(2)
     tree = inst.tree
@@ -117,7 +117,7 @@ def test_certify_concavity_riccati(bench2):
 
 def _random_cases(count):
     for seed in range(count):
-        inst, _ = lq.random_instance(seed, n_max=3, k_max=3, depth_max=5,
+        inst, _ = oracles.random_instance(seed, n_max=3, k_max=3, depth_max=5,
                                      with_sources=True)
         yield seed, inst
 

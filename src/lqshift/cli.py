@@ -106,24 +106,30 @@ def _resolve_mu(args, inst):
     return report.mu, {"spectral": report.to_dict()}
 
 
+def _stage_clock(timings: dict):
+    """``clock(stage, fn, *args)`` calls ``fn`` and adds its wall time, also
+    when it raises, to ``timings[stage]``."""
+    def clock(stage, fn, *fn_args, **fn_kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*fn_args, **fn_kwargs)
+        finally:
+            timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0)
+    return clock
+
+
 def _instance_command(command, args) -> tuple[int, dict]:
     """Load the instance at ``--depth``, run ``command`` and wrap its result.
 
     ``command(args, inst, domain, clock)`` returns ``(code, result,
-    parameters)``; ``clock(stage, fn, *args)`` calls ``fn`` and records its
-    wall time under ``stage`` in the report's ``timings``.
+    parameters)``; ``clock`` is a :func:`_stage_clock` over the report's
+    ``timings``.
     """
     inst, domain = load_instance(args.instance)
     if args.depth is not None:
         inst = with_depth(inst, args.depth)
     timings = {}
-
-    def clock(stage, fn, *fn_args, **fn_kwargs):
-        t0 = time.perf_counter()
-        out = fn(*fn_args, **fn_kwargs)
-        timings[stage] = time.perf_counter() - t0
-        return out
-
+    clock = _stage_clock(timings)
     code, result, parameters = command(args, inst, domain, clock)
     if hasattr(args, "mu"):
         parameters["mu"] = "auto" if args.mu is None else args.mu
@@ -189,11 +195,13 @@ def cmd_example5(args) -> tuple[int, dict]:
     domain = ControlDomain.free(1)
     zeros1 = np.zeros((1, 1))
     rows = []
+    timings = {}
+    clock = _stage_clock(timings)
     for depth in args.depths:
         inst = example5_instance(depth)
         ones = ControlProcess.constant(domain, inst.tree, np.ones(1), "binary")
         cost_ones = cost_direct(inst, ones)
-        spectral = lambda_max(inst)
+        spectral = clock("spectrum", lambda_max, inst)
         h_plus, h_minus = (float(hamiltonian_mu(inst, 0, zeros1, sign * np.ones((1, 1)),
                                                 zeros1, zeros1, spectral.mu)[0])
                            for sign in (1.0, -1.0))
@@ -206,7 +214,7 @@ def cmd_example5(args) -> tuple[int, dict]:
             "hamiltonian_linear": 0.5 * (h_plus - h_minus),
         }
         try:
-            oracle = brute_force_binary(inst, domain, budget=args.budget)
+            oracle = clock("oracle", brute_force_binary, inst, domain, budget=args.budget)
             row["optimum"] = {"cost": oracle.cost, "enumerated": oracle.enumerated,
                               "tie_count": oracle.tie_count}
         except BudgetExceededError as exc:
@@ -229,7 +237,8 @@ def cmd_example5(args) -> tuple[int, dict]:
                 writer.writerow([repr(row[key]) for key in _EXAMPLE5_COLUMNS]
                                 + ["" if optimum is None else repr(optimum["cost"])])
     out = make_report("example5", result,
-                      parameters={"depths": args.depths, "budget": args.budget})
+                      parameters={"depths": args.depths, "budget": args.budget},
+                      timings=timings)
     return 0, out
 
 

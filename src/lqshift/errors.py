@@ -31,7 +31,11 @@ class ConvergenceError(LqshiftError):
 
 
 class BudgetExceededError(LqshiftError):
-    """The binary controls an exact optimum ranges over exceed the budget."""
+    """The binary controls an exact optimum ranges over exceed the budget.
+
+    ``required`` is the control count, an ``int``, or a ``"V**E"`` string
+    where the count has too many digits to print.
+    """
 
     def __init__(self, required, budget):
         super().__init__(

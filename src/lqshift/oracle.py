@@ -11,6 +11,7 @@ reachable from ``x0``: at most ``(2V)^m`` of them at level ``m``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,21 @@ def _decode_levels(tree: ScenarioTree, verts: np.ndarray, codes: np.ndarray):
         place = nodes - 1 - np.arange(first, first + tree.num_nodes(m))
         levels.append(verts[codes[:, None] // np.power(v_count, place) % v_count])
     return levels
+
+
+def _control_count(v_count: int, exponent: int):
+    """``v_count ** exponent`` for ``exponent = 2^N - 1``, as an ``int``, or as
+    the text ``"V**E"`` where it has more digits than Python prints
+    (``sys.get_int_max_str_digits``); an E that long is written ``(2**N - 1)``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    # 2 ** (4 limit) > 10 ** limit: only a count that may print is formed
+    if exponent * (v_count.bit_length() - 1) <= 4 * limit:
+        count = v_count ** exponent
+        if count < 10 ** limit:
+            return count
+    if exponent < 10 ** limit:
+        return f"{v_count}**{exponent}"
+    return f"{v_count}**(2**{exponent.bit_length()} - 1)"
 
 
 def _stage(inst: LQInstance, m: int, x, u):
@@ -100,9 +116,10 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
     the control returned costs at most ``2 gamma_r B`` above the optimum,
     exactly, and ``cost``, its ``cost_many``, is within ``3 gamma_r B``.
 
-    ``budget`` bounds the number of controls, ``V ** (2^N - 1)``; the
-    ``(2V)^N`` last-level states are checked against the node memory bound
-    before anything is allocated.
+    ``budget`` bounds the number of controls, ``V ** (2^N - 1)``, which a
+    refusal reports as an ``int``, or as the text ``"V**E"`` where it has
+    too many digits to print.  The ``(2V)^N`` last-level states are checked
+    against the node memory bound before anything is allocated.
     """
     verts = domain.binary_vertices()
     if verts.shape[0] == 0:
@@ -111,9 +128,14 @@ def brute_force_binary(inst: LQInstance, domain: ControlDomain,
         raise ValueError("domain dimension does not match the instance")
     tree = inst.tree
     v_count = verts.shape[0]
-    total = v_count ** (tree.num_nodes(tree.depth) - 1)
-    if total > budget:
-        raise BudgetExceededError(required=total, budget=budget)
+    exponent = tree.num_nodes(tree.depth) - 1
+    # bit lengths first, since V ** E >= 2 ** (E floor(log2 V)): a deep
+    # refusal never forms the exact count
+    total = None
+    if exponent * (v_count.bit_length() - 1) <= int(budget).bit_length():
+        total = v_count ** exponent
+    if total is None or total > budget:
+        raise BudgetExceededError(required=_control_count(v_count, exponent), budget=budget)
     check_node_memory((2 * v_count) ** tree.depth, max(inst.n, inst.k))
 
     dt, s = tree.dt, tree.sqrt_dt

@@ -15,6 +15,9 @@ pivots.  The coefficients depend on the level only, so every node of a
 level shares one k x k pivot, produced by a backward Riccati recursion
 (the discrete indefinite-LQ condition of Ait Rami, Chen and Zhou).  One
 test costs O(depth (n^3 + k^3)) and never builds the 2^N-node tree.
+Scalar instances (n = k = 1) run the same chain on Python floats, in the
+same order of operations, so their results are bit-identical to the
+matrix chain's without numpy's per-call overhead on 1 x 1 arrays.
 
 Each test also returns a margin, the smallest pivot eigenvalue where it
 fails (over all levels where it passes), which near lambda_max is
@@ -85,8 +88,6 @@ def _step_blocks(inst: LQInstance):
     return blocks
 
 
-# an overflowing chain fails the test below, so numpy need not warn about it
-@np.errstate(over="ignore", invalid="ignore")
 def _riccati_pd(inst: LQInstance, s: float):
     """Whether ``sI - N`` is positive definite in the tree inner product.
 
@@ -103,8 +104,46 @@ def _riccati_pd(inst: LQInstance, s: float):
     at the level where the test fails, or over all levels when it passes,
     and -inf once P is not finite; ``level`` is where the test fails, or
     where the smallest pivot sits when it passes.  Near lambda_max the
-    margin is continuous in ``s`` and changes sign there.
+    margin is continuous in ``s`` and changes sign there.  Scalar instances
+    run :func:`_riccati_pd_scalar`, which gives the same bits.
     """
+    if inst.n == inst.k == 1:
+        return _riccati_pd_scalar(inst, s)
+    return _riccati_pd_matrix(inst, s)
+
+
+def _riccati_pd_scalar(inst: LQInstance, s: float):
+    """:func:`_riccati_pd_matrix` for ``n == k == 1`` on Python floats, with
+    its operations in its order.  Cholesky is ``sqrt(huu)``, which fails on
+    ``huu <= 0`` and, like numpy's, passes NaN on to P."""
+    dt = inst.tree.dt
+    A, B, C, D, Q, S, R = (getattr(inst, name)[:, 0, 0].tolist() for name in "ABCDQSR")
+    p = -float(inst.G[0, 0])
+    margin, at = math.inf, inst.depth - 1
+    for m in reversed(range(inst.depth)):
+        f, c, b, d = 1.0 + dt * A[m], C[m], B[m], D[m]
+        uu = d * (p * d) + dt * (b * (p * b))
+        ux = b * (p * f) + d * (p * c)
+        xx = f * (p * f) + dt * (c * (p * c))
+        huu = dt * (s - R[m]) + dt * uu
+        hux = -dt * S[m] + dt * ux
+        hxx = -dt * Q[m] + xx
+        if huu <= 0.0:
+            return False, m, huu / dt
+        y = hux / math.sqrt(huu)
+        p = hxx - y * y
+        p = 0.5 * (p + p)  # the matrix chain's symmetrisation: inf where p + p overflows
+        if not math.isfinite(p):
+            return False, m, -math.inf
+        if huu / dt < margin:  # ties keep the deepest level, as argmin does
+            margin, at = huu / dt, m
+    return True, at, margin
+
+
+# an overflowing chain fails the test below, so numpy need not warn about it
+@np.errstate(over="ignore", invalid="ignore")
+def _riccati_pd_matrix(inst: LQInstance, s: float):
+    """:func:`_riccati_pd` on k x k pivots, for instances of any shape."""
     dt = inst.tree.dt
     blocks = _step_blocks(inst)
     uu0 = dt * (s * np.eye(inst.k) - inst.R)

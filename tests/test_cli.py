@@ -222,7 +222,7 @@ def test_equivalence_certifies_a_given_mu(capsys):
     (["verify", "--control", "CONTROL"], {"control", "kind", "mu"},
      {"load_control", "spectrum", "checks"}),
     (["equivalence"], {"samples", "budget", "seed", "mu"}, {"equivalence"}),
-    (["example5"], {"depths", "budget"}, None),
+    (["example5"], {"depths", "budget"}, {"spectrum", "oracle"}),
 ], ids=["validate", "spectrum", "spectrum-certify", "solve", "solve-start", "verify",
         "equivalence", "example5"])
 def test_report_envelope(capsys, tmp_path, bench_file, bench2, free1,
@@ -386,6 +386,22 @@ def test_smallest_counts_run(capsys, bench_file):
 
 
 EXAMPLE5 = str(resources.files("lqshift").joinpath("data/example5.json"))
+
+
+def test_refusals_past_the_digit_limit_keep_their_exit_codes(capsys):
+    """Depth 14 ranges over 2**16383 controls, 4,932 digits: more than an
+    int prints, so the count is reported as text."""
+    code, report = run_cli(capsys, "example5", "--depths", "2,14")
+    assert code == 0
+    shallow, deep = report["result"]["depths"]
+    assert shallow["optimum"]["cost"] == 0.0
+    assert deep["optimum"] is None
+    assert deep["optimum_skipped"] == (
+        "the optimum ranges over 2**16383 binary controls, budget is 1000000")
+    code, report = run_cli(capsys, "equivalence", EXAMPLE5, "--depth", "14")
+    assert code == 4
+    assert report == {"error": "budget-exceeded", "required": "2**16383",
+                      "budget": 1000000}
 
 
 def test_deep_trees_run_where_nothing_is_per_node(capsys):

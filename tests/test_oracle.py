@@ -37,6 +37,38 @@ def test_brute_force_budget(bench2, free1):
     assert excinfo.value.budget == 7
 
 
+def test_deep_refusals_never_form_the_count(free1):
+    """Depth 40 ranges over 2**(2**40 - 1) controls, an integer of 128 GiB;
+    the refusal is decided and reported without it."""
+    with pytest.raises(lq.BudgetExceededError) as excinfo:
+        lq.brute_force_binary(lq.example5_instance(40), free1)
+    assert excinfo.value.required == f"2**{2 ** 40 - 1}"
+    assert str(excinfo.value) == (
+        f"the optimum ranges over 2**{2 ** 40 - 1} binary controls, budget is 1000000")
+    with pytest.raises(lq.BudgetExceededError) as excinfo:
+        lq.brute_force_binary(lq.example5_instance(11), free1)
+    assert excinfo.value.required == 2 ** 2047
+
+
+def test_control_counts_are_ints_while_they_print():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    edge = int(limit * np.log2(10))
+    forms = set()
+    for exponent in range(edge - 3, edge + 4):
+        count = oracle_mod._control_count(2, exponent)
+        if 2 ** exponent < 10 ** limit:
+            assert count == 2 ** exponent
+            assert len(str(count)) <= limit
+        else:
+            assert count == f"2**{exponent}"
+        forms.add(type(count))
+    assert forms == {int, str}
+    assert oracle_mod._control_count(3, 5) == 243
+    # an exponent that has too many digits itself is written 2**N - 1
+    depth = edge + 8
+    assert oracle_mod._control_count(2, 2 ** depth - 1) == f"2**(2**{depth} - 1)"
+
+
 def test_brute_force_refuses_nan_costs(free1):
     """Costs that overflow to NaN have no minimum, so no control is returned."""
     inst = lq.LQInstance.constant(depth=2, n=1, k=1, A=1e300, D=1.0, Q=2.0, R=-1.0,

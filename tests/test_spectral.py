@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+from lqshift import spectral
 from lqshift.spectral import CONCAVITY_TOL, _power_iteration, _riccati_pd
 
 import oracles
@@ -187,3 +188,73 @@ def test_riccati_closed_form_at_depth():
         report = lq.lambda_max(inst)
         assert report.lambda_max == pytest.approx(3.0 - 2.0 / depth, rel=1e-12), depth
         assert lq.certify_concavity(inst, report.mu, top=report.lambda_max).ok, depth
+
+
+def _scalar_cases():
+    cases = [(f"example 5 depth {depth}", lq.example5_instance(depth))
+             for depth in list(range(1, 15)) + [200]]
+    cases += [(f"seed {seed}", oracles.random_instance(seed, n_max=1, k_max=1,
+                                                       depth_max=8)[0])
+              for seed in range(300)]
+    # P stays 0, so every level's pivot is s - R: the deepest one is reported
+    cases.append(("tied pivots", lq.LQInstance.constant(depth=4, n=1, k=1, R=1.0)))
+    return cases
+
+
+def _bits(chain):
+    ok, level, margin = chain
+    return ok, level, margin.hex()
+
+
+def test_scalar_chain_matches_matrix_chain():
+    """On n = k = 1 the float chain gives the matrix chain's verdict, level
+    and margin bit for bit, at passing and failing shifts."""
+    for label, inst in _scalar_cases():
+        hi, width, _ = spectral._riccati_secant(inst)
+        for s in (hi, hi - width, 0.0, -1e3):
+            scalar = _bits(spectral._riccati_pd_scalar(inst, s))
+            assert scalar == _bits(spectral._riccati_pd_matrix(inst, s)), (label, s)
+            assert scalar[0] == (s >= hi), (label, s)
+    fail = (False, 1, -np.inf)
+    overflows = [
+        # F = 1 + dt * 1e200 overflows P
+        (lq.LQInstance.constant(depth=2, n=1, k=1, A=1e200, B=1.0, G=1.0), 1.0, fail),
+        # P = 1e308 is finite, but its symmetrisation P + P is not
+        (lq.LQInstance.constant(depth=2, n=1, k=1, G=-1e308), 1.0, fail),
+        # s - R = inf meets D^2 P = -inf in a NaN pivot, which Cholesky passes on
+        (lq.LQInstance.constant(depth=2, n=1, k=1, D=10.0, R=-1.7e308, G=1e308),
+         1.7e308, fail),
+        # every pivot is s - R = inf, and argmin reports the deepest level
+        (lq.LQInstance.constant(depth=3, n=1, k=1, R=-1e308), 1e308, (True, 2, np.inf)),
+    ]
+    for inst, s, expected in overflows:
+        scalar = spectral._riccati_pd_scalar(inst, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(scalar) == _bits(spectral._riccati_pd_matrix(inst, s)), s
+        assert scalar == expected, s
+
+
+def test_scalar_chain_leaves_the_search_and_certificate_unchanged(monkeypatch):
+    def outputs():
+        reports = []
+        for _, inst in _scalar_cases()[::5]:
+            report = lq.lambda_max(inst)
+            reports.append((report, lq.certify_concavity(inst, report.mu,
+                                                         top=report.lambda_max)))
+        return repr(reports)
+
+    scalar = outputs()
+    monkeypatch.setattr(spectral, "_riccati_pd", spectral._riccati_pd_matrix)
+    assert outputs() == scalar
+
+
+def test_only_scalar_instances_take_the_float_chain(monkeypatch):
+    shapes = {}
+    for name in ("_riccati_pd_scalar", "_riccati_pd_matrix"):
+        chain = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda inst, s, chain=chain, name=name: (
+            shapes.setdefault(name, set()).add((inst.n, inst.k)) or chain(inst, s)))
+    for seed in range(20):
+        lq.lambda_max(oracles.random_instance(seed, n_max=2, k_max=2)[0])
+    assert shapes["_riccati_pd_scalar"] == {(1, 1)}
+    assert shapes["_riccati_pd_matrix"] == {(1, 2), (2, 1), (2, 2)}

@@ -36,8 +36,8 @@ from .io import (
 )
 from .model import (
     ControlDomain,
-    ControlProcess,
-    cost_direct,
+    cost_constant,
+    cost_direct,  # unused here; the benchmark tracer rebinds it
     example5_instance,
     validate_instance,
 )
@@ -49,7 +49,6 @@ from .optimality import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    DEFAULT_SAMPLES,
     brute_force_binary,
     equivalence_check,
 )
@@ -179,11 +178,11 @@ def cmd_verify(args, inst, domain, clock):
 
 def cmd_equivalence(args, inst, domain, clock):
     cert, oracle = clock("equivalence", equivalence_check, inst, domain, mu=args.mu,
-                         samples=args.samples, budget=args.budget, seed=args.seed)
+                         budget=args.budget)
     if args.control_out:
         write_control_csv(args.control_out, oracle.control)
     return ((0 if cert.ok else 1), {**cert.to_dict(), "oracle": oracle.to_dict()},
-            {"samples": args.samples, "budget": args.budget, "seed": args.seed})
+            {"budget": args.budget})
 
 
 _EXAMPLE5_COLUMNS = ("depth", "cost_ones", "lambda_max", "mu",
@@ -199,15 +198,13 @@ def cmd_example5(args) -> tuple[int, dict]:
     clock = _stage_clock(timings)
     for depth in args.depths:
         inst = example5_instance(depth)
-        ones = ControlProcess.constant(domain, inst.tree, np.ones(1), "binary")
-        cost_ones = cost_direct(inst, ones)
         spectral = clock("spectrum", lambda_max, inst)
         h_plus, h_minus = (float(hamiltonian_mu(inst, 0, zeros1, sign * np.ones((1, 1)),
                                                 zeros1, zeros1, spectral.mu)[0])
                            for sign in (1.0, -1.0))
         row = {
             "depth": depth,
-            "cost_ones": cost_ones,
+            "cost_ones": cost_constant(inst, np.ones(1)),
             "lambda_max": spectral.lambda_max,
             "mu": spectral.mu,
             "hamiltonian_quadratic": 0.5 * (h_plus + h_minus),
@@ -290,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equivalence",
                        help="certify the shifted problem against the binary optimum")
     _add_common(p, mu=True)
-    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_positive_int,
+                   help="ignored (the relaxed minimum is exact); to be removed")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, help="ignored, as --samples")
     p.add_argument("--control-out", default=None,
                    help="write the binary optimum to this CSV file")
     p.set_defaults(func=functools.partial(_instance_command, cmd_equivalence))

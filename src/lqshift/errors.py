@@ -31,15 +31,15 @@ class ConvergenceError(LqshiftError):
 
 
 class BudgetExceededError(LqshiftError):
-    """The binary controls an exact optimum ranges over exceed the budget.
+    """The controls an exact optimum ranges over exceed the budget.
 
-    ``required`` is the control count, an ``int``, or a ``"V**E"`` string
-    where the count has too many digits to print.
+    ``required`` is the count of ``kind`` controls, an ``int``, or a
+    ``"V**E"`` string where the count has too many digits to print.
     """
 
-    def __init__(self, required, budget):
+    def __init__(self, required, budget, kind="binary"):
         super().__init__(
-            f"the optimum ranges over {required} binary controls, budget is {budget}"
+            f"the optimum ranges over {required} {kind} controls, budget is {budget}"
         )
         self.required = required
         self.budget = budget

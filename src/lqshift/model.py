@@ -478,6 +478,32 @@ def cost_direct(inst: LQInstance, u) -> float:
     return float(_cost_from_levels(inst, u.levels, x_levels, x_term))
 
 
+def cost_constant(inst: LQInstance, value) -> float:
+    """Cost of the control equal to ``value`` at every node, in O(depth)
+    memory: from the second moment ``Z = E[z z^T]`` of ``z = (x, 1)``, which
+    holds the state's mean and second moment, one per level.
+
+    An Euler step maps ``z`` to ``P z +- sqrt(dt) W z`` with ``P = [[I + dt A,
+    dt (B u + b)], [0, 1]]`` and ``W = [[C, D u + sigma], [0, 0]]``; the two
+    branches' cross terms cancel, so ``Z' = P Z P^T + dt W Z W^T``.  The
+    running cost is ``<K, Z>`` with ``K = [[Q, S^T u], [u^T S, <R u, u>]]``.
+    """
+    n, dt = inst.n, inst.tree.dt
+    u = np.asarray(value, dtype=float).reshape(inst.k)
+    z = np.append(inst.x0, 1.0)
+    Z = np.outer(z, z)
+    P, W, K = np.eye(n + 1), np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    total = 0.0
+    for m in range(inst.depth):
+        K[:n, :n], K[:n, n], K[n, :n] = inst.Q[m], u @ inst.S[m], u @ inst.S[m]
+        K[n, n] = u @ inst.R[m] @ u
+        total += dt * np.sum(K * Z)
+        P[:n, :n], P[:n, n] = np.eye(n) + dt * inst.A[m], dt * (inst.B[m] @ u + inst.b[m])
+        W[:n, :n], W[:n, n] = inst.C[m], inst.D[m] @ u + inst.sigma[m]
+        Z = P @ Z @ P.T + dt * (W @ Z @ W.T)
+    return float(0.5 * (total + np.sum(inst.G * Z[:n, :n])))
+
+
 def cost_many(inst: LQInstance, u_levels):
     """Costs of a batch of controls given as ``(batch, 2**m, k)`` level arrays."""
     x_levels, x_term = _forward_levels(inst, u_levels, inst.x0)

@@ -35,7 +35,7 @@ def test_checks_run_through_the_traced_names(tracing, bench2, free1):
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
     with tracing.instrumented(tracer):
         cli.run_checks(bench2, ones, -2.0)
-        cli.equivalence_check(bench2, free1, mu=-2.0, samples=16)
+        cli.equivalence_check(bench2, free1, mu=-2.0)
     names = {span[tracing.NAME] for span in tracer.spans}
     assert {"optimality.check_stationarity", "optimality.check_remark1_signs",
             "optimality.check_general_smp", "optimality.solve_second_adjoint",

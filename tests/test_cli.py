@@ -174,8 +174,7 @@ def test_unreadable_control_files_exit_5(capsys, bench_file, tmp_path):
 
 
 def test_equivalence(capsys, bench_file):
-    code, report = run_cli(capsys, "equivalence", bench_file,
-                           "--samples", "256")
+    code, report = run_cli(capsys, "equivalence", bench_file)
     assert code == 0
     result = report["result"]
     assert result["ok"] is True
@@ -192,7 +191,7 @@ def test_equivalence_certifies_a_given_mu(capsys):
     """A given mu that does not make the quadratic part concave fails the
     certificate, and the report carries the true lambda_max, not -mu."""
     code, report = run_cli(capsys, "equivalence", EXAMPLE5, "--depth", "3",
-                           "--mu", "-1", "--samples", "64")
+                           "--mu", "-1")
     assert code == 1
     result = report["result"]
     assert result["ok"] is False
@@ -206,7 +205,7 @@ def test_equivalence_certifies_a_given_mu(capsys):
         f"fails at level {concavity['pivot_level']}"]
 
     code, report = run_cli(capsys, "equivalence", EXAMPLE5, "--depth", "3",
-                           "--mu", "-3", "--samples", "64")
+                           "--mu", "-3")
     assert code == 0
     assert report["result"]["concavity"]["ok"] is True
     assert report["result"]["warnings"] == []
@@ -221,7 +220,7 @@ def test_equivalence_certifies_a_given_mu(capsys):
      {"spectrum", "load_control", "search", "checks"}),
     (["verify", "--control", "CONTROL"], {"control", "kind", "mu"},
      {"load_control", "spectrum", "checks"}),
-    (["equivalence"], {"samples", "budget", "seed", "mu"}, {"equivalence"}),
+    (["equivalence"], {"budget", "mu"}, {"equivalence"}),
     (["example5"], {"depths", "budget"}, {"spectrum", "oracle"}),
 ], ids=["validate", "spectrum", "spectrum-certify", "solve", "solve-start", "verify",
         "equivalence", "example5"])
@@ -376,13 +375,20 @@ def test_option_bounds_are_accepted(capsys, bench_file):
     assert report["result"]["depths"][0]["optimum"] is None
     code, report = run_cli(capsys, "equivalence", bench_file, "--seed", "0")
     assert code == 0
-    assert report["parameters"]["seed"] == 0
+    assert "seed" not in report["parameters"]
 
 
 def test_smallest_counts_run(capsys, bench_file):
-    code, report = run_cli(capsys, "equivalence", bench_file, "--samples", "1")
+    """``--samples`` and ``--seed`` still parse, and change nothing: the
+    relaxed minimum is exact."""
+    code, plain = run_cli(capsys, "equivalence", bench_file)
     assert code == 0
-    assert report["result"]["relaxed"]["samples"] == 1
+    for flags in (("--samples", "1"), ("--samples", "64", "--seed", "7")):
+        code, report = run_cli(capsys, "equivalence", bench_file, *flags)
+        assert code == 0
+        assert report["parameters"] == plain["parameters"] == {"budget": 10 ** 6, "mu": "auto"}
+        assert report["result"] == plain["result"]
+    assert plain["result"]["relaxed"] == {"min_cost": 0.0, "margin": 0.0, "slack": 5e-09}
 
 
 EXAMPLE5 = str(resources.files("lqshift").joinpath("data/example5.json"))
@@ -404,6 +410,17 @@ def test_refusals_past_the_digit_limit_keep_their_exit_codes(capsys):
                       "budget": 1000000}
 
 
+def test_example5_rows_run_past_the_node_memory_bound(capsys):
+    """Depth 30 has 2**30 nodes a level: the all-ones cost comes from one
+    second moment per level, and only the optimum is skipped."""
+    code, report = run_cli(capsys, "example5", "--depths", "2,30")
+    assert code == 0
+    shallow, deep = report["result"]["depths"]
+    assert shallow["cost_ones"] == 0.75
+    assert deep["cost_ones"] == pytest.approx(1.5 - 31 / 60, rel=1e-12, abs=0)
+    assert deep["optimum"] is None
+
+
 def test_deep_trees_run_where_nothing_is_per_node(capsys):
     code, report = run_cli(capsys, "spectrum", EXAMPLE5, "--depth", "200", "--certify")
     assert code == 0
@@ -417,7 +434,8 @@ def test_deep_trees_run_where_nothing_is_per_node(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("solve", EXAMPLE5, "--depth", "40"),
-    ("equivalence", EXAMPLE5, "--samples", "1000000000"),
+    # 4 ** 13 leaf states, once the budget admits the 2 ** 8191 controls
+    ("equivalence", EXAMPLE5, "--depth", "13", "--budget", str(2 ** 8191)),
     # no address space holds the coefficients at this depth, so even
     # unguarded it fails at once instead of allocating
     ("validate", EXAMPLE5, "--depth", str(HUGE)),
@@ -493,7 +511,7 @@ def test_verify_repeats_the_equivalence_stationarity(capsys, tmp_path):
         path.write_text(json.dumps(lq.dump_instance(inst, domain)))
         for mu in ("auto", "-3"):
             code, report = run_cli(capsys, "equivalence", str(path), "--mu", mu,
-                                   "--samples", "256", "--control-out", str(control))
+                                   "--control-out", str(control))
             assert code in (0, 1)
             expected = report["result"]["stationarity"]
             code, report = run_cli(capsys, "verify", str(path), "--mu", mu,
@@ -512,8 +530,7 @@ def test_near_binary_control_files_read_as_their_vertices(capsys, tmp_path):
         inst, domain = random_instance(seed, depth_max=3)
         path = tmp_path / f"inst{seed}.json"
         path.write_text(json.dumps(lq.dump_instance(inst, domain)))
-        run_cli(capsys, "equivalence", str(path), "--samples", "16",
-                "--control-out", str(exact))
+        run_cli(capsys, "equivalence", str(path), "--control-out", str(exact))
         # the file writes each 1 as 1.0, and its integer fields hold no "."
         near.write_bytes(exact.read_bytes().replace(b"1.0", b"0.9999999995"))
         assert b"0.9999999995" in near.read_bytes(), seed
@@ -612,7 +629,7 @@ def _not_utf8(tmp_path):
     (lambda tmp: ["spectrum", EXAMPLE5, "--depth", "2200"], 0),
     (lambda tmp: ["solve", EXAMPLE5], 0),
     (_written_verify, 0),
-    (lambda tmp: ["equivalence", EXAMPLE5, "--samples", "256"], 0),
+    (lambda tmp: ["equivalence", EXAMPLE5], 0),
     (lambda tmp: ["example5", "--depths", "2,3"], 0),
     (_overflow_verify, 1),
     (lambda tmp: ["equivalence", _overflow_instance(tmp, depth=2), "--mu", "-3"], 1),

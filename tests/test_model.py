@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.model import MEMBERSHIP_TOL, _flat_matmul, check_coefficient_memory
+from lqshift.model import MEMBERSHIP_TOL, _flat_matmul, check_coefficient_memory, cost_constant
 
 import oracles
 from conftest import all_scalar_binary_controls
@@ -116,6 +116,31 @@ def test_cost_matches_closed_form(bits_control):
         control = bits_control(inst.tree, bits)
         expected = cost_closed_form(inst, control)
         assert lq.cost_direct(inst, control) == pytest.approx(expected, abs=1e-12)
+
+
+def test_constant_control_cost_matches_the_sweep():
+    """The per-level second-moment form of a constant control's cost equals
+    the forward sweep's to 1e-12, relative, at every depth both run."""
+    cases = [(f"example 5 depth {d}", lq.example5_instance(d), np.ones(1))
+             for d in range(1, 13)]
+    for seed in range(40):
+        inst, _ = oracles.random_instance(seed, n_max=3, k_max=3, depth_max=12,
+                                          with_sources=seed % 2 == 0)
+        value = np.random.default_rng(seed).uniform(size=inst.k)
+        cases.append((f"seed {seed}", inst, value))
+    for label, inst, value in cases:
+        control = lq.ControlProcess.constant(lq.ControlDomain.free(inst.k), inst.tree,
+                                             value, "relaxed")
+        want = lq.cost_direct(inst, control)
+        assert cost_constant(inst, value) == pytest.approx(want, rel=1e-12, abs=0), label
+
+
+def test_constant_control_cost_runs_past_the_node_memory_bound():
+    """Example 5's all-ones cost is 3/2 - (N + 1)/(2N) at depth N; at depth
+    40 the sweep would need 2**40 nodes, the moment form one matrix."""
+    for depth in (2, 30, 40, 1000):
+        assert cost_constant(lq.example5_instance(depth), np.ones(1)) == pytest.approx(
+            1.5 - (depth + 1) / (2.0 * depth), rel=1e-12, abs=0), depth
 
 
 def test_cost_many_agrees_with_direct(free1):

@@ -106,52 +106,99 @@ def test_random_instance_is_deterministic():
 
 
 def test_equivalence_certificate_benchmark(bench2, free1):
-    cert, oracle = lq.equivalence_check(bench2, free1, samples=512, seed=0)
+    cert, oracle = lq.equivalence_check(bench2, free1)
     assert cert.ok
     assert cert.lambda_max == pytest.approx(2.0, abs=1e-8)
     assert cert.mu == pytest.approx(-2.0, abs=1e-8)
     assert cert.binary_enumerated == 8
     assert cert.binary_max_shift_gap == 0.0
-    assert cert.relaxed_samples == 512
-    assert cert.relaxed_margin >= 0.0
     assert cert.stationarity_ok
     assert cert.warnings == ()
     assert oracle.cost == 0.0
     d = cert.to_dict()
     assert d["binary"]["enumerated"] == 8
-    assert d["relaxed"]["samples"] == 512
+    # the free box's vertices are binary: the relaxed minimum is the binary one
+    assert d["relaxed"] == {"min_cost": 0.0, "margin": 0.0, "slack": 0.5 * 1e-8}
     assert d["ok"] is True
+
+
+def _cut_cases():
+    """Seeded instances, free and under ``sum u <= 1`` (binary vertices) and
+    ``sum u <= k - 1/2`` (fractional vertices), with the exact concavity
+    shift."""
+    for seed in range(12):
+        inst, free = oracles.random_instance(seed, with_sources=seed % 2 == 0)
+        yield f"seed {seed} free", inst, free
+        for bound in (1.0, inst.k - 0.5):
+            cut = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), bound),))
+            yield f"seed {seed} cut {bound}", inst, cut
+
+
+def _fractional(domain):
+    verts = domain.relaxed_vertices()
+    return bool(np.any(np.abs(verts * (verts - 1.0)) > 1e-12))
+
+
+def _vertex_controls(inst, verts):
+    """Every control taking a vertex of ``verts`` at every node."""
+    nodes = inst.tree.num_nodes(inst.depth) - 1
+    codes = np.arange(verts.shape[0] ** nodes, dtype=np.int64)
+    return oracles.decode_levels_reference(inst.tree, verts, codes)
 
 
 def test_equivalence_on_random_instances():
     for seed in (0, 1, 2):
         inst, domain = oracles.random_instance(seed)
-        cert, _ = lq.equivalence_check(inst, domain, samples=512, seed=seed)
+        cert, oracle = lq.equivalence_check(inst, domain)
         assert cert.ok, f"seed {seed}"
         assert cert.binary_max_shift_gap == 0.0
-        assert cert.relaxed_margin >= -1e-9
+        assert cert.relaxed_min_cost == cert.binary_best_cost == oracle.cost
+        assert cert.relaxed_margin == 0.0
 
 
-def test_relaxed_samples_are_costed_in_slices(monkeypatch):
-    """One draw, costed slice by slice, gives the minimum of the whole batch."""
-    batches = []
-    costed = oracle_mod.shifted_cost_many
+def test_binary_relaxed_vertices_give_the_binary_minimum():
+    """Where every relaxed vertex is binary, the relaxed minimum is the
+    binary optimum bit for bit, and the slack is tol/2 T max_v <v, v>."""
+    compared = 0
+    for label, inst, domain in _cut_cases():
+        if _fractional(domain):
+            continue
+        cert, _ = lq.equivalence_check(inst, domain)
+        assert cert.relaxed_min_cost == cert.binary_best_cost, label
+        assert cert.relaxed_margin == 0.0, label
+        top = float(np.max(np.sum(domain.binary_vertices() ** 2, axis=-1)))
+        assert cert.relaxed_slack == 0.5 * cert.concavity.tol * inst.T * top, label
+        compared += 1
+    assert compared >= 24
 
-    def counting(inst, levels, mu):
-        batches.append(levels[0].shape[0])
-        return costed(inst, levels, mu)
 
-    monkeypatch.setattr(oracle_mod, "RELAXED_SLICE", 100)
-    monkeypatch.setattr(oracle_mod, "shifted_cost_many", counting)
-    for seed in range(4):
-        inst, _ = oracles.random_instance(seed, k_max=2, with_sources=True)
-        domain = lq.ControlDomain(k=inst.k, halfspaces=((np.ones(inst.k), 0.9),))
-        batches.clear()
-        cert, _ = lq.equivalence_check(inst, domain, mu=-2.0, samples=250, seed=seed)
-        assert batches == [100, 100, 50]
-        draw = lq.sample_relaxed_levels(domain, inst.tree, 250, np.random.default_rng(seed))
-        whole = costed(inst, draw, -2.0)
-        assert cert.relaxed_min_cost == float(np.min(whole)), f"seed {seed}"
+def test_exact_relaxed_minimum_is_never_above_a_sample():
+    """At the certified shift, no sampled relaxed control costs less than
+    the exact relaxed minimum minus its slack."""
+    for i, (label, inst, domain) in enumerate(_cut_cases()):
+        cert, _ = lq.equivalence_check(inst, domain)
+        assert cert.concavity.ok, label
+        draw = lq.sample_relaxed_levels(domain, inst.tree, 2000, np.random.default_rng(i))
+        least = float(np.min(lq.shifted_cost_many(inst, draw, cert.mu)))
+        assert cert.relaxed_min_cost - cert.relaxed_slack <= least + 1e-12 * max(
+            1.0, abs(least)), label
+
+
+def test_relaxed_recursion_matches_every_vertex_control():
+    """Over fractional vertices, the relaxed minimum is the least shifted
+    cost of all V_r ** (2^N - 1) vertex-valued controls."""
+    compared = 0
+    for label, inst, domain in _cut_cases():
+        if not _fractional(domain):
+            continue
+        cert, _ = lq.equivalence_check(inst, domain)
+        costs = lq.shifted_cost_many(inst, _vertex_controls(inst, domain.relaxed_vertices()),
+                                     cert.mu)
+        want = float(np.min(costs))
+        assert abs(cert.relaxed_min_cost - want) <= 1e-12 * oracles.cost_bound(inst), label
+        assert cert.relaxed_margin == cert.relaxed_min_cost - cert.binary_best_cost, label
+        compared += 1
+    assert compared >= 12
 
 
 def _enum_input(seed):
@@ -296,7 +343,7 @@ def test_shift_gap_is_zero_on_every_binary_control():
     for label, inst, domain in cases:
         _, max_penalty = oracles.brute_force_reference(inst, domain)
         assert max_penalty == 0.0, label
-        cert, _ = lq.equivalence_check(inst, domain, samples=64, seed=0)
+        cert, _ = lq.equivalence_check(inst, domain)
         assert cert.mu != 0.0, label
         assert cert.binary_max_shift_gap == 0.0, label
     assert cut.binary_vertices().shape[0] == 3
@@ -356,9 +403,10 @@ def test_shift_is_needed_for_vertex_optimality(free1):
     """With a convex cost the relaxed problem beats every binary control.
 
     Fractional controls strictly undercut the binary minimum until the
-    spectral shift makes the objective concave; afterwards no sampled
-    relaxed control does better.  This is the observable content of the
-    equivalence certificate.
+    spectral shift makes the objective concave; afterwards the relaxed
+    minimum is taken at a vertex, so it is the binary minimum, and no
+    sampled relaxed control does better.  This is the observable content
+    of the equivalence certificate.
     """
     inst = lq.LQInstance.constant(depth=2, n=1, k=1, D=1.0, Q=2.0,
                                   S=[[-0.3]], R=1.0, G=2.0, x0=[1.0])
@@ -371,20 +419,45 @@ def test_shift_is_needed_for_vertex_optimality(free1):
     shifted = lq.shifted_cost_many(inst, levels, report.mu)
     assert float(np.min(raw)) < oracle.cost - 5e-3
     assert float(np.min(shifted)) >= oracle.cost - 1e-9
-    cert, _ = lq.equivalence_check(inst, free1, samples=2000, seed=3)
+    cert, _ = lq.equivalence_check(inst, free1)
     assert cert.ok
-    assert cert.relaxed_margin > 1e-2
+    assert cert.relaxed_min_cost == oracle.cost and cert.relaxed_margin == 0.0
+    assert float(np.min(shifted)) > cert.relaxed_min_cost + 1e-2
 
 
-def test_equivalence_warns_on_fractional_vertices():
-    inst = lq.LQInstance.constant(depth=1, n=1, k=2, D=[[0.4, 0.2]],
+def _fractional_cut_case(depth):
+    """A concave cost that the fractional vertices (1, 1/2) and (1/2, 1) of
+    ``u1 + u2 <= 1.5`` undercut."""
+    inst = lq.LQInstance.constant(depth=depth, n=1, k=2, D=[[0.4, 0.2]],
                                   Q=2.0, R=[[-1.0, 0.0], [0.0, -0.5]], G=1.0)
-    cut = lq.ControlDomain(k=2, halfspaces=((np.array([1.0, 1.0]), 1.5),))
-    cert, _ = lq.equivalence_check(inst, cut, samples=256, seed=0)
-    assert len(cert.warnings) == 1
-    assert "vertices" in cert.warnings[0]
+    return inst, lq.ControlDomain(k=2, halfspaces=((np.array([1.0, 1.0]), 1.5),))
+
+
+def test_fractional_vertex_below_the_binary_minimum_fails():
+    """The relaxed minimum sits at a fractional vertex below the binary one:
+    the certificate fails although concavity, the shift gap and
+    stationarity hold, and the minimum is the least over every
+    vertex-valued control."""
+    for depth in (1, 2):
+        inst, cut = _fractional_cut_case(depth)
+        cert, _ = lq.equivalence_check(inst, cut)
+        assert cert.concavity.ok and cert.binary_max_shift_gap == 0.0
+        assert cert.relaxed_margin < -1e-2, depth
+        assert not cert.ok and cert.warnings == ()
+        costs = lq.shifted_cost_many(inst, _vertex_controls(inst, cut.relaxed_vertices()),
+                                     cert.mu)
+        assert cert.relaxed_min_cost == pytest.approx(float(np.min(costs)), rel=1e-12, abs=0)
+        assert cert.relaxed_min_cost < cert.binary_best_cost
 
 
 def test_equivalence_respects_budget(bench2, free1):
     with pytest.raises(lq.BudgetExceededError):
-        lq.equivalence_check(bench2, free1, samples=16, budget=4)
+        lq.equivalence_check(bench2, free1, budget=4)
+    # one binary vertex, two relaxed ones: the relaxed recursion counts
+    # 2 ** 3 controls against the same budget
+    half = lq.ControlDomain(k=1, halfspaces=((np.ones(1), 0.5),))
+    assert lq.brute_force_binary(bench2, half, budget=4).enumerated == 1
+    with pytest.raises(lq.BudgetExceededError) as excinfo:
+        lq.equivalence_check(bench2, half, budget=4)
+    assert excinfo.value.required == 8
+    assert str(excinfo.value) == "the optimum ranges over 8 vertex-valued controls, budget is 4"

@@ -177,12 +177,11 @@ def cmd_verify(args, inst, domain, clock):
 
 
 def cmd_equivalence(args, inst, domain, clock):
-    cert, oracle = clock("equivalence", equivalence_check, inst, domain, mu=args.mu,
-                         budget=args.budget)
+    cert = clock("equivalence", equivalence_check, inst, domain, mu=args.mu,
+                 budget=args.budget)
     if args.control_out:
-        write_control_csv(args.control_out, oracle.control)
-    return ((0 if cert.ok else 1), {**cert.to_dict(), "oracle": oracle.to_dict()},
-            {"budget": args.budget})
+        write_control_csv(args.control_out, cert.oracle.control)
+    return (0 if cert.ok else 1), cert.to_dict(), {"budget": args.budget}
 
 
 _EXAMPLE5_COLUMNS = ("depth", "cost_ones", "lambda_max", "mu",
@@ -211,9 +210,8 @@ def cmd_example5(args) -> tuple[int, dict]:
             "hamiltonian_linear": 0.5 * (h_plus - h_minus),
         }
         try:
-            oracle = clock("oracle", brute_force_binary, inst, domain, budget=args.budget)
-            row["optimum"] = {"cost": oracle.cost, "enumerated": oracle.enumerated,
-                              "tie_count": oracle.tie_count}
+            row["optimum"] = clock("oracle", brute_force_binary, inst, domain,
+                                   budget=args.budget).to_dict()
         except BudgetExceededError as exc:
             row["optimum"] = None
             row["optimum_skipped"] = str(exc)

@@ -262,41 +262,23 @@ def enumerate_binary_vertices(domain: ControlDomain) -> np.ndarray:
             f"k = {domain.k} exceeds the binary enumeration cap {BINARY_VERTEX_CAP}"
         )
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=domain.k)))
-    keep = np.ones(corners.shape[0], dtype=bool)
-    for g, h in domain.halfspaces:
-        keep &= corners @ g <= h + MEMBERSHIP_TOL
-    return corners[keep]
+    return corners[domain.contains_binary(corners)]
 
 
 def relaxed_vertices(domain: ControlDomain) -> np.ndarray:
     """Extreme points of the relaxed set (unit box cut by the halfspaces).
 
-    Without halfspaces these are the box corners.  With halfspaces the
-    vertices are enumerated by solving every ``k``-subset of the active
-    constraint candidates, which is adequate at the dimensions this package
-    targets.
+    Without halfspaces these are the box corners, the binary vertices.  With
+    halfspaces the vertices are enumerated by solving every ``k``-subset of
+    the active constraint candidates, which is adequate at the dimensions
+    this package targets.
     """
-    k = domain.k
     if not domain.halfspaces:
-        if k > RELAXED_VERTEX_DIM_CAP:
-            raise VertexEnumerationError(
-                f"k = {k} exceeds the vertex enumeration cap {RELAXED_VERTEX_DIM_CAP}"
-            )
-        return np.array(list(itertools.product((0.0, 1.0), repeat=k)))
-    rows = []
-    rhs = []
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = 1.0
-        rows.append(e.copy())
-        rhs.append(0.0)  # u_i = 0
-        rows.append(e)
-        rhs.append(1.0)  # u_i = 1
-    for g, h in domain.halfspaces:
-        rows.append(np.asarray(g))
-        rhs.append(float(h))
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs)
+        return domain.binary_vertices()
+    k = domain.k
+    # u_i = 0 and u_i = 1 for each i, then <g, u> = h for each halfspace
+    rows = np.concatenate([np.repeat(np.eye(k), 2, axis=0), [g for g, _ in domain.halfspaces]])
+    rhs = np.array([0.0, 1.0] * k + [h for _, h in domain.halfspaces])
     total = math.comb(len(rows), k)
     if k > RELAXED_VERTEX_DIM_CAP or total > 100_000:
         raise VertexEnumerationError(

@@ -30,7 +30,7 @@ from .model import (
     ControlProcess,
     LQInstance,
     _cost_from_levels,
-    cost_direct,
+    cost_direct,  # unused here; the benchmark tracer rebinds it
     forward_state,
 )
 from .operators import solve_linear_bsde
@@ -321,18 +321,22 @@ def run_checks(inst: LQInstance, control: ControlProcess, mu: float, *,
 
 @dataclass(frozen=True)
 class MsaResult:
-    """The control a search ends on.  ``trajectory`` is that control's
-    :class:`Trajectory` when the search built it (at a fixed point or a
-    cycle), and None at the iteration cap, where the last iterate is never
-    swept; it is left out of ``to_dict``."""
+    """The control a search ends on, held as its :class:`Trajectory`; the
+    trajectory is left out of ``to_dict``."""
 
-    control: ControlProcess
-    cost: float
+    trajectory: Trajectory
     cost_shifted: float
     status: str
     iterations: int
     history: tuple
-    trajectory: Trajectory | None = None
+
+    @property
+    def control(self) -> ControlProcess:
+        return self.trajectory.control
+
+    @property
+    def cost(self) -> float:
+        return self.trajectory.cost
 
     def to_dict(self) -> dict:
         return {
@@ -356,7 +360,7 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
     cost concave its linearization bounds it from above, so a sweep never
     raises it.  Revisiting a control detects a cycle, in which case the
     best-shifted-cost iterate seen is returned; hitting ``max_iter``
-    returns the last iterate.
+    returns the last iterate, swept once more for its trajectory.
     """
     verts = domain.binary_vertices()
     if verts.shape[0] == 0:
@@ -370,35 +374,30 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
         current = start
 
     seen = set()
-    best_shifted = math.inf
-    best_control, best_traj = current, None
-    traj = None  # ``current``'s trajectory, once built
+    best = (math.inf, None)  # the least shifted cost seen, with its trajectory
     history = []
-    status = "max-iter"
-    iterations = 0
+    it = 0
     for it in range(1, max_iter + 1):
-        iterations = it
         key = np.packbits(np.concatenate(current.levels) != 0.0).tobytes()
         if key in seen:
             status = "cycle"
-            current, traj = best_control, best_traj
+            shifted, traj = best
             break
         seen.add(key)
         traj = Trajectory.of(inst, current)
         shifted = shifted_cost(inst, current, mu, base_cost=traj.cost)
         history.append(shifted)
-        if shifted < best_shifted:
-            best_shifted, best_control, best_traj = shifted, current, traj
+        if shifted < best[0]:
+            best = (shifted, traj)
 
         proposals = [verts[np.argmax(g @ verts.T, axis=1)] for g in traj.gradient(inst, mu)]
         if all(np.array_equal(p, u) for p, u in zip(proposals, current.levels)):
             status = "fixed-point"
             break
         current = ControlProcess.from_levels(domain, tree, proposals, "binary")
-        traj = None
-
-    final_cost = cost_direct(inst, current) if traj is None else traj.cost
-    final_shifted = shifted_cost(inst, current, mu, base_cost=final_cost)
-    return MsaResult(control=current, cost=final_cost, cost_shifted=final_shifted,
-                     status=status, iterations=iterations, history=tuple(history),
-                     trajectory=traj)
+    else:
+        status = "max-iter"
+        traj = Trajectory.of(inst, current)
+        shifted = shifted_cost(inst, current, mu, base_cost=traj.cost)
+    return MsaResult(trajectory=traj, cost_shifted=shifted, status=status,
+                     iterations=it, history=tuple(history))

@@ -25,7 +25,7 @@ from .model import (
     cost_many,
     sample_relaxed_levels,  # unused here; the benchmark tracer rebinds it
 )
-from .optimality import Trajectory, check_stationarity
+from .optimality import CheckResult, Trajectory, check_stationarity
 from .spectral import ConcavityCertificate, certify_concavity, lambda_max, shifted_cost_many
 from .tree import ScenarioTree, check_node_memory
 
@@ -193,26 +193,37 @@ class EquivalenceCertificate:
     raw costs agree on every binary control (``binary_max_shift_gap`` bounds
     their difference, from the binary vertices); the relaxed minimum, which
     a concave cost attains at a control of relaxed vertices, is not below
-    the binary one (``relaxed_margin``, 0.0 where every relaxed vertex is
-    binary); and the binary minimizer passes the first-order check.
-    ``relaxed_slack``, ``tol/2 T max_v <v, v>``, bounds how far a relaxed
-    control may sit below that minimum when concavity holds only up to
-    ``tol``.  ``warnings`` names the level where the concavity test fails.
+    the binary one, ``oracle.cost`` (``relaxed_margin``, 0.0 where every
+    relaxed vertex is binary); and the binary minimizer passes the
+    first-order check (``stationarity``).  ``relaxed_slack``, ``tol/2 T
+    max_v <v, v>``, bounds how far a relaxed control may sit below that
+    minimum when concavity holds only up to ``tol``.
     """
 
     mu: float
     lambda_max: float
     concavity: ConcavityCertificate
-    binary_enumerated: int
-    binary_best_cost: float
+    oracle: OracleResult
     binary_max_shift_gap: float
     relaxed_min_cost: float
-    relaxed_margin: float
     relaxed_slack: float
-    stationarity_ok: bool
-    stationarity_violation: float
-    warnings: tuple
-    ok: bool
+    stationarity: CheckResult
+
+    @property
+    def relaxed_margin(self) -> float:
+        return self.relaxed_min_cost - self.oracle.cost
+
+    @property
+    def warnings(self) -> tuple:
+        if self.concavity.ok:
+            return ()
+        return (f"the shift does not make the quadratic part concave: the Riccati "
+                f"test fails at level {self.concavity.pivot_level}",)
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.concavity.ok and self.binary_max_shift_gap <= BINARY_SHIFT_TOL
+                    and self.relaxed_margin >= -RELAXED_MARGIN_TOL and self.stationarity.ok)
 
     def to_dict(self) -> dict:
         return {
@@ -220,8 +231,8 @@ class EquivalenceCertificate:
             "lambda_max": self.lambda_max,
             "concavity": self.concavity.to_dict(),
             "binary": {
-                "enumerated": self.binary_enumerated,
-                "best_cost": self.binary_best_cost,
+                "enumerated": self.oracle.enumerated,
+                "best_cost": self.oracle.cost,
                 "max_shift_gap": self.binary_max_shift_gap,
             },
             "relaxed": {
@@ -230,9 +241,10 @@ class EquivalenceCertificate:
                 "slack": self.relaxed_slack,
             },
             "stationarity": {
-                "ok": self.stationarity_ok,
-                "violation": self.stationarity_violation,
+                "ok": self.stationarity.ok,
+                "violation": self.stationarity.violation,
             },
+            "oracle": self.oracle.to_dict(),
             "warnings": list(self.warnings),
             "ok": self.ok,
         }
@@ -242,13 +254,17 @@ class EquivalenceCertificate:
 @np.errstate(over="ignore", invalid="ignore")
 def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
                       mu: float | None = None,
-                      budget: int = DEFAULT_BUDGET) -> tuple[EquivalenceCertificate, OracleResult]:
+                      budget: int = DEFAULT_BUDGET) -> EquivalenceCertificate:
+    """Certify that the shift ``mu``, by default ``-lambda_max``, makes the
+    relaxed minimum the binary one: the concavity test at ``mu``, the binary
+    optimum and the relaxed minimum over controls of relaxed vertices (both
+    by :func:`_vertex_minimum`, under ``budget``), and stationarity at that
+    optimum; see :class:`EquivalenceCertificate`."""
     lam = lambda_max(inst).lambda_max
     mu_val = -lam if mu is None else float(mu)
     concavity = certify_concavity(inst, mu_val, top=lam)
 
     oracle = brute_force_binary(inst, domain, budget=budget)
-    best = oracle.cost
     # A control's <u, u> - <1, u> sums one vertex term per node with
     # weights dt 2**-m, which add up to T: this bounds every control's gap,
     # and is exactly 0.0 on 0/1 vertices.
@@ -256,30 +272,16 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
     max_gap = 0.5 * abs(mu_val) * inst.T * float(
         np.max(np.abs(np.sum(verts * (verts - 1.0), axis=-1))))
 
-    rv = domain.relaxed_vertices() if domain.halfspaces else verts
-    relaxed_min = best
+    rv = domain.relaxed_vertices()
+    relaxed_min = oracle.cost
     if np.any(np.abs(rv * (rv - 1.0)) > 1e-12):
         levels = _vertex_minimum(inst, rv, budget, mu_val * np.sum(rv * (rv - 1.0), axis=-1),
                                  "vertex-valued")[0]
         relaxed_min = float(shifted_cost_many(inst, [lvl[None] for lvl in levels], mu_val)[0])
-    margin = relaxed_min - best
     slack = 0.5 * concavity.tol * inst.T * float(np.max(np.sum(rv * rv, axis=-1)))
 
-    stat = check_stationarity(inst, Trajectory.of(inst, oracle.control), mu_val)
-
-    warnings = []
-    if not concavity.ok:
-        warnings.append(
-            f"the shift does not make the quadratic part concave: the Riccati "
-            f"test fails at level {concavity.pivot_level}")
-    ok = (concavity.ok and max_gap <= BINARY_SHIFT_TOL
-          and margin >= -RELAXED_MARGIN_TOL and stat.ok)
-    cert = EquivalenceCertificate(
-        mu=mu_val, lambda_max=lam, concavity=concavity,
-        binary_enumerated=oracle.enumerated, binary_best_cost=best,
-        binary_max_shift_gap=max_gap,
-        relaxed_min_cost=relaxed_min, relaxed_margin=margin, relaxed_slack=slack,
-        stationarity_ok=stat.ok, stationarity_violation=stat.violation,
-        warnings=tuple(warnings), ok=bool(ok),
+    return EquivalenceCertificate(
+        mu=mu_val, lambda_max=lam, concavity=concavity, oracle=oracle,
+        binary_max_shift_gap=max_gap, relaxed_min_cost=relaxed_min, relaxed_slack=slack,
+        stationarity=check_stationarity(inst, Trajectory.of(inst, oracle.control), mu_val),
     )
-    return cert, oracle

@@ -223,11 +223,11 @@ def test_equivalence_certificates():
         all_ok = True
         for seed in range(20):
             inst, domain = random_instance(seed)
-            cert, _ = lq.equivalence_check(inst, domain)
+            cert = lq.equivalence_check(inst, domain)
             worst_gap = max(worst_gap, cert.binary_max_shift_gap)
             worst_margin = min(worst_margin, cert.relaxed_margin)
-            all_ok = (all_ok and cert.ok and cert.stationarity_ok
-                      and cert.relaxed_min_cost == cert.binary_best_cost)
+            all_ok = (all_ok and cert.ok and cert.stationarity.ok
+                      and cert.relaxed_min_cost == cert.oracle.cost)
         state["ok"] = all_ok and worst_gap <= 1e-11 and worst_margin >= -1e-9
         state["detail"] = f"gap {worst_gap:.1e}, margin {worst_margin:.2e}"
 

@@ -230,6 +230,16 @@ def test_free_domain_vertices():
     assert not dom.contains_relaxed(np.array([[1.2, 0.0]]))[0]
 
 
+def test_free_relaxed_vertices_are_the_binary_vertices():
+    """Without cuts the relaxed vertices are the binary ones, past the
+    relaxed enumeration's dimension cap of 12 too."""
+    for k in range(1, 14):
+        dom = lq.ControlDomain.free(k)
+        binary = dom.binary_vertices()
+        assert binary.shape == (2 ** k, k)
+        np.testing.assert_array_equal(dom.relaxed_vertices(), binary)
+
+
 def test_binary_membership_matches_the_vertex_distance():
     """The nearest-corner test agrees with the distance to every vertex."""
     rng = np.random.default_rng(4)

@@ -326,12 +326,37 @@ def test_msa_sweeps_once_per_iteration(sweep_counter, bench2, free1):
             assert result.status in ("fixed-point", "cycle")
             assert sweep_counter["forward"] <= result.iterations
             assert sweep_counter["backward"] <= result.iterations
-    # at the cap the last iterate is costed, with one forward sweep only
+    # at the cap the last iterate is swept once more for its trajectory, and
+    # the checks solve runs on it make no further sweep
     ones = lq.ControlProcess.constant(free1, bench2.tree, np.ones(1), "binary")
     sweep_counter.update(forward=0, backward=0)
     capped = lq.msa_candidate_search(bench2, free1, mu=-2.0, start=ones, max_iter=1)
     assert capped.status == "max-iter"
-    assert sweep_counter == {"forward": 2, "backward": 1}
+    assert sweep_counter == {"forward": 2, "backward": 2}
+    lq.run_checks(bench2, capped.control, -2.0, trajectory=capped.trajectory)
+    assert sweep_counter == {"forward": 2, "backward": 2}
+
+
+def test_search_at_the_cap_keeps_the_last_trajectory():
+    """At the iteration cap the search's trajectory is the last iterate's,
+    bit for bit as ``Trajectory.of`` builds it: cost and every ``base``
+    level."""
+    capped = 0
+    for seed in range(30):
+        inst, domain = random_instance(seed, depth_max=4)
+        for max_iter in (1, 2, 3):
+            search = lq.msa_candidate_search(inst, domain, 0.0, max_iter=max_iter)
+            if search.status != "max-iter":
+                continue
+            capped += 1
+            want = lq.Trajectory.of(inst, search.control)
+            assert search.cost == want.cost == lq.cost_direct(inst, search.control)
+            assert search.cost_shifted == lq.shifted_cost(inst, search.control, 0.0,
+                                                          base_cost=want.cost)
+            assert len(search.trajectory.base) == len(want.base) == inst.depth
+            for got, ref in zip(search.trajectory.base, want.base):
+                np.testing.assert_array_equal(got, ref)
+    assert capped >= 10
 
 
 def _traced(call):

@@ -106,17 +106,20 @@ def test_random_instance_is_deterministic():
 
 
 def test_equivalence_certificate_benchmark(bench2, free1):
-    cert, oracle = lq.equivalence_check(bench2, free1)
+    cert = lq.equivalence_check(bench2, free1)
     assert cert.ok
     assert cert.lambda_max == pytest.approx(2.0, abs=1e-8)
     assert cert.mu == pytest.approx(-2.0, abs=1e-8)
-    assert cert.binary_enumerated == 8
+    assert cert.oracle.enumerated == 8
     assert cert.binary_max_shift_gap == 0.0
-    assert cert.stationarity_ok
+    assert cert.stationarity.ok
     assert cert.warnings == ()
-    assert oracle.cost == 0.0
+    assert cert.oracle.cost == 0.0
     d = cert.to_dict()
-    assert d["binary"]["enumerated"] == 8
+    assert d["binary"] == {"enumerated": 8, "best_cost": 0.0, "max_shift_gap": 0.0}
+    assert d["oracle"] == cert.oracle.to_dict() == {"cost": 0.0, "enumerated": 8,
+                                                    "tie_count": 1}
+    assert d["stationarity"] == {"ok": True, "violation": cert.stationarity.violation}
     # the free box's vertices are binary: the relaxed minimum is the binary one
     assert d["relaxed"] == {"min_cost": 0.0, "margin": 0.0, "slack": 0.5 * 1e-8}
     assert d["ok"] is True
@@ -149,10 +152,12 @@ def _vertex_controls(inst, verts):
 def test_equivalence_on_random_instances():
     for seed in (0, 1, 2):
         inst, domain = oracles.random_instance(seed)
-        cert, oracle = lq.equivalence_check(inst, domain)
+        cert = lq.equivalence_check(inst, domain)
         assert cert.ok, f"seed {seed}"
         assert cert.binary_max_shift_gap == 0.0
-        assert cert.relaxed_min_cost == cert.binary_best_cost == oracle.cost
+        oracle = lq.brute_force_binary(inst, domain)
+        assert cert.relaxed_min_cost == cert.oracle.cost == oracle.cost
+        assert cert.oracle.to_dict() == oracle.to_dict()
         assert cert.relaxed_margin == 0.0
 
 
@@ -163,8 +168,8 @@ def test_binary_relaxed_vertices_give_the_binary_minimum():
     for label, inst, domain in _cut_cases():
         if _fractional(domain):
             continue
-        cert, _ = lq.equivalence_check(inst, domain)
-        assert cert.relaxed_min_cost == cert.binary_best_cost, label
+        cert = lq.equivalence_check(inst, domain)
+        assert cert.relaxed_min_cost == cert.oracle.cost, label
         assert cert.relaxed_margin == 0.0, label
         top = float(np.max(np.sum(domain.binary_vertices() ** 2, axis=-1)))
         assert cert.relaxed_slack == 0.5 * cert.concavity.tol * inst.T * top, label
@@ -176,7 +181,7 @@ def test_exact_relaxed_minimum_is_never_above_a_sample():
     """At the certified shift, no sampled relaxed control costs less than
     the exact relaxed minimum minus its slack."""
     for i, (label, inst, domain) in enumerate(_cut_cases()):
-        cert, _ = lq.equivalence_check(inst, domain)
+        cert = lq.equivalence_check(inst, domain)
         assert cert.concavity.ok, label
         draw = lq.sample_relaxed_levels(domain, inst.tree, 2000, np.random.default_rng(i))
         least = float(np.min(lq.shifted_cost_many(inst, draw, cert.mu)))
@@ -191,12 +196,12 @@ def test_relaxed_recursion_matches_every_vertex_control():
     for label, inst, domain in _cut_cases():
         if not _fractional(domain):
             continue
-        cert, _ = lq.equivalence_check(inst, domain)
+        cert = lq.equivalence_check(inst, domain)
         costs = lq.shifted_cost_many(inst, _vertex_controls(inst, domain.relaxed_vertices()),
                                      cert.mu)
         want = float(np.min(costs))
         assert abs(cert.relaxed_min_cost - want) <= 1e-12 * oracles.cost_bound(inst), label
-        assert cert.relaxed_margin == cert.relaxed_min_cost - cert.binary_best_cost, label
+        assert cert.relaxed_margin == cert.relaxed_min_cost - cert.oracle.cost, label
         compared += 1
     assert compared >= 12
 
@@ -343,7 +348,7 @@ def test_shift_gap_is_zero_on_every_binary_control():
     for label, inst, domain in cases:
         _, max_penalty = oracles.brute_force_reference(inst, domain)
         assert max_penalty == 0.0, label
-        cert, _ = lq.equivalence_check(inst, domain)
+        cert = lq.equivalence_check(inst, domain)
         assert cert.mu != 0.0, label
         assert cert.binary_max_shift_gap == 0.0, label
     assert cut.binary_vertices().shape[0] == 3
@@ -419,7 +424,7 @@ def test_shift_is_needed_for_vertex_optimality(free1):
     shifted = lq.shifted_cost_many(inst, levels, report.mu)
     assert float(np.min(raw)) < oracle.cost - 5e-3
     assert float(np.min(shifted)) >= oracle.cost - 1e-9
-    cert, _ = lq.equivalence_check(inst, free1)
+    cert = lq.equivalence_check(inst, free1)
     assert cert.ok
     assert cert.relaxed_min_cost == oracle.cost and cert.relaxed_margin == 0.0
     assert float(np.min(shifted)) > cert.relaxed_min_cost + 1e-2
@@ -440,14 +445,41 @@ def test_fractional_vertex_below_the_binary_minimum_fails():
     vertex-valued control."""
     for depth in (1, 2):
         inst, cut = _fractional_cut_case(depth)
-        cert, _ = lq.equivalence_check(inst, cut)
+        cert = lq.equivalence_check(inst, cut)
         assert cert.concavity.ok and cert.binary_max_shift_gap == 0.0
         assert cert.relaxed_margin < -1e-2, depth
         assert not cert.ok and cert.warnings == ()
         costs = lq.shifted_cost_many(inst, _vertex_controls(inst, cut.relaxed_vertices()),
                                      cert.mu)
         assert cert.relaxed_min_cost == pytest.approx(float(np.min(costs)), rel=1e-12, abs=0)
-        assert cert.relaxed_min_cost < cert.binary_best_cost
+        assert cert.relaxed_min_cost < cert.oracle.cost
+
+
+def test_certificate_verdict_is_the_conjunction_of_its_terms():
+    """On free, integral-cut and fractional-cut instances, at the exact
+    shift and at mu = 0.5: ``ok`` is the conjunction of concavity, the
+    shift gap, the relaxed margin and stationarity, ``warnings`` is
+    non-empty exactly when concavity fails, and ``to_dict`` reads the
+    certificate's parts."""
+    seen = set()
+    for label, inst, domain in _cut_cases():
+        for mu in (None, 0.5):
+            cert = lq.equivalence_check(inst, domain, mu=mu)
+            terms = (cert.concavity.ok,
+                     cert.binary_max_shift_gap <= lq.oracle.BINARY_SHIFT_TOL,
+                     cert.relaxed_margin >= -lq.oracle.RELAXED_MARGIN_TOL,
+                     cert.stationarity.ok)
+            assert cert.ok is all(terms), (label, mu)
+            assert bool(cert.warnings) == (not cert.concavity.ok), (label, mu)
+            assert cert.relaxed_margin == cert.relaxed_min_cost - cert.oracle.cost
+            d = cert.to_dict()
+            assert d["ok"] is cert.ok and d["warnings"] == list(cert.warnings)
+            assert d["oracle"] == cert.oracle.to_dict()
+            assert d["binary"]["best_cost"] == cert.oracle.cost
+            assert d["relaxed"]["margin"] == cert.relaxed_margin
+            seen.add((mu, cert.ok, cert.concavity.ok))
+    # both verdicts, and a failed concavity test, occur
+    assert {(None, True, True), (0.5, False, False)} <= seen
 
 
 def test_equivalence_respects_budget(bench2, free1):

@@ -159,8 +159,7 @@ def cmd_solve(args, inst, domain, clock):
                       kind="binary")
     search = clock("search", msa_candidate_search, inst, domain, mu, start=start,
                    max_iter=args.max_iter)
-    checks = clock("checks", run_checks, inst, search.control, mu,
-                   trajectory=search.trajectory)
+    checks = clock("checks", run_checks, inst, search.trajectory, mu)
     if args.control_out:
         write_control_csv(args.control_out, search.control)
     result = {"mu": mu, "search": search.to_dict(), "checks": checks.to_dict(), **spectral}

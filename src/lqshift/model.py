@@ -298,6 +298,26 @@ def relaxed_vertices(domain: ControlDomain) -> np.ndarray:
     return np.asarray(found) if found else np.zeros((0, k))
 
 
+def _all_members(domain: ControlDomain, kind: str, values: np.ndarray,
+                 corner: np.ndarray | None = None) -> bool:
+    """Whether every row of the 2-D ``values`` lies in the ``kind`` set:
+    ``np.all`` of :meth:`ControlDomain.contains_binary` or
+    :meth:`ControlDomain.contains_relaxed`, tested elementwise over all
+    values at once instead of reduced node by node.  ``corner`` is
+    ``np.rint(values)``, needed for ``"binary"``."""
+    tol = MEMBERSHIP_TOL
+    if kind == "binary":
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, hence not a member
+            if not (np.abs(values - corner) <= tol).all():
+                return False
+        if not ((corner == 0.0) | (corner == 1.0)).all():
+            return False
+        values = corner
+    elif not ((values >= -tol) & (values <= 1.0 + tol)).all():
+        return False
+    return all(bool((values @ g <= h + tol).all()) for g, h in domain.halfspaces)
+
+
 @dataclass(frozen=True, eq=False)
 class ControlProcess:
     """An adapted control with a declared value set.
@@ -319,19 +339,21 @@ class ControlProcess:
             )
         if self.kind not in ("binary", "relaxed"):
             raise ValueError(f"kind must be 'binary' or 'relaxed', got {self.kind!r}")
-        check = (self.domain.contains_binary if self.kind == "binary"
-                 else self.domain.contains_relaxed)
         values = np.concatenate(self.process.levels)
-        ok = check(values)
-        if not np.all(ok):  # name the first node outside, as the CSV reader does
-            node = int(np.argmin(ok))
+        exact = np.rint(values) if self.kind == "binary" else None
+        if not _all_members(self.domain, self.kind, values, exact):
+            # name the first node outside, as the CSV reader does
+            check = (self.domain.contains_binary if self.kind == "binary"
+                     else self.domain.contains_relaxed)
+            with np.errstate(invalid="ignore"):  # a nan product is not a member
+                node = int(np.argmin(check(values)))
             m = (node + 1).bit_length() - 1
             raise ValueError(
                 f"control value {values[node]} at node ({m}, {node + 1 - (1 << m)}) "
                 f"is outside the {self.kind} control set"
             )
         if self.kind == "binary":
-            exact = np.rint(values) + 0.0
+            exact += 0.0  # -0.0 becomes 0.0
             if not np.array_equal(exact, values):
                 object.__setattr__(self, "process", AdaptedProcess(self.tree, [
                     exact[(1 << m) - 1:(2 << m) - 1] for m in range(self.tree.depth)]))
@@ -395,16 +417,32 @@ def validate_instance(inst: LQInstance, domain: ControlDomain) -> ValidationRepo
 # -- forward dynamics and cost ----------------------------------------------
 
 
+def _interleave(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Rows ``up[j]`` and ``down[j]`` at rows ``2j`` and ``2j + 1``; leading
+    batch axes allowed.  One contiguous concatenation and one row ``take``,
+    where writes into the strided slots ``[..., 0::2, :]`` loop over the
+    short last axis."""
+    h = up.shape[-2]
+    order = np.empty(2 * h, dtype=np.intp)
+    order[0::2] = np.arange(h)
+    order[1::2] = np.arange(h, 2 * h)
+    return np.concatenate([up, down], axis=-2).take(order, axis=-2)
+
+
 def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = True):
     """Explicit Euler sweep.
 
     All arrays may carry leading batch axes.  Returns the running level list
-    (levels ``0 .. N-1``) and the leaf array.
+    (levels ``0 .. N-1``) and the leaf array.  Products take contiguous
+    copies of the transposed coefficients and ``b``, ``sigma`` are tiled to
+    the level's rows (see the layout rule in :mod:`lqshift.tree`).
     """
     tree = inst.tree
     # running levels plus leaves, for one control
     check_node_memory(2 * tree.num_nodes(tree.depth) - 1, inst.n)
     dt, s = tree.dt, tree.sqrt_dt
+    At, Bt, Ct, Dt = (np.ascontiguousarray(np.swapaxes(M, -1, -2))
+                      for M in (inst.A, inst.B, inst.C, inst.D))
     x = np.asarray(x0, dtype=float)
     if x.ndim == 1:
         x = x[None, :]  # (1, n): the single level-0 node
@@ -412,18 +450,14 @@ def _forward_levels(inst: LQInstance, u_levels, x0, *, inhomogeneous: bool = Tru
     for m in range(tree.depth):
         x_levels.append(x)
         u = u_levels[m]
-        drift = _flat_matmul(x, inst.A[m].T) + _flat_matmul(u, inst.B[m].T)
-        diff = _flat_matmul(x, inst.C[m].T) + _flat_matmul(u, inst.D[m].T)
+        drift = _flat_matmul(x, At[m]) + _flat_matmul(u, Bt[m])
+        diff = _flat_matmul(x, Ct[m]) + _flat_matmul(u, Dt[m])
         if inhomogeneous:
-            drift = drift + inst.b[m]
-            diff = diff + inst.sigma[m]
+            rows = drift.shape[-2]
+            drift = drift + inst.b[m:m + 1].repeat(rows, axis=0)
+            diff = diff + inst.sigma[m:m + 1].repeat(rows, axis=0)
         base = x + dt * drift
-        up = base + s * diff
-        down = base - s * diff
-        nxt = np.empty(up.shape[:-2] + (2 * up.shape[-2], up.shape[-1]))
-        nxt[..., 0::2, :] = up
-        nxt[..., 1::2, :] = down
-        x = nxt
+        x = _interleave(base + s * diff, base - s * diff)
     return x_levels, x
 
 

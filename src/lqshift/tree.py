@@ -17,6 +17,17 @@ plain lists of ``(2**n, dim)`` level arrays, plus a ``(2**N, dim)`` leaf
 array where the process has a terminal value.  Adaptedness is structural:
 a node holds a single value, so a value cannot depend on branches below
 its node.
+
+Layout rule: per-node arithmetic runs on C-contiguous arrays, one row per
+node.  With the few columns a node holds (n and k of 1 to 3), numpy
+otherwise runs its innermost loop over the short column axis.  At 8192
+rows and two columns on a 2-vCPU host, one operation on a strided child
+view ``v[..., 0::2, :]`` takes about 100 us against 9-14 us for a
+``take`` of the even rows; ``x @ M.T`` with a transposed 2 x 2 operand
+takes 43-64 us against 14-17 us with a contiguous copy of ``M.T``;
+``d + b`` with a length-2 row ``b`` takes 68-79 us against 11 us with
+``b`` tiled to the rows of ``d``; and interleaved writes such as
+``nxt[..., 0::2, :] = up`` take 89-140 us.
 """
 
 from __future__ import annotations
@@ -154,8 +165,9 @@ def martingale_representation(values: np.ndarray, dt: float) -> tuple[np.ndarray
     v = np.asarray(values, dtype=float)
     if v.shape[-2] % 2:
         raise ValueError("level array must have an even number of nodes")
-    up = v[..., 0::2, :]
-    down = v[..., 1::2, :]
+    even = np.arange(0, v.shape[-2], 2)
+    up = v.take(even, axis=-2)  # contiguous, where v[..., 0::2, :] is strided
+    down = v.take(even + 1, axis=-2)
     mean = 0.5 * (up + down)
     slope = (up - down) / (2.0 * math.sqrt(dt))
     return mean, slope

@@ -316,6 +316,59 @@ def test_control_csv_diagnostics_name_the_file_line(tmp_path, bench2, free1):
         assert _load_error(tmp_path, bench2.tree, free1, head + body) == expected, body
 
 
+def test_control_csv_in_node_order_reads_as_shuffled(tmp_path):
+    """Rows in node order take the one-check path, any other order the
+    sort pass; both give byte-identical level arrays."""
+    inst, domain = random_instance(2, n_max=2, k_max=2, depth_max=4)
+    inst = lq.with_depth(inst, 6)
+    verts = domain.binary_vertices()
+    rng = np.random.default_rng(4)
+    control = lq.ControlProcess.from_levels(
+        domain, inst.tree,
+        [verts[rng.integers(len(verts), size=inst.tree.num_nodes(m))]
+         for m in range(inst.depth)])
+    path = tmp_path / "control.csv"
+    lq.write_control_csv(path, control)
+    header, *rows = path.read_text().splitlines()
+    canonical = lq.load_control_csv(path, domain, inst.tree)
+    order = rng.permutation(len(rows))
+    path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+    shuffled = lq.load_control_csv(path, domain, inst.tree)
+    for got, want, ref in zip(shuffled.levels, canonical.levels, control.levels):
+        assert got.tobytes() == want.tobytes() == ref.tobytes()
+
+
+def test_control_csv_in_node_order_keeps_its_diagnostics(tmp_path, free1):
+    """A file that is not every node once, in order and finite takes the
+    sort pass and its messages: a row in another node's slot, duplicate,
+    missing and non-finite rows, with blank lines counted."""
+    tree = lq.build_tree(3, 1.0)
+    head = "level,index,u1\n"
+    rows = ["0,0,0.0", "1,0,0.0", "1,1,1.0", "2,0,0.0", "2,1,1.0", "2,2,0.0", "2,3,1.0"]
+
+    def body(replace=None, blank_before=()):
+        lines = []
+        for r, row in enumerate(rows):
+            lines += [""] * (r in blank_before)
+            lines.append(replace[1] if replace and replace[0] == r else row)
+        return head + "\n".join(lines) + "\n"
+
+    assert _load_text(tmp_path, tree, free1, body()).levels[2].tobytes() == \
+        np.array([[0.0], [1.0], [0.0], [1.0]]).tobytes()
+    cases = [
+        (body((3, "1,2,0.0")), "line 5: index 2 outside 0..1"),
+        (body((3, "1,2,0.0"), blank_before=(1, 3)), "line 7: index 2 outside 0..1"),
+        (body((4, "2,0,1.0"), blank_before=(2,)), "line 7: node (2, 0) given twice"),
+        (body((6, "2,2,1.0"), blank_before=(6,)), "line 9: node (2, 2) given twice"),
+        (head + "\n".join(rows[:3] + [""] + rows[4:]) + "\n", "node (2, 0) is missing"),
+        (head + "\n".join(rows[:-1]) + "\n\n", "node (2, 3) is missing"),
+        (body((5, "2,2,nan"), blank_before=(5,)), "line 8: non-finite value"),
+        (body((0, "0,0,inf"), blank_before=(0,)), "line 3: non-finite value"),
+    ]
+    for text, expected in cases:
+        assert _load_error(tmp_path, tree, free1, text) == expected, text
+
+
 def test_control_csv_accepted_syntax(tmp_path, bench2, free1):
     # surrounding spaces and CRLF line ends
     crlf = b" level , index , u1 \r\n 0 , 0 , 1.0 \r\n\r\n1,0,0.0\r\n1 ,1, 1\r\n"

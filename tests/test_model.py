@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.model import MEMBERSHIP_TOL, _flat_matmul, check_coefficient_memory, cost_constant
+from lqshift.model import (MEMBERSHIP_TOL, _all_members, _flat_matmul, _interleave,
+                           check_coefficient_memory, cost_constant)
 
 import oracles
 from conftest import all_scalar_binary_controls
@@ -164,6 +165,60 @@ def test_flat_matmul_leaves_two_dimensional_products_alone():
         stacked = rng.uniform(-1.0, 1.0, size=(3, 5, rows, n))
         assert _flat_matmul(stacked, M.T).shape == (3, 5, rows, k)
         assert _flat_matmul(stacked, M[0]).shape == (3, 5, rows)
+
+
+def test_interleave_is_the_strided_merge_bit_for_bit():
+    """Children merged by concatenate and take sit where the strided writes
+    ``nxt[..., 0::2, :] = up`` and ``nxt[..., 1::2, :] = down`` put them."""
+    rng = np.random.default_rng(8)
+    for shape in ((1, 1), (1, 2), (8, 3), (3, 1, 2), (4, 5, 8, 2), (2, 3, 16, 1)):
+        up, down = rng.normal(size=(2,) + shape)
+        nxt = np.empty(shape[:-2] + (2 * shape[-2], shape[-1]))
+        nxt[..., 0::2, :] = up
+        nxt[..., 1::2, :] = down
+        merged = _interleave(up, down)
+        assert merged.shape == nxt.shape
+        assert merged.tobytes() == nxt.tobytes()
+
+
+def test_membership_over_all_values_matches_the_node_masks():
+    """The elementwise test is the per-node mask's ``all()`` on nan, inf,
+    near-vertex, box-edge and halfspace points, and a failing control names
+    the mask's first node outside."""
+    rng = np.random.default_rng(6)
+    tol = MEMBERSHIP_TOL
+    pool = np.array([0.0, -0.0, 1.0, tol, -tol, 1.0 + tol, 1.0 - tol, 2 * tol,
+                     1.0 + 2 * tol, -2 * tol, 0.5, 0.3, 2.0, -1.0, np.nan, np.inf, -np.inf])
+    domains = [lq.ControlDomain.free(2),
+               lq.ControlDomain(k=2, halfspaces=(([1.0, 1.0], 1.5),)),
+               lq.ControlDomain(k=2, halfspaces=(([1.0, -1.0], 0.0), ([0.0, 1.0], 0.5)))]
+    tree = lq.build_tree(3, 1.0)
+    outcomes = set()
+    for trial in range(600):
+        dom = domains[trial % 3]
+        kind = ("binary", "relaxed")[trial // 3 % 2]
+        # mostly member values, with a few nodes drawn from the whole pool
+        values = pool[rng.integers(0, 7 if kind == "binary" else 8, size=(7, 2))]
+        for node in rng.integers(0, 7, size=rng.integers(0, 3)):
+            values[node] = pool[rng.integers(len(pool), size=2)]
+        check = dom.contains_binary if kind == "binary" else dom.contains_relaxed
+        with np.errstate(invalid="ignore"):  # inf in a halfspace product
+            mask = check(values)
+            assert _all_members(dom, kind, values, np.rint(values)) == mask.all()
+        levels = [values[(1 << m) - 1:(2 << m) - 1] for m in range(tree.depth)]
+        if mask.all():
+            lq.ControlProcess.from_levels(dom, tree, levels, kind)
+            outcomes.add((kind, True))
+            continue
+        node = int(np.argmin(mask))
+        m = (node + 1).bit_length() - 1
+        expected = (f"control value {values[node]} at node ({m}, {node + 1 - (1 << m)}) "
+                    f"is outside the {kind} control set")
+        with pytest.raises(ValueError) as excinfo:
+            lq.ControlProcess.from_levels(dom, tree, levels, kind)
+        assert str(excinfo.value) == expected
+        outcomes.add((kind, False))
+    assert len(outcomes) == 4
 
 
 def _three_axis_costs(inst, domain, prefix, points, kind, units=4):

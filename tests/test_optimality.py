@@ -317,6 +317,25 @@ def test_one_trajectory_per_candidate(sweep_counter):
         assert report.to_dict() == separate.to_dict(), f"seed {seed}"
 
 
+def test_a_trajectory_checks_as_its_control(sweep_counter):
+    """run_checks on a Trajectory reports exactly what it reports on the
+    trajectory's control, and sweeps nothing more."""
+    rng = np.random.default_rng(9)
+    for seed in range(12):
+        inst, domain = random_instance(seed)
+        mu = lq.lambda_max(inst).mu
+        verts = domain.binary_vertices()
+        levels = [verts[rng.integers(len(verts), size=inst.tree.num_nodes(m))]
+                  for m in range(inst.depth)]
+        control = lq.ControlProcess.from_levels(domain, inst.tree, levels, "binary")
+        traj = lq.Trajectory.of(inst, control)
+        sweep_counter.update(forward=0, backward=0)
+        from_traj = lq.run_checks(inst, traj, mu)
+        assert sweep_counter == {"forward": 0, "backward": 0}, f"seed {seed}"
+        assert lq.report_json(from_traj.to_dict()) == \
+            lq.report_json(lq.run_checks(inst, control, mu).to_dict()), f"seed {seed}"
+
+
 def test_msa_sweeps_once_per_iteration(sweep_counter, bench2, free1):
     for seed in range(20):
         inst, domain = random_instance(seed)
@@ -333,7 +352,7 @@ def test_msa_sweeps_once_per_iteration(sweep_counter, bench2, free1):
     capped = lq.msa_candidate_search(bench2, free1, mu=-2.0, start=ones, max_iter=1)
     assert capped.status == "max-iter"
     assert sweep_counter == {"forward": 2, "backward": 2}
-    lq.run_checks(bench2, capped.control, -2.0, trajectory=capped.trajectory)
+    lq.run_checks(bench2, capped.trajectory, -2.0)
     assert sweep_counter == {"forward": 2, "backward": 2}
 
 

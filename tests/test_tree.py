@@ -107,6 +107,24 @@ def test_conditional_expectation_and_martingale_split():
     np.testing.assert_allclose(mean - 0.5 * slope, vals[1::2], rtol=0, atol=1e-15)
 
 
+def test_martingale_split_takes_the_strided_children_bit_for_bit():
+    """The row ``take`` of even and odd children gives the arrays the
+    strided child views define, 2-D and with batch axes; an odd node count
+    is refused."""
+    rng = np.random.default_rng(11)
+    for shape in ((2, 1), (16, 2), (64, 3), (3, 8, 2), (2, 3, 4, 1)):
+        vals = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        dt = float(rng.uniform(0.01, 1.0))
+        mean, slope = lq.martingale_representation(vals, dt)
+        up, down = vals[..., 0::2, :], vals[..., 1::2, :]
+        assert mean.tobytes() == (0.5 * (up + down)).tobytes()
+        assert slope.tobytes() == ((up - down) / (2.0 * np.sqrt(dt))).tobytes()
+        assert mean.shape == slope.shape == up.shape
+    for shape in ((3, 2), (2, 5, 1)):
+        with pytest.raises(ValueError, match="even number of nodes"):
+            lq.martingale_representation(np.zeros(shape), 0.5)
+
+
 def test_inner_products_by_hand():
     tree = lq.build_tree(2, 1.0)
     u = lq.AdaptedProcess(tree, [np.array([[1.0]]), np.array([[1.0], [0.0]])])

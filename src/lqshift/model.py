@@ -30,6 +30,10 @@ SYMMETRY_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 BINARY_VERTEX_CAP = 20
 RELAXED_VERTEX_DIM_CAP = 12
+RELAXED_SYSTEM_CAP = 100_000
+# candidate systems solved per stacked call: a (chunk, k, k) stack is at
+# most 1.2 MB at the dimension cap
+RELAXED_SYSTEM_CHUNK = 1024
 
 # The instance schema, name -> (dims, per_level): ``dims`` spells the shape
 # of one value in the state and control dimensions n and k, and a
@@ -102,8 +106,20 @@ def _flat_matmul(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
 
 
+class _Memoized:
+    """A per-object memo for data derived from a frozen dataclass's fields.
+    A copy made by the constructor, as ``with_depth`` makes one, starts
+    with an empty memo."""
+
+    def _memo(self, key, compute):
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+
 @dataclass(frozen=True, eq=False)
-class LQInstance:
+class LQInstance(_Memoized):
     """Problem data; coefficient index ``m`` applies on ``[t_m, t_{m+1})``."""
 
     n: int
@@ -185,7 +201,7 @@ def example5_instance(depth: int) -> "LQInstance":
 
 
 @dataclass(frozen=True, eq=False)
-class ControlDomain:
+class ControlDomain(_Memoized):
     """Control-value constraint set.
 
     ``halfspaces`` lists pairs ``(g, h)`` meaning ``<g, u> <= h``; the binary
@@ -214,12 +230,6 @@ class ControlDomain:
     @classmethod
     def free(cls, k: int) -> "ControlDomain":
         return cls(k=k)
-
-    def _memo(self, key, compute):
-        cache = self.__dict__.setdefault("_cache", {})
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
 
     def binary_vertices(self) -> np.ndarray:
         return self._memo("binary", lambda: enumerate_binary_vertices(self))
@@ -271,31 +281,49 @@ def relaxed_vertices(domain: ControlDomain) -> np.ndarray:
     Without halfspaces these are the box corners, the binary vertices.  With
     halfspaces the vertices are enumerated by solving every ``k``-subset of
     the active constraint candidates, which is adequate at the dimensions
-    this package targets.
+    this package targets.  The subsets are taken in
+    ``itertools.combinations`` order, :data:`RELAXED_SYSTEM_CHUNK` at a
+    time: one stacked determinant, one stacked solve of the nonsingular
+    systems and one membership test per chunk.  A solution within 1e-9 of
+    one found earlier is dropped.
     """
     if not domain.halfspaces:
         return domain.binary_vertices()
     k = domain.k
+    if k > RELAXED_VERTEX_DIM_CAP:
+        raise VertexEnumerationError(
+            f"k = {k} exceeds the relaxed vertex enumeration cap {RELAXED_VERTEX_DIM_CAP}"
+        )
     # u_i = 0 and u_i = 1 for each i, then <g, u> = h for each halfspace
     rows = np.concatenate([np.repeat(np.eye(k), 2, axis=0), [g for g, _ in domain.halfspaces]])
     rhs = np.array([0.0, 1.0] * k + [h for _, h in domain.halfspaces])
     total = math.comb(len(rows), k)
-    if k > RELAXED_VERTEX_DIM_CAP or total > 100_000:
+    if total > RELAXED_SYSTEM_CAP:
         raise VertexEnumerationError(
             f"vertex enumeration needs {total} candidate systems; too many"
         )
-    found = []
-    for subset in itertools.combinations(range(len(rows)), k):
-        M = rows[list(subset)]
-        if abs(np.linalg.det(M)) < 1e-12:
-            continue
-        v = np.linalg.solve(M, rhs[list(subset)])
-        if not bool(domain.contains_relaxed(v)):
-            continue
-        if not any(np.max(np.abs(v - w)) <= 1e-9 for w in found):
-            found.append(v)
-    found.sort(key=tuple)
-    return np.asarray(found) if found else np.zeros((0, k))
+    subsets = itertools.combinations(range(len(rows)), k)
+    found, count, seen = np.zeros((0, k)), 0, set()
+    for _ in range(0, total, RELAXED_SYSTEM_CHUNK):
+        chunk = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, RELAXED_SYSTEM_CHUNK)), dtype=np.intp).reshape(-1, k)
+        systems = rows[chunk]
+        solvable = ~(np.abs(np.linalg.det(systems)) < 1e-12)
+        chunk = chunk[solvable]
+        v = np.linalg.solve(systems[solvable], rhs[chunk][..., None])[..., 0]
+        v = v[domain.contains_relaxed(v)]
+        # room for every solution of the chunk after the vertices kept so far
+        found = np.concatenate([found[:count], v])
+        for w, key in zip(v, map(tuple, v.tolist())):
+            # an exact repeat lies as near a kept vertex as its first copy
+            # does, or at 0 from it: either way it is dropped
+            if key in seen:
+                continue
+            seen.add(key)
+            if not (np.max(np.abs(found[:count] - w), axis=1) <= 1e-9).any():
+                found[count] = w
+                count += 1
+    return np.asarray(sorted(found[:count], key=tuple)).reshape(count, k)
 
 
 def _all_members(domain: ControlDomain, kind: str, values: np.ndarray,

@@ -102,7 +102,8 @@ def _vertex_minimum(inst: LQInstance, verts: np.ndarray, budget: int, offset=0.0
     (``np.fmin``: a NaN total loses to any number).  The lowest vertex among
     exact float ties at each state, read from the root down, gives the
     lexicographically smallest minimizer ``levels``; the tie counts
-    multiply up.
+    multiply up, in ``int64`` where ``count`` fits and in Python ints
+    otherwise.
 
     ``budget`` bounds ``count = V ** (2^N - 1)``, which a refusal reports,
     naming the controls ``kind``, as an ``int``, or as the text ``"V**E"``
@@ -132,7 +133,8 @@ def _vertex_minimum(inst: LQInstance, verts: np.ndarray, budget: int, offset=0.0
 
     leaf = states.pop()
     value = 0.5 * tree.path_prob(tree.depth) * np.sum(_flat_matmul(leaf, inst.G) * leaf, axis=-1)
-    ties = np.ones(value.shape, dtype=object)  # Python ints: counts pass 2**63
+    # every partial count is at most total: machine ints below 2**63, Python ints past it
+    ties = np.ones(value.shape, dtype=np.int64 if total < 2 ** 63 else object)
     choice = [None] * tree.depth
     for m in reversed(range(tree.depth)):
         pair = value.reshape(-1, v_count, 2)
@@ -142,7 +144,8 @@ def _vertex_minimum(inst: LQInstance, verts: np.ndarray, budget: int, offset=0.0
         value = np.fmin.reduce(totals, axis=1)
         tied = totals == value[:, None]
         choice[m] = np.argmax(tied, axis=1)
-        ties = np.sum(np.where(tied, np.prod(ties.reshape(-1, v_count, 2), axis=-1), 0), axis=1)
+        kids = ties.reshape(-1, v_count, 2)
+        ties = np.where(tied, kids[..., 0] * kids[..., 1], 0).sum(axis=1)
 
     levels = []
     at = np.zeros(1, dtype=np.int64)  # each node's state index on its level

@@ -112,22 +112,35 @@ def _riccati_pd(inst: LQInstance, s: float):
     return _riccati_pd_matrix(inst, s)
 
 
+def _scalar_chain_inputs(inst: LQInstance):
+    """The scalar chain's per-level coefficients, as lists of Python
+    floats: ``F = 1 + dt A``, ``C``, ``B``, ``D``, ``R``, ``-dt S`` and
+    ``-dt Q``.  Built once per instance."""
+    def build():
+        dt = inst.tree.dt
+        A, B, C, D, Q, S, R = (getattr(inst, name)[:, 0, 0].tolist() for name in "ABCDQSR")
+        return ([1.0 + dt * a for a in A], C, B, D, R,
+                [-dt * x for x in S], [-dt * x for x in Q])
+
+    return inst._memo("riccati_scalar", build)
+
+
 def _riccati_pd_scalar(inst: LQInstance, s: float):
     """:func:`_riccati_pd_matrix` for ``n == k == 1`` on Python floats, with
     its operations in its order.  Cholesky is ``sqrt(huu)``, which fails on
     ``huu <= 0`` and, like numpy's, passes NaN on to P."""
     dt = inst.tree.dt
-    A, B, C, D, Q, S, R = (getattr(inst, name)[:, 0, 0].tolist() for name in "ABCDQSR")
+    F, C, B, D, R, ux0, xx0 = _scalar_chain_inputs(inst)
     p = -float(inst.G[0, 0])
     margin, at = math.inf, inst.depth - 1
     for m in reversed(range(inst.depth)):
-        f, c, b, d = 1.0 + dt * A[m], C[m], B[m], D[m]
+        f, c, b, d = F[m], C[m], B[m], D[m]
         uu = d * (p * d) + dt * (b * (p * b))
         ux = b * (p * f) + d * (p * c)
         xx = f * (p * f) + dt * (c * (p * c))
         huu = dt * (s - R[m]) + dt * uu
-        hux = -dt * S[m] + dt * ux
-        hxx = -dt * Q[m] + xx
+        hux = ux0[m] + dt * ux
+        hxx = xx0[m] + xx
         if huu <= 0.0:
             return False, m, huu / dt
         y = hux / math.sqrt(huu)
@@ -140,15 +153,20 @@ def _riccati_pd_scalar(inst: LQInstance, s: float):
     return True, at, margin
 
 
+def _matrix_chain_inputs(inst: LQInstance):
+    """The matrix chain's level-only inputs: the step blocks of
+    :func:`_step_blocks`, ``-dt S`` and ``-dt Q``.  Built once per instance."""
+    dt = inst.tree.dt
+    return inst._memo("riccati_matrix", lambda: (_step_blocks(inst), -dt * inst.S, -dt * inst.Q))
+
+
 # an overflowing chain fails the test below, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore")
 def _riccati_pd_matrix(inst: LQInstance, s: float):
     """:func:`_riccati_pd` on k x k pivots, for instances of any shape."""
     dt = inst.tree.dt
-    blocks = _step_blocks(inst)
+    blocks, ux0, xx0 = _matrix_chain_inputs(inst)
     uu0 = dt * (s * np.eye(inst.k) - inst.R)
-    ux0 = -dt * inst.S
-    xx0 = -dt * inst.Q
     p = -inst.G
     pivots = []
     for m in reversed(range(inst.depth)):

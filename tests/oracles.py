@@ -12,7 +12,9 @@ The binary enumeration keeps its plain form here too: every control
 decoded digit by digit and costed with ``cost_many``, the reference for
 the backward recursion of ``lqshift.oracle``.  So does the lambda_max search: plain
 bisection on the Riccati test, the reference for the secant search of
-``lqshift.spectral``.  And the second-order spike test: the per-vertex
+``lqshift.spectral``.  And the relaxed vertices: every candidate system
+solved on its own, the reference for the chunked, stacked solves of
+``relaxed_vertices``.  And the second-order spike test: the per-vertex
 deficit ``delta . (g - 1/2 H delta)`` over a ``(nodes, V, k)`` array, the
 reference for the vertex-pair tables of ``lqshift.optimality``.  And the
 two-pass relaxed sampler, which tests membership over the whole draw once
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import itertools
 import math
 
 import numpy as np
@@ -361,6 +364,34 @@ def brute_force_reference(inst: LQInstance, domain: ControlDomain,
     result = OracleResult(control=control, cost=best, enumerated=total,
                           tie_count=tie_count)
     return result, max_penalty
+
+
+# -- relaxed vertices --------------------------------------------------------
+
+
+def relaxed_vertices_reference(domain: ControlDomain) -> np.ndarray:
+    """Vertices of the relaxed set, one candidate system at a time: every
+    ``k``-subset of the bound and halfspace equations in
+    ``itertools.combinations`` order, skipped where the determinant is below
+    1e-12, solved, kept when it lies in the relaxed set and is not within
+    1e-9 of a vertex found earlier; sorted.  Without halfspaces this
+    enumerates the box corners."""
+    k = domain.k
+    rows = np.concatenate([np.repeat(np.eye(k), 2, axis=0),
+                           np.reshape([g for g, _ in domain.halfspaces], (-1, k))])
+    rhs = np.array([0.0, 1.0] * k + [h for _, h in domain.halfspaces])
+    found = []
+    for subset in itertools.combinations(range(len(rows)), k):
+        M = rows[list(subset)]
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        v = np.linalg.solve(M, rhs[list(subset)])
+        if not bool(domain.contains_relaxed(v)):
+            continue
+        if not any(np.max(np.abs(v - w)) <= 1e-9 for w in found):
+            found.append(v)
+    found.sort(key=tuple)
+    return np.asarray(found) if found else np.zeros((0, k))
 
 
 # -- relaxed sampling --------------------------------------------------------

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import lqshift as lq
+import lqshift.model as model_mod
 from lqshift.model import (MEMBERSHIP_TOL, _all_members, _flat_matmul, _interleave,
                            check_coefficient_memory, cost_constant)
 
@@ -331,6 +334,79 @@ def test_cut_domain_vertices():
     assert (0.5, 1.0) in rows and (1.0, 0.5) in rows
     assert dom.contains_relaxed(np.array([[0.3, 0.3]]))[0]
     assert not dom.contains_relaxed(np.array([[0.9, 0.9]]))[0]
+
+
+def _seeded_cut_domains(count):
+    """Domains with k from 1 to 5 and 0 to 3 cuts, cycling through four
+    kinds of cut: integral normals and bounds (degenerate vertices, where
+    a cut runs through box corners), integral normals with fractional
+    bounds, random real normals, and decimal normals through a box corner,
+    whose candidate systems meet that corner with rounding apart.  A cut
+    below the box empties the relaxed set."""
+    for seed in range(count):
+        rng = np.random.default_rng([seed, 26])
+        k, cuts, kind = 1 + seed % 5, seed // 5 % 4, seed // 20 % 4
+        halfspaces = []
+        for _ in range(cuts):
+            if kind == 3:
+                g = rng.choice([0.1, 0.2, 0.3, 0.7, -0.3], size=k)
+                h = float(g @ rng.integers(0, 2, size=k))
+            elif kind == 2:
+                g, h = rng.uniform(-1.0, 1.0, size=k), float(rng.uniform(-0.2, 1.5))
+            else:
+                g = rng.integers(-1, 3, size=k).astype(float)
+                h = float(rng.integers(-1, k + 1)) + (0.0 if kind == 0 else rng.choice([0.5, 0.25]))
+            halfspaces.append((g, h))
+        yield lq.ControlDomain(k=k, halfspaces=tuple(halfspaces))
+
+
+def test_relaxed_vertices_match_the_reference_bit_for_bit():
+    """The chunked, stacked solves give the vertices of the one-system-at-a-
+    time reference, bytes and order, on 480 seeded domains."""
+    shapes = {"empty": 0, "fractional": 0, "degenerate": 0}
+    for dom in _seeded_cut_domains(480):
+        got, want = dom.relaxed_vertices(), oracles.relaxed_vertices_reference(dom)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), dom
+        shapes["empty"] += len(want) == 0
+        shapes["fractional"] += bool(np.any(want != np.round(want)))
+        # a cut through a box corner: more than k equations hold there
+        rows = [np.abs(want - 0.5) == 0.5] + [np.abs(want @ g - h) <= 1e-12
+                                              for g, h in dom.halfspaces]
+        shapes["degenerate"] += bool(np.any(np.sum(np.column_stack(rows), axis=1) > dom.k))
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_relaxed_vertex_refusals(monkeypatch):
+    """Past the dimension cap the refusal names the cap, without counting
+    the systems; below it, past 100,000 candidate systems, it names their
+    number."""
+    cut = ((np.ones(13), 2.5),)
+    monkeypatch.setattr(model_mod.math, "comb", None)  # never reached at k = 13
+    with pytest.raises(lq.VertexEnumerationError,
+                       match=r"^k = 13 exceeds the relaxed vertex enumeration cap 12$"):
+        lq.ControlDomain(k=13, halfspaces=cut).relaxed_vertices()
+    monkeypatch.undo()
+    with pytest.raises(lq.VertexEnumerationError,
+                       match=r"^vertex enumeration needs 352716 candidate systems; too many$"):
+        lq.ControlDomain(k=10, halfspaces=((np.ones(10), 2.5),)).relaxed_vertices()
+    with pytest.raises(lq.VertexEnumerationError, match="needs 5200300 candidate systems"):
+        lq.ControlDomain(k=12, halfspaces=((np.ones(12), 2.5),)).relaxed_vertices()
+
+
+def test_relaxed_vertices_hold_memory_to_a_chunk():
+    """At k = 9 with the cut sum u <= 2.5, 92,378 candidate systems: one
+    stacked batch of them all would take 60 MB, the chunks under 8 MiB."""
+    dom = lq.ControlDomain(k=9, halfspaces=((np.ones(9), 2.5),))
+    tracemalloc.start()
+    try:
+        got = dom.relaxed_vertices()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    # 46 corners with at most two ones, 252 with two ones and one half
+    assert got.shape == (298, 9)
+    assert got.tobytes() == oracles.relaxed_vertices_reference(dom).tobytes()
 
 
 def test_empty_binary_set_is_fatal(free1):

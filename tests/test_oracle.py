@@ -324,6 +324,23 @@ def test_ties_multiply_up_the_tree_past_int64(free1):
     assert not any(np.any(level) for level in got.control.levels)
 
 
+def test_tie_counts_at_the_int64_edge(free1, monkeypatch):
+    """All-tie instances with V = 2: depth 5 has 2**31 controls and counts
+    in int64, depth 6 exactly 2**63 and counts in Python ints.  Both counts
+    are exact, and come back as ints."""
+    dtypes = []
+    ones = np.ones
+    monkeypatch.setattr(oracle_mod.np, "ones", lambda shape, dtype=None, **kw: (
+        dtypes.append(dtype) or ones(shape, dtype=dtype, **kw)))
+    for depth, machine in ((5, True), (6, False)):
+        flat = lq.LQInstance.constant(depth=depth, n=1, k=1, D=1.0)
+        dtypes.clear()
+        got = lq.brute_force_binary(flat, free1, budget=2 ** 63)
+        assert (np.int64 in dtypes, object in dtypes) == (machine, not machine), depth
+        assert got.tie_count == got.enumerated == 2 ** ((1 << depth) - 1), depth
+        assert type(got.tie_count) is int and got.cost == 0.0, depth
+
+
 def test_example5_optimum_past_enumeration(free1):
     """Example 5 at depth 8 ranges over 2**255 controls; the recursion finds
     the zero control, cost 0.0, which ``cost_direct`` confirms."""

@@ -3,6 +3,7 @@ import pytest
 
 import lqshift as lq
 from lqshift import spectral
+from lqshift.model import COEFFICIENTS
 from lqshift.spectral import CONCAVITY_TOL, _power_iteration, _riccati_pd
 
 import oracles
@@ -246,6 +247,40 @@ def test_scalar_chain_leaves_the_search_and_certificate_unchanged(monkeypatch):
     scalar = outputs()
     monkeypatch.setattr(spectral, "_riccati_pd", spectral._riccati_pd_matrix)
     assert outputs() == scalar
+
+
+def _rebuilt(inst):
+    """The same instance, built afresh: an empty memo."""
+    return lq.LQInstance(n=inst.n, k=inst.k, T=inst.T, depth=inst.depth,
+                         **{name: getattr(inst, name) for name in COEFFICIENTS})
+
+
+def test_chain_inputs_are_built_once_per_instance(monkeypatch):
+    """The search and the certificate build one matrix-shaped instance's
+    step blocks once, and the memo changes no bit of a chain at the shifts
+    searched, scalar or matrix; a ``with_depth`` copy builds its own."""
+    built, shifts = [], []
+    step_blocks, chain = spectral._step_blocks, spectral._riccati_pd
+    monkeypatch.setattr(spectral, "_step_blocks",
+                        lambda inst: built.append(inst) or step_blocks(inst))
+    monkeypatch.setattr(spectral, "_riccati_pd",
+                        lambda inst, s: shifts.append(s) or chain(inst, s))
+    inst = oracles.random_instance(4, n_max=3, k_max=3, depth_max=4)[0]
+    assert (inst.n, inst.k, inst.depth) == (3, 3, 4)
+    report = lq.lambda_max(inst)
+    lq.certify_concavity(inst, report.mu, top=report.lambda_max)
+    assert built == [inst] and len(shifts) == report.iterations + 1
+    for case in (inst, lq.example5_instance(6)):
+        shifts.clear()
+        lq.lambda_max(case)
+        for s in shifts:
+            assert _bits(chain(case, s)) == _bits(chain(_rebuilt(case), s)), s
+    for depth in (inst.depth, inst.depth + 1):
+        built.clear()
+        copy = lq.with_depth(inst, depth)
+        lq.lambda_max(copy)
+        lq.lambda_max(copy)
+        assert built == [copy], depth
 
 
 def test_only_scalar_instances_take_the_float_chain(monkeypatch):

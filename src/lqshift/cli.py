@@ -190,16 +190,16 @@ _EXTRAPOLATED = ("cost_ones", "lambda_max", "hamiltonian_quadratic", "hamiltonia
 
 def cmd_example5(args) -> tuple[int, dict]:
     domain = ControlDomain.free(1)
-    zeros1 = np.zeros((1, 1))
+    # u = +1 and u = -1 as the two rows of one level array, with x = p = q = 0
+    zeros2, signs = np.zeros((2, 1)), np.array([[1.0], [-1.0]])
     rows = []
     timings = {}
     clock = _stage_clock(timings)
     for depth in args.depths:
         inst = example5_instance(depth)
         spectral = clock("spectrum", lambda_max, inst)
-        h_plus, h_minus = (float(hamiltonian_mu(inst, 0, zeros1, sign * np.ones((1, 1)),
-                                                zeros1, zeros1, spectral.mu)[0])
-                           for sign in (1.0, -1.0))
+        h_plus, h_minus = hamiltonian_mu(inst, 0, zeros2, signs, zeros2, zeros2,
+                                         spectral.mu).tolist()
         row = {
             "depth": depth,
             "cost_ones": cost_constant(inst, np.ones(1)),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ControlFileError, InstanceFormatError
 from .model import (COEFFICIENTS, ControlDomain, ControlProcess, LQInstance,
-                    check_coefficient_memory, coefficient_shape)
+                    check_coefficient_memory, coefficient_shapes)
 from .tree import ScenarioTree, check_node_memory
 
 PACKAGE_VERSION = "0.1.0"
@@ -61,20 +61,21 @@ def _parse_array(value, path, issues):
     if arr.dtype == object:
         issues.append((path, "ragged nesting"))
         return None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         issues.append((path, "contains non-finite entries"))
         return None
     return arr
 
 
 def _parse_coefficient(value, path, depth, shape, issues):
-    """Accept ``shape``, or ``(depth,) + shape`` unless ``depth`` is None; tile per level."""
+    """Accept ``shape``, or ``(depth,) + shape`` unless ``depth`` is None;
+    repeat per level."""
     arr = _parse_array(value, path, issues)
     if arr is None:
         return None
     levels = () if depth is None else (depth,)
     if arr.shape == shape:
-        return np.tile(arr, levels + (1,) * len(shape))
+        return arr[None].repeat(depth, axis=0) if levels else arr.copy()
     if arr.shape == levels + shape:
         return arr
     wanted = f"is not {shape}" if depth is None else f"is neither {shape} nor {levels + shape}"
@@ -128,10 +129,10 @@ def load_instance(source) -> tuple[LQInstance, ControlDomain]:
         if name not in COEFFICIENTS or name == "x0":
             issues.append((f"/coefficients/{name}", "unknown coefficient"))
     parsed = {}
-    for name, (_, per_level) in COEFFICIENTS.items():
-        # x0 is the initial state, kept at the top level of the document
+    for name, shape, per_level in coefficient_shapes(n, k):
+        # x0 is the initial state, kept at the top level of the document; an
+        # omitted coefficient is zero
         source, path = (data, "/x0") if name == "x0" else (coeffs, f"/coefficients/{name}")
-        shape = coefficient_shape(name, n, k)  # an omitted coefficient is zero
         parsed[name] = _parse_coefficient(source.get(name, np.zeros(shape)), path,
                                           depth if per_level else None, shape, issues)
 

@@ -17,8 +17,10 @@ binary set ``U = C intersect {0,1}^k`` described by a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,8 @@ RELAXED_SYSTEM_CAP = 100_000
 # candidate systems solved per stacked call: a (chunk, k, k) stack is at
 # most 1.2 MB at the dimension cap
 RELAXED_SYSTEM_CHUNK = 1024
+# levels per cost_constant batch: four (chunk, n + 1, n + 1) stacks, 128 KB at n = 1
+COST_LEVEL_CHUNK = 1024
 
 # The instance schema, name -> (dims, per_level): ``dims`` spells the shape
 # of one value in the state and control dimensions n and k, and a
@@ -46,17 +50,20 @@ COEFFICIENTS = {
 }
 
 
-def coefficient_shape(name: str, n: int, k: int) -> tuple:
-    """Shape of one value of coefficient ``name``."""
-    return tuple({"n": n, "k": k}[d] for d in COEFFICIENTS[name][0])
+@functools.lru_cache(maxsize=256, typed=True)
+def coefficient_shapes(n: int, k: int) -> tuple:
+    """The schema in the dimensions ``n`` and ``k``: ``(name, shape of one
+    value, per_level)`` triples in :data:`COEFFICIENTS` order."""
+    return tuple((name, tuple({"n": n, "k": k}[d] for d in dims), per_level)
+                 for name, (dims, per_level) in COEFFICIENTS.items())
 
 
 def check_coefficient_memory(n: int, k: int, depth: int) -> None:
     """Refuse coefficients of these sizes before they are allocated: a
     ``ValueError`` when the ``(depth,) + shape`` float64 stacks, with ``G``
     and ``x0``, take more than :data:`NODE_BYTES_BOUND` bytes."""
-    needed = 8 * sum(math.prod(coefficient_shape(name, n, k)) * (depth if per_level else 1)
-                     for name, (_, per_level) in COEFFICIENTS.items())
+    needed = 8 * sum(math.prod(shape) * (depth if per_level else 1)
+                     for _, shape, per_level in coefficient_shapes(n, k))
     if needed > NODE_BYTES_BOUND:
         raise ValueError(
             f"coefficients for n={n}, k={k}, depth={depth} need {needed} bytes, "
@@ -79,6 +86,8 @@ def _symmetrize_stack(mats, name):
     and m^T is m bit for bit.  Otherwise the halves are added, which
     cannot overflow where ``m + m^T`` would.
     """
+    if (mats == np.swapaxes(mats, -1, -2)).all():
+        return mats
     with np.errstate(over="ignore"):  # an infinite skew part is rejected below
         skew = mats - np.swapaxes(mats, -1, -2)
     defect = float(np.max(np.abs(skew, out=skew)))
@@ -148,10 +157,10 @@ class LQInstance(_Memoized):
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "_tree", tree)
-        for name, (_, per_level) in COEFFICIENTS.items():
-            shape = ((depth,) if per_level else ()) + coefficient_shape(name, n, k)
+        for name, shape, per_level in coefficient_shapes(n, k):
+            shape = (depth,) + shape if per_level else shape
             arr = _as_float_array(getattr(self, name), shape, name)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
             if name in ("Q", "R", "G"):
                 arr = _symmetrize_stack(arr, name)
@@ -175,16 +184,17 @@ class LQInstance(_Memoized):
         """
         given = locals()  # the coefficient arguments by name
         check_coefficient_memory(n, k, depth)
+        depth = operator.index(depth)  # a level count: 2.0 is refused
 
         values = {}
-        for name, (_, per_level) in COEFFICIENTS.items():
-            shape, val = coefficient_shape(name, n, k), given[name]
+        for name, shape, per_level in coefficient_shapes(n, k):
+            val = given[name]
             if val is None:
                 val = np.zeros(shape)
             elif np.ndim(val) == 0 and len(shape) == 2 and shape[0] == shape[1]:
                 val = float(val) * np.eye(shape[0])
             val = np.asarray(val, dtype=float).reshape(shape)
-            values[name] = np.tile(val, (depth,) + (1,) * len(shape)) if per_level else val
+            values[name] = val[None].repeat(depth, axis=0) if per_level else val
         return cls(n=n, k=k, T=T, depth=depth, **values)
 
 
@@ -531,20 +541,28 @@ def cost_constant(inst: LQInstance, value) -> float:
     dt (B u + b)], [0, 1]]`` and ``W = [[C, D u + sigma], [0, 0]]``; the two
     branches' cross terms cancel, so ``Z' = P Z P^T + dt W Z W^T``.  The
     running cost is ``<K, Z>`` with ``K = [[Q, S^T u], [u^T S, <R u, u>]]``.
+    K, P, W and the ``<K, Z>`` are formed :data:`COST_LEVEL_CHUNK` levels at
+    a time by the per-level products, stacked; only ``Z'`` goes level by level.
     """
     n, dt = inst.n, inst.tree.dt
     u = np.asarray(value, dtype=float).reshape(inst.k)
     z = np.append(inst.x0, 1.0)
     Z = np.outer(z, z)
-    P, W, K = np.eye(n + 1), np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
     total = 0.0
-    for m in range(inst.depth):
-        K[:n, :n], K[:n, n], K[n, :n] = inst.Q[m], u @ inst.S[m], u @ inst.S[m]
-        K[n, n] = u @ inst.R[m] @ u
-        total += dt * np.sum(K * Z)
-        P[:n, :n], P[:n, n] = np.eye(n) + dt * inst.A[m], dt * (inst.B[m] @ u + inst.b[m])
-        W[:n, :n], W[:n, n] = inst.C[m], inst.D[m] @ u + inst.sigma[m]
-        Z = P @ Z @ P.T + dt * (W @ Z @ W.T)
+    for lo in range(0, inst.depth, COST_LEVEL_CHUNK):
+        level = slice(lo, lo + COST_LEVEL_CHUNK)
+        K, P, W, Zs = np.zeros((4, len(inst.Q[level]), n + 1, n + 1))
+        uS = u @ inst.S[level]
+        K[:, :n, :n], K[:, :n, n], K[:, n, :n] = inst.Q[level], uS, uS
+        K[:, n, n] = ((u @ inst.R[level])[:, None] @ u)[:, 0]
+        P[:, :n, :n], P[:, n, n] = np.eye(n) + dt * inst.A[level], 1.0
+        P[:, :n, n] = dt * (inst.B[level] @ u + inst.b[level])
+        W[:, :n, :n], W[:, :n, n] = inst.C[level], inst.D[level] @ u + inst.sigma[level]
+        for j, (Pm, Wm) in enumerate(zip(P, W)):
+            Zs[j] = Z
+            Z = Pm @ Z @ Pm.T + dt * (Wm @ Z @ Wm.T)
+        for running in (K * Zs).sum(axis=(1, 2)).tolist():
+            total += dt * running
     return float(0.5 * (total + np.sum(inst.G * Z[:n, :n])))
 
 

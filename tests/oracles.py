@@ -20,7 +20,12 @@ reference for the vertex-pair tables of ``lqshift.optimality``.  And the
 two-pass relaxed sampler, which tests membership over the whole draw once
 for the acceptance rate and once more for the rejected nodes, with each
 halfspace product taken over the stacked points: the reference for the
-one-pass ``sample_relaxed_levels``.  Two fixtures close the list: the
+one-pass ``sample_relaxed_levels``.  And the instance construction: one
+value stacked over the levels by ``np.tile``, the symmetric coefficients
+checked and symmetrized through the skew part's largest entry, and the
+constant control's cost summed level by level, the references for the
+repeated stacks, the exact symmetry test and the batched blocks of
+``lqshift.model``.  Two fixtures close the list: the
 seeded ``random_instance`` family most tests draw from, and ``cost_bound``,
 the scale against which they measure rounding in a cost.
 """
@@ -37,6 +42,7 @@ import numpy as np
 from lqshift.errors import BudgetExceededError, DegenerateDomainError, LqshiftError
 from lqshift.model import (
     COEFFICIENTS,
+    SYMMETRY_TOL,
     ControlDomain,
     ControlProcess,
     LQInstance,
@@ -138,6 +144,62 @@ def hamiltonian_mu_gradient(inst: LQInstance, level: int, x, u, p, q,
     m = level
     return (p @ inst.B[m] + q @ inst.D[m] - x @ inst.S[m].T + 0.5 * mu
             - (u @ inst.R[m] + mu * u))
+
+
+# -- instance construction ---------------------------------------------------
+
+
+def symmetrize_reference(mats: np.ndarray, name: str) -> np.ndarray:
+    """Symmetrize ``(..., d, d)`` matrices through the skew part: its largest
+    entry is the defect; a zero defect returns ``mats``, one above
+    ``SYMMETRY_TOL`` times ``max(1, |mats|)`` is refused, any other adds the
+    halves of m and m^T."""
+    with np.errstate(over="ignore"):
+        skew = mats - np.swapaxes(mats, -1, -2)
+    defect = float(np.max(np.abs(skew)))
+    if defect == 0.0:
+        return mats
+    scale = max(1.0, float(mats.max()), -float(mats.min()))
+    if defect > SYMMETRY_TOL * scale:
+        raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
+    half = 0.5 * mats
+    return half + np.swapaxes(half, -1, -2)
+
+
+def coefficient_stacks_reference(n: int, k: int, depth: int, values: dict) -> dict:
+    """The stacks an instance holds for ``values``, name -> one value or, for
+    a per-level coefficient, one value per level: a single value of a
+    per-level coefficient tiled over the levels by ``np.tile``, then ``Q``,
+    ``R`` and ``G`` through :func:`symmetrize_reference`."""
+    stacks = {}
+    for name, (dims, per_level) in COEFFICIENTS.items():
+        shape = tuple({"n": n, "k": k}[d] for d in dims)
+        arr = np.asarray(values[name], dtype=float)
+        if per_level and arr.shape == shape:
+            arr = np.tile(arr, (depth,) + (1,) * len(shape))
+        if name in ("Q", "R", "G"):
+            arr = symmetrize_reference(arr, name)
+        stacks[name] = np.ascontiguousarray(arr)
+    return stacks
+
+
+def cost_constant_reference(inst: LQInstance, value) -> float:
+    """The constant control's cost from the second moment of ``(x, 1)``, with
+    K, P and W filled in and ``<K, Z>`` summed one level at a time."""
+    n, dt = inst.n, inst.tree.dt
+    u = np.asarray(value, dtype=float).reshape(inst.k)
+    z = np.append(inst.x0, 1.0)
+    Z = np.outer(z, z)
+    P, W, K = np.eye(n + 1), np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    total = 0.0
+    for m in range(inst.depth):
+        K[:n, :n], K[:n, n], K[n, :n] = inst.Q[m], u @ inst.S[m], u @ inst.S[m]
+        K[n, n] = u @ inst.R[m] @ u
+        total += dt * np.sum(K * Z)
+        P[:n, :n], P[:n, n] = np.eye(n) + dt * inst.A[m], dt * (inst.B[m] @ u + inst.b[m])
+        W[:n, :n], W[:n, n] = inst.C[m], inst.D[m] @ u + inst.sigma[m]
+        Z = P @ Z @ P.T + dt * (W @ Z @ W.T)
+    return float(0.5 * (total + np.sum(inst.G * Z[:n, :n])))
 
 
 # -- fundamental matrices ----------------------------------------------------

@@ -272,6 +272,24 @@ def test_example5_study(capsys, tmp_path):
     assert lines[0].startswith("depth,")
 
 
+def test_example5_hamiltonian_rows_match_one_row_calls(capsys):
+    """example5 evaluates the Hamiltonian at u = +1 and u = -1 as two rows
+    of one call; at depths 2-59, 100 and 200 its halved sum and difference
+    are bit for bit those of two one-row calls."""
+    depths = list(range(2, 60)) + [100, 200]
+    code, report = run_cli(capsys, "example5", "--depths", ",".join(map(str, depths)),
+                           "--budget", "1")
+    assert code == 0
+    zero = np.zeros((1, 1))
+    for row in report["result"]["depths"]:
+        inst = lq.example5_instance(row["depth"])
+        h_plus, h_minus = (float(lq.hamiltonian_mu(inst, 0, zero, np.full((1, 1), sign),
+                                                   zero, zero, row["mu"])[0])
+                           for sign in (1.0, -1.0))
+        assert row["hamiltonian_quadratic"] == 0.5 * (h_plus + h_minus), row["depth"]
+        assert row["hamiltonian_linear"] == 0.5 * (h_plus - h_minus), row["depth"]
+
+
 def test_argparse_contract(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lqshift as lq
-from lqshift.model import COEFFICIENTS, coefficient_shape
+from lqshift.model import COEFFICIENTS, coefficient_shapes
 
 from oracles import random_instance
 
@@ -124,13 +124,14 @@ def test_loader_lists_every_bad_coefficient_in_schema_order():
 @pytest.mark.parametrize("name", list(COEFFICIENTS))
 def test_each_coefficient_survives_dump_load_and_resampling(name):
     n, k, depth = 2, 3, 3
-    per_level = COEFFICIENTS[name][1]
-    shape = ((depth,) if per_level else ()) + coefficient_shape(name, n, k)
+    schema = {other: (shape, lvl) for other, shape, lvl in coefficient_shapes(n, k)}
+    one, per_level = schema[name]
+    shape = ((depth,) if per_level else ()) + one
     value = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)  # unequal levels
     if name in ("Q", "R", "G"):
         value = value + np.swapaxes(value, -1, -2)
-    values = {other: np.zeros(((depth,) if lvl else ()) + coefficient_shape(other, n, k))
-              for other, (_, lvl) in COEFFICIENTS.items()}
+    values = {other: np.zeros(((depth,) if lvl else ()) + other_shape)
+              for other, (other_shape, lvl) in schema.items()}
     values[name] = value
     inst = lq.LQInstance(n=n, k=k, T=1.0, depth=depth, **values)
     domain = lq.ControlDomain.free(k)

@@ -1,12 +1,15 @@
+import json
+import re
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import lqshift as lq
 import lqshift.model as model_mod
-from lqshift.model import (MEMBERSHIP_TOL, _all_members, _flat_matmul, _interleave,
-                           check_coefficient_memory, cost_constant)
+from lqshift.model import (COEFFICIENTS, MEMBERSHIP_TOL, _all_members, _flat_matmul,
+                           _interleave, check_coefficient_memory, cost_constant)
 
 import oracles
 from conftest import all_scalar_binary_controls
@@ -145,6 +148,136 @@ def test_constant_control_cost_runs_past_the_node_memory_bound():
     for depth in (2, 30, 40, 1000):
         assert cost_constant(lq.example5_instance(depth), np.ones(1)) == pytest.approx(
             1.5 - (depth + 1) / (2.0 * depth), rel=1e-12, abs=0), depth
+
+
+def _construction_case(seed):
+    """A seeded instance document: n, k <= 3 and depth <= 8; each per-level
+    coefficient given as one value or as one value per level; Q, R and G
+    exactly symmetric on even seeds and skewed by at most 4e-13, below
+    ``SYMMETRY_TOL``, on odd ones."""
+    rng = np.random.default_rng(seed)
+    n, k, depth = (int(v) for v in rng.integers(1, (4, 4, 9)))
+    values = {}
+    for name, (dims, per_level) in COEFFICIENTS.items():
+        shape = tuple({"n": n, "k": k}[d] for d in dims)
+        if per_level and rng.integers(2):
+            shape = (depth,) + shape
+        value = rng.uniform(-1.0, 1.0, shape)
+        if name in ("Q", "R", "G"):
+            value = value + np.swapaxes(value, -1, -2)
+            if seed % 2:
+                skew = rng.uniform(-1e-13, 1e-13, shape)
+                value = value + (skew - np.swapaxes(skew, -1, -2))
+        values[name] = value
+    return n, k, depth, values
+
+
+def _assert_reference_instance(inst, values, label, controls=None):
+    """``inst`` holds the reference stacks of ``values`` byte for byte, and
+    its digest and constant-control costs are those of an instance holding
+    them; the controls are a binary, the all-ones and a uniform value
+    unless given."""
+    n, k, depth = inst.n, inst.k, inst.depth
+    stacks = oracles.coefficient_stacks_reference(n, k, depth, values)
+    for name, want in stacks.items():
+        got = getattr(inst, name)
+        assert got.dtype == want.dtype and got.flags.c_contiguous, (label, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (label, name)
+    reference = lq.LQInstance(n=n, k=k, T=inst.T, depth=depth, **stacks)
+    domain = lq.ControlDomain.free(k)
+    assert lq.instance_digest(inst, domain) == lq.instance_digest(reference, domain), label
+    rng = np.random.default_rng(depth)
+    if controls is None:
+        controls = (rng.integers(0, 2, k), np.ones(k), rng.uniform(-1.0, 1.0, k))
+    for value in controls:
+        assert cost_constant(inst, value) == oracles.cost_constant_reference(
+            reference, value), label
+
+
+def test_construction_matches_the_reference_byte_for_byte():
+    """On 300 seeded documents, an instance built from full stacks, from one
+    value per coefficient by ``LQInstance.constant`` and from a JSON document
+    by ``load_instance`` holds the stacks of ``np.tile`` stacking and the
+    skew-part symmetrization, their digest and their constant-control costs
+    bit for bit."""
+    skewed = 0
+    for seed in range(300):
+        n, k, depth, values = _construction_case(seed)
+        full, first = {}, {}
+        for name, (dims, per_level) in COEFFICIENTS.items():
+            value = values[name]
+            levels = per_level and value.ndim > len(dims)
+            full[name] = value if levels or not per_level else np.tile(
+                value, (depth,) + (1,) * value.ndim)
+            first[name] = value[0] if levels else value
+            if name in ("Q", "R", "G"):
+                skewed += not np.array_equal(value, np.swapaxes(value, -1, -2))
+        doc = {"n": n, "k": k, "T": 1.0, "depth": depth, "x0": values["x0"].tolist(),
+               "coefficients": {name: value.tolist() for name, value in values.items()
+                                if name != "x0"}}
+        loaded, _ = lq.load_instance(json.loads(json.dumps(doc)))
+        _assert_reference_instance(loaded, values, f"load_instance, seed {seed}")
+        _assert_reference_instance(lq.LQInstance(n=n, k=k, T=1.0, depth=depth, **full),
+                                   values, f"LQInstance, seed {seed}")
+        _assert_reference_instance(lq.LQInstance.constant(depth=depth, n=n, k=k, **first),
+                                   first, f"LQInstance.constant, seed {seed}")
+    assert skewed > 300  # the near-symmetric path is taken, not only the exact one
+
+
+def test_example5_construction_matches_the_reference_byte_for_byte():
+    """Example 5 at depths 2-200, built by ``example5_instance`` and loaded
+    from the packaged file at depth 2 and resampled by ``with_depth``."""
+    values = {name: np.zeros(((1,) * len(dims))) for name, (dims, _) in COEFFICIENTS.items()}
+    values.update(D=[[1.0]], Q=[[2.0]], R=[[-1.0]], G=[[2.0]])
+    packaged, _ = lq.load_instance(str(resources.files("lqshift").joinpath("data/example5.json")))
+    for depth in range(2, 201):
+        _assert_reference_instance(lq.example5_instance(depth), values, f"depth {depth}",
+                                   controls=[np.ones(1)])
+        _assert_reference_instance(lq.with_depth(packaged, depth), values,
+                                   f"with_depth {depth}", controls=[np.ones(1)])
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("Q", [[1.0, 0.5], [0.6, 1.0]], "Q is not symmetric (defect 1.000e-01)"),
+    ("R", [[1.0, 2e-12], [0.0, 1.0]], "R is not symmetric (defect 2.000e-12)"),
+    ("G", [[1.0, 1e308], [-1e308, 1.0]], "G is not symmetric (defect inf)"),
+    ("Q", [[1.0, np.nan], [np.nan, 1.0]], "Q contains non-finite entries"),
+    ("G", [[1.0, 0.0], [0.0, np.inf]], "G contains non-finite entries"),
+    ("S", [[1.0, 0.0]], "S must have shape (2, 2, 2), got (1, 2)"),
+])
+def test_construction_refusals_keep_their_messages(name, value, message):
+    """The asymmetric, non-finite and wrong-shape refusals word themselves as
+    the reference does, and the loader reports the asymmetric ones at
+    ``/coefficients``."""
+    n = k = depth = 2
+    stacks = {other: np.zeros(((depth,) if lvl else ()) + shape)
+              for other, shape, lvl in model_mod.coefficient_shapes(n, k)}
+    stacks[name] = np.asarray(value) if name in ("G", "S") else np.array([value, value])
+    with pytest.raises(ValueError) as caught:
+        lq.LQInstance(n=n, k=k, T=1.0, depth=depth, **stacks)
+    assert str(caught.value) == message
+    if "symmetric" in message:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracles.symmetrize_reference(stacks[name], name)
+        doc = {"n": n, "k": k, "T": 1.0, "depth": depth, "coefficients": {name: value}}
+        with pytest.raises(lq.InstanceFormatError) as caught:
+            lq.load_instance(doc)
+        assert caught.value.issues == [("/coefficients", message)]
+
+
+def test_constant_control_cost_peaks_far_below_the_stacks():
+    """``cost_constant`` builds its blocks ``COST_LEVEL_CHUNK`` levels at a
+    time: on Example 5 at depth 100,000 it peaks below a tenth of the
+    coefficient stacks, where one batch over all levels peaks above them."""
+    inst = lq.example5_instance(100_000)
+    stacks = sum(getattr(inst, name).nbytes for name in COEFFICIENTS)
+    tracemalloc.start()
+    try:
+        cost_constant(inst, np.ones(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * stacks, (peak, stacks)
 
 
 def test_cost_many_agrees_with_direct(free1):

@@ -14,7 +14,8 @@ import csv
 import hashlib
 import json
 import math
-from itertools import chain, repeat
+import re
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -231,31 +232,101 @@ def with_depth(inst: LQInstance, new_depth: int) -> LQInstance:
 
 # -- control tables ---------------------------------------------------------------
 
+# SWAR on eight ASCII digits in a little-endian word, the first digit lowest
+_ZEROS, _NIBBLES, _SIXES = (np.uint64(byte * 0x0101010101010101) for byte in (0x30, 0xF0, 0x06))
+_SWAR_STEPS = [(np.uint64(b), np.uint64(10 ** (b // 8)), np.uint64(m)) for b, m in
+               ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF))]
+_DECIMAL = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")   # float's syntax
+
 
 def _control_header(k: int) -> list:
     return ["level", "index"] + [f"u{i + 1}" for i in range(k)]
 
 
+def _node_fields(depth: int, pad: int):
+    """Each level's node count and ``level,`` bytes (first digit or ``pad``,
+    last digit, comma; one row each), and each node's index, in node order."""
+    sizes, level = 1 << np.arange(depth, dtype=np.int32), np.arange(depth)
+    fields = np.array([np.where(level < 10, pad, 48 + level // 10), 48 + level % 10,
+                       np.full(depth, 44)], np.uint8)
+    return sizes, fields, np.arange(1, 1 << depth, dtype=np.int32) - sizes.repeat(sizes)
+
+
+def _dedupe(keys: np.ndarray):
+    """A position of each distinct key, by ascending key, and each key's rank."""
+    ordered = np.sort(keys)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    if distinct.size > 8:   # else by comparison, faster for a few
+        return np.unique(keys, return_index=True, return_inverse=True)[1:]
+    rank = sum((keys >= value for value in distinct[1:]), np.zeros(keys.size, np.intp))
+    return np.array([np.argmax(keys == value) for value in distinct]), rank
+
+
 def write_control_csv(path, control) -> None:
     """One ``level,index,u1..uk`` row per node, values as ``repr``, CRLF ends.
-
-    Each distinct value (bit pattern, so ``-0.0`` stays apart from ``0.0``)
-    is formatted once and the rows index into those strings.
-    """
-    depth = control.tree.depth
+    Each distinct value (bit pattern: ``-0.0`` is not ``0.0``) and row is
+    formatted once, into one byte array of NUL-padded fields, NULs dropped."""
     values = np.concatenate(control.levels)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    first, inverse = _dedupe(values.view(np.int64).ravel())
+    text = [repr(v) for v in values.ravel()[first].tolist()]
     inverse = inverse.reshape(values.shape)
-    numbers = list(map(str, range(1 << (depth - 1))))
-    columns = [list(chain.from_iterable(repeat(str(m), 1 << m) for m in range(depth))),
-               list(chain.from_iterable(numbers[:1 << m] for m in range(depth)))]
-    columns += [list(map(text.__getitem__, inverse[:, i].tolist()))
-                for i in range(control.dim)]
-    lines = [",".join(_control_header(control.dim))]
-    lines.extend(map(",".join, zip(*columns)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    row = inverse[:, 0]
+    for column in inverse[:, 1:].T:   # row * len(text) + column < nodes**2 * k
+        first, row = _dedupe(row * len(text) + column)
+    sizes, fields, index = _node_fields(control.tree.depth, 0)   # int32 divides fast
+    digits = len(str(index[-1]))
+    cells = [list(map(text.__getitem__, column)) for column in inverse[first].T.tolist()]
+    tails = ["\0" * (digits + 3) + "," + row + "\r\n" for row in map(",".join, zip(*cells))]
+    width = max(map(len, tails))
+    tails = np.frombuffer("".join(tail.ljust(width, "\0") for tail in tails).encode(), np.uint8)
+    out = tails.reshape(first.size, -1).take(row, axis=0)
+    out[:, :3] = fields.T.repeat(sizes, axis=0)
+    for column in range(digits + 2, 2, -1):   # the index, last digit first; NUL before its first
+        tens = index // 10
+        out[:, column] = (index - tens * 10 + 48) * ((index > 0) | (column == digits + 2))
+        index = tens
+    with open(path, "wb") as fh:
+        fh.write((",".join(_control_header(control.dim)) + "\r\n").encode())
+        fh.write(out.tobytes().replace(b"\0", b""))
+
+
+def _node_order_values(data: bytes, k: int, tree: ScenarioTree):
+    """The ``(nodes, k)`` values of rows, after the header line, that name every node in order in
+    unsigned decimals, then 1 to 15 bytes of finite values; else None.  Index by SWAR."""
+    check_node_memory(tree.num_nodes(tree.depth) - 1, k + 1)   # as the other reader does
+    arr = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(arr == 10)   # the header's line feed, then one per row
+    if ends.size != 1 << tree.depth or ends[-1] != arr.size - 1:
+        return None
+    sizes, fields, index = _node_fields(tree.depth, 10)
+    comma = ends[:-1] + (2 + (fields[0] != 10)).repeat(sizes)   # the level's; clipped: no comma
+    ok = all((arr.take(comma - back, mode="clip") == byte.repeat(sizes)).all()
+             for back, byte in enumerate(fields[::-1]))
+    width = sum((index >= 10 ** d for d in range(1, len(str(index[-1])))), np.zeros_like(index))
+    comma += width + 2   # after the index, whose digits are one more than width
+    end = ends[1:] - (arr.take(ends[1:] - 1) == 13)   # CR LF ends
+    size = end - comma - 1   # the bytes of the values
+    if not ok or (arr.take(comma, mode="clip") != 44).any() or size.min() < 1 or size.max() > 15:
+        return None
+    words = np.ndarray((arr.size - 7,), "<u8", data, 0, (1,))   # the 8 bytes from each offset
+    shift = ((7 - width) << 3).astype(np.uint64)   # the bits before the digits: ASCII '0'
+    number = words[comma - 8] >> shift << shift | _ZEROS >> (np.uint64(64) - shift)
+    digits = (((number & _NIBBLES) == _ZEROS) & (((number + _SIXES) & _NIBBLES) == _ZEROS)).all()
+    number -= _ZEROS   # each byte a digit: its high nibble, and that of the byte plus 6, is 3
+    for bits, scale, mask in _SWAR_STEPS:   # merge digit pairs, then fours, then eights
+        number = number * scale + (number >> bits) & mask
+    key = words[end - 8] >> (np.maximum(8 - size, 0) << 3).view(np.uint64)   # the last 8 bytes
+    high = size.view(np.uint64) << np.uint64(56)   # the length, and any bytes before those
+    if size.max() > 7:   # two words: their ranks, paired
+        high |= words[end - 16] >> ((16 - size) << 3).view(np.uint64)
+        key, high = _dedupe(key)[1], _dedupe(high)[1] * size.size
+    first, row = _dedupe(key | high if size.max() < 8 else key + high)
+    texts = [data[e - n:e].split(b",") for e, n in zip(end[first].tolist(), size[first].tolist())]
+    if not digits or (number.view(np.int64) != index).any() or any(
+            len(t) != k or not all(map(_DECIMAL.fullmatch, t)) for t in texts):
+        return None
+    table = np.array([list(map(float, t)) for t in texts])
+    return table.take(row, axis=0) if np.isfinite(table).all() else None
 
 
 def _range_error(m: int, j: int, depth: int) -> str | None:
@@ -308,81 +379,68 @@ def _validate_rows(table, depth: int):
     return counts, (r, message)
 
 
-def _canonical_values(table, depth: int):
-    """The values of a table whose rows are every node once, in node order
-    (level by level, index ascending) and finite, as one contiguous
-    ``(nodes, k)`` array; None for any other table."""
-    if len(table) != (1 << depth) - 1:
-        return None
-    first = 1 << np.arange(depth)  # each level's first node number, plus one
-    level = np.repeat(np.arange(depth), first)
-    if not np.array_equal(table["level"], level):
-        return None
-    if not np.array_equal(table["index"], np.arange(1, len(table) + 1) - first[level]):
-        return None
-    values = np.ascontiguousarray(table["u"])
-    return values if np.isfinite(values).all() else None
-
-
 def load_control_csv(path, domain: ControlDomain, tree: ScenarioTree,
                      kind: str = "binary") -> ControlProcess:
     """Read a control table; see FORMAT.md for the accepted syntax.
 
-    The body is parsed in one ``np.loadtxt`` call and validated as whole
-    arrays; rows in node order take one check instead of the sort pass.  Row-level problems name the file line: blank lines are skipped
-    but counted.
-    """
+    A ``binary`` table as :func:`write_control_csv` writes it is read as byte
+    arrays, any other by one ``np.loadtxt`` call, to the same values and
+    messages.  Row problems name the file line, counting blank lines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data.decode("utf-8")   # a file that is not UTF-8 is refused before its header
     except FileNotFoundError:
         raise ControlFileError(f"file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ControlFileError(f"cannot read {path}: {exc}")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ControlFileError("empty control file")
-    header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
-    expected = _control_header(domain.k)
-    if header != expected:
-        raise ControlFileError(
-            f"header {header} does not match expected {expected}")
-    # k values and one row count per node, sized from the depth
-    check_node_memory(tree.num_nodes(tree.depth) - 1, domain.k + 1)
-    body = lines[1:]
-    rows = list(filter(None, body))
-    dtype = np.dtype([("level", np.int64), ("index", np.int64),
-                      ("u", np.float64, (domain.k,))])
+    header = ",".join(_control_header(domain.k)).encode()
+    binary = kind == "binary" and data.startswith((header + b"\n", header + b"\r\n"))
+    values = _node_order_values(data, domain.k, tree) if binary else None
+    if values is None:  # any other table: read as text, parsed by np.loadtxt, checked as arrays
+        lines = TextIOWrapper(BytesIO(data), encoding="utf-8").read().split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if not lines:
+            raise ControlFileError("empty control file")
+        header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
+        expected = _control_header(domain.k)
+        if header != expected:
+            raise ControlFileError(
+                f"header {header} does not match expected {expected}")
+        # k values and one row count per node, sized from the depth
+        check_node_memory(tree.num_nodes(tree.depth) - 1, domain.k + 1)
+        body = lines[1:]
+        rows = list(filter(None, body))
+        dtype = np.dtype([("level", np.int64), ("index", np.int64),
+                          ("u", np.float64, (domain.k,))])
 
-    def parse(chunk):
-        if not chunk:
-            return np.zeros(0, dtype=dtype)
-        return np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None,
-                          quotechar='"', ndmin=1)
+        def parse(chunk):
+            if not chunk:
+                return np.zeros(0, dtype=dtype)
+            return np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
 
-    def fail(r, message):
-        line = int(np.flatnonzero(list(map(bool, body)))[r]) + 2
-        raise ControlFileError(f"line {line}: {message}")
+        def fail(r, message):
+            line = int(np.flatnonzero(list(map(bool, body)))[r]) + 2
+            raise ControlFileError(f"line {line}: {message}")
 
-    try:
-        table = parse(rows)
-    except ValueError:
-        # bisect for the first row the parser refuses; earlier rows go first
-        good, bad = 0, len(rows)
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                parse(rows[:mid])
-                good = mid
-            except ValueError:
-                bad = mid
-        _, error = _validate_rows(parse(rows[:good]), tree.depth)
-        if error is None:
-            error = good, _unparsed_row_error(rows[good], len(expected), tree.depth)
-        fail(*error)
-    values = _canonical_values(table, tree.depth)
-    if values is None:  # rows out of node order, or a row to refuse
+        try:
+            table = parse(rows)
+        except ValueError:
+            # bisect for the first row the parser refuses; earlier rows go first
+            good, bad = 0, len(rows)
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                try:
+                    parse(rows[:mid])
+                    good = mid
+                except ValueError:
+                    bad = mid
+            _, error = _validate_rows(parse(rows[:good]), tree.depth)
+            if error is None:
+                error = good, _unparsed_row_error(rows[good], len(expected), tree.depth)
+            fail(*error)
         counts, error = _validate_rows(table, tree.depth)
         if error:
             fail(*error)

@@ -164,7 +164,8 @@ class LQInstance(_Memoized):
                 raise ValueError(f"{name} contains non-finite entries")
             if name in ("Q", "R", "G"):
                 arr = _symmetrize_stack(arr, name)
-            arr = np.ascontiguousarray(arr)
+            # a view is copied: a writable base could change it after the checks
+            arr = arr.copy() if arr.base is not None else np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -25,21 +25,26 @@ value stacked over the levels by ``np.tile``, the symmetric coefficients
 checked and symmetrized through the skew part's largest entry, and the
 constant control's cost summed level by level, the references for the
 repeated stacks, the exact symmetry test and the batched blocks of
-``lqshift.model``.  Two fixtures close the list: the
-seeded ``random_instance`` family most tests draw from, and ``cost_bound``,
-the scale against which they measure rounding in a cost.
+``lqshift.model``.  And the control table reader as it was before its
+byte-level path, every file parsed by ``np.loadtxt``: the reference for
+the values and messages of ``lqshift.io.load_control_csv``.  Two fixtures
+close the list: the seeded ``random_instance`` family most tests draw
+from, and ``cost_bound``, the scale against which they measure rounding in
+a cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
-from lqshift.errors import BudgetExceededError, DegenerateDomainError, LqshiftError
+from lqshift.errors import (BudgetExceededError, ControlFileError, DegenerateDomainError,
+                            LqshiftError)
 from lqshift.model import (
     COEFFICIENTS,
     SYMMETRY_TOL,
@@ -54,7 +59,7 @@ from lqshift.oracle import DEFAULT_BUDGET, OracleResult
 from lqshift.operators import _apply_N_levels, solve_linear_bsde
 from lqshift.optimality import CheckResult, Trajectory, _worst, solve_second_adjoint
 from lqshift.spectral import RICCATI_REL_WIDTH, _riccati_pd, _step_blocks
-from lqshift.tree import ScenarioTree, _weighted_dot_levels
+from lqshift.tree import ScenarioTree, _weighted_dot_levels, check_node_memory
 
 
 # controls costed per batch by the plain enumeration
@@ -545,3 +550,146 @@ def general_smp_reference(inst: LQInstance, traj: Trajectory) -> CheckResult:
             yield np.sum(delta * (g[:, None, :] - 0.5 * delta @ hess), axis=-1)
 
     return _worst("general_smp", deficits(), verts)
+
+
+# -- the control table reader before its byte-level path ----------------------
+
+
+def range_error_reference(m: int, j: int, depth: int) -> str | None:
+    if not 0 <= m < depth:
+        return f"level {m} outside 0..{depth - 1}"
+    if not 0 <= j < 1 << m:
+        return f"index {j} outside 0..{(1 << m) - 1}"
+    return None
+
+
+def unparsed_row_error_reference(row: str, width: int, depth: int) -> str:
+    """Why one row the bulk parser refused is bad, in the row-by-row terms."""
+    fields = next(csv.reader([row]), [])
+    if len(fields) != width:
+        return f"expected {width} fields"
+    try:
+        m, j = int(fields[0]), int(fields[1])
+        for value in fields[2:]:
+            float(value)
+    except ValueError:
+        return "non-numeric field"
+    # an integer too wide for int64 is out of range; other literals only
+    # Python reads (``1_0``, non-ASCII digits) stay non-numeric
+    return range_error_reference(m, j, depth) or "non-numeric field"
+
+
+def validate_rows_reference(table, depth: int):
+    """Rows per node, and the first row breaking a per-row rule as
+    ``(row, message)`` or None; the rules apply in the order level range,
+    index range, node given twice, non-finite value."""
+    level, index = table["level"], table["index"]
+    level_ok = (level >= 0) & (level < depth)
+    start = np.left_shift(1, np.where(level_ok, level, 0))
+    placed = level_ok & (index >= 0) & (index < start)
+    node = np.where(placed, start - 1 + index, -1)
+    counts = np.bincount(node[placed], minlength=(1 << depth) - 1)
+    bad = ~placed | ~np.all(np.isfinite(table["u"]), axis=1)
+    again = np.zeros_like(bad)  # rows naming a node an earlier row named
+    if counts.max(initial=0) > 1:
+        _, first = np.unique(node, return_index=True)
+        again[placed] = True
+        again[first] = False
+        bad |= again
+    if not bad.any():
+        return counts, None
+    r = int(np.argmax(bad))
+    m, j = int(level[r]), int(index[r])
+    message = range_error_reference(m, j, depth) or (
+        f"node ({m}, {j}) given twice" if again[r] else "non-finite value")
+    return counts, (r, message)
+
+
+def canonical_values_reference(table, depth: int):
+    """The values of a table whose rows are every node once, in node order
+    (level by level, index ascending) and finite, as one contiguous
+    ``(nodes, k)`` array; None for any other table."""
+    if len(table) != (1 << depth) - 1:
+        return None
+    first = 1 << np.arange(depth)  # each level's first node number, plus one
+    level = np.repeat(np.arange(depth), first)
+    if not np.array_equal(table["level"], level):
+        return None
+    if not np.array_equal(table["index"], np.arange(1, len(table) + 1) - first[level]):
+        return None
+    values = np.ascontiguousarray(table["u"])
+    return values if np.isfinite(values).all() else None
+
+
+def load_control_csv_reference(path, domain: ControlDomain, tree: ScenarioTree,
+                     kind: str = "binary") -> ControlProcess:
+    """``lqshift.io.load_control_csv`` before its byte-level path: every
+    file read as text and parsed by ``np.loadtxt``.  The reference for the
+    byte path's values, messages and their order."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except FileNotFoundError:
+        raise ControlFileError(f"file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ControlFileError(f"cannot read {path}: {exc}")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ControlFileError("empty control file")
+    header = [h.strip() for h in next(csv.reader(lines[:1]), [])]
+    expected = ["level", "index"] + [f"u{i + 1}" for i in range(domain.k)]
+    if header != expected:
+        raise ControlFileError(
+            f"header {header} does not match expected {expected}")
+    # k values and one row count per node, sized from the depth
+    check_node_memory(tree.num_nodes(tree.depth) - 1, domain.k + 1)
+    body = lines[1:]
+    rows = list(filter(None, body))
+    dtype = np.dtype([("level", np.int64), ("index", np.int64),
+                      ("u", np.float64, (domain.k,))])
+
+    def parse(chunk):
+        if not chunk:
+            return np.zeros(0, dtype=dtype)
+        return np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+
+    def fail(r, message):
+        line = int(np.flatnonzero(list(map(bool, body)))[r]) + 2
+        raise ControlFileError(f"line {line}: {message}")
+
+    try:
+        table = parse(rows)
+    except ValueError:
+        # bisect for the first row the parser refuses; earlier rows go first
+        good, bad = 0, len(rows)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                parse(rows[:mid])
+                good = mid
+            except ValueError:
+                bad = mid
+        _, error = validate_rows_reference(parse(rows[:good]), tree.depth)
+        if error is None:
+            error = good, unparsed_row_error_reference(rows[good], len(expected), tree.depth)
+        fail(*error)
+    values = canonical_values_reference(table, tree.depth)
+    if values is None:  # rows out of node order, or a row to refuse
+        counts, error = validate_rows_reference(table, tree.depth)
+        if error:
+            fail(*error)
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            node = int(missing[0]) + 1
+            m = node.bit_length() - 1
+            raise ControlFileError(f"node ({m}, {node - (1 << m)}) is missing")
+        values = np.empty((counts.size, domain.k))
+        start = np.left_shift(1, table["level"])
+        values[start - 1 + table["index"]] = table["u"]
+    levels = [values[(1 << m) - 1:(1 << (m + 1)) - 1] for m in range(tree.depth)]
+    try:
+        return ControlProcess.from_levels(domain, tree, levels, kind)
+    except ValueError as exc:
+        raise ControlFileError(str(exc))

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import lqshift as lq
+from lqshift.cli import main
 from lqshift.model import COEFFICIENTS, coefficient_shapes
 
+import oracles
 from oracles import random_instance
 
 
@@ -412,27 +414,198 @@ def _csv_module_table(path, control):
                 writer.writerow([m, j] + [repr(float(v)) for v in row])
 
 
-def test_control_csv_writer_matches_csv_module(tmp_path):
-    tree = lq.LQInstance.constant(depth=10, n=1, k=2).tree
-    domain = lq.ControlDomain(k=2, halfspaces=(([1.0, 1.0], 1.5),))
+def test_control_csv_writer_matches_csv_module(tmp_path, capsys):
+    """The writer's bytes are ``csv.writer``'s at depths 1-12 and k = 1-3, for
+    binary and relaxed controls and for the values whose ``repr`` is
+    longest or signed; ``solve --control-out`` writes them too."""
     rng = np.random.default_rng(2)
+    special = [-0.0, 5e-324, 1 - 2 ** -53, 0.1 + 0.2]
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    for depth in range(1, 13):
+        for k in (1, 2, 3):
+            tree = lq.build_tree(depth, 1.0)
+            domain = lq.ControlDomain(k=k, halfspaces=(([1.0] * k, k - 0.5),))
+            verts = domain.binary_vertices()
+            binary = [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
+                      for m in range(depth)]
+            binary[-1][:1, :1] = -0.0
+            relaxed = [rng.uniform(0.0, 0.75 / k, size=(tree.num_nodes(m), k))
+                       for m in range(depth)]
+            relaxed[-1].flat[:len(special)] = special[:relaxed[-1].size]
+            for kind, levels, space in (("binary", binary, domain),
+                                        ("relaxed", relaxed, lq.ControlDomain.free(k))):
+                control = lq.ControlProcess.from_levels(space, tree, levels, kind)
+                lq.write_control_csv(ours, control)
+                _csv_module_table(reference, control)
+                assert ours.read_bytes() == reference.read_bytes(), (depth, k, kind)
+                back = lq.load_control_csv(ours, space, tree, kind=kind)
+                for got, want in zip(back.levels, control.levels):
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for seed in (0, 3, 14):
+        inst, domain = random_instance(seed, n_max=2, k_max=3, depth_max=8)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(lq.dump_instance(inst, domain)))
+        assert main(["solve", str(path), "--mu", "-3", "--control-out", str(ours)]) in (0, 1)
+        capsys.readouterr()
+        _csv_module_table(reference, lq.load_control_csv(ours, domain, inst.tree))
+        assert ours.read_bytes() == reference.read_bytes(), seed
+
+
+# -- the byte-level reader against the reference reader ---------------------------
+
+# spellings of each binary value that both readers take, none of them the
+# vertex's ``repr``; the last two of 1 lie within the membership tolerance
+SPELLINGS = {0.0: ["0", "0.", "+0.0", "-0.0", "0e0", "1e-400"],
+             1.0: ["1", "1.", "1e0", "0.9999999995", "1.0000000004"]}
+
+
+def _both_loaders(path, domain, tree, kind="binary"):
+    """The outcome of the byte-level loader and of the reference loader: the
+    levels' bit patterns, or the refusal's type and message."""
+    outcomes = []
+    for load in (lq.load_control_csv, oracles.load_control_csv_reference):
+        try:
+            control = load(path, domain, tree, kind)
+        except (lq.ControlFileError, ValueError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        else:
+            outcomes.append([level.view(np.int64).tobytes() for level in control.levels])
+    return outcomes
+
+
+def _binary_rows(seed):
+    """A seeded binary control's domain, tree and ``level,index,u..`` rows:
+    k <= 3, depth 1-10, on a free, integrally cut or fractionally cut domain."""
+    rng = np.random.default_rng(seed)
+    k, depth = int(rng.integers(1, 4)), int(rng.integers(1, 11))
+    cut = [(), (([1.0] * k, float(max(k - 1, 1))),), (([1.0] * k, k - 0.5),)][seed % 3]
+    domain = lq.ControlDomain(k=k, halfspaces=cut)
     verts = domain.binary_vertices()
-    binary = lq.ControlProcess.from_levels(
-        domain, tree, [verts[rng.integers(len(verts), size=tree.num_nodes(m))]
-                       for m in range(tree.depth)], "binary")
-    levels = [rng.uniform(0.0, 0.75, size=(tree.num_nodes(m), 2))
+    tree = lq.build_tree(depth, 1.0)
+    levels = [verts[rng.integers(len(verts), size=tree.num_nodes(m))] for m in range(depth)]
+    control = lq.ControlProcess.from_levels(domain, tree, levels)
+    rows = [[str(m), str(j)] + [repr(float(v)) for v in row]
+            for m, level in enumerate(control.levels) for j, row in enumerate(level)]
+    return domain, tree, control, rows, rng
+
+
+def _table_bytes(k, rows, end="\r\n"):
+    header = ",".join(["level", "index"] + [f"u{i + 1}" for i in range(k)])
+    return end.join([header] + [",".join(row) for row in rows]).encode() + end.encode()
+
+
+def test_node_order_reader_gives_the_reference_values(tmp_path):
+    """Node-order binary files, as written and with every field spelled
+    another way, load to the reference's levels bit for bit; the files the
+    writer and ``csv.writer`` write take the byte-level path."""
+    path = tmp_path / "control.csv"
+    taken = 0
+    for seed in range(60):
+        domain, tree, control, rows, rng = _binary_rows(seed)
+        spelled = [row[:2] + [SPELLINGS[float(v)][rng.integers(len(SPELLINGS[float(v)]))]
+                              for v in row[2:]] for row in rows]
+        lq.write_control_csv(path, control)
+        written = path.read_bytes()
+        _csv_module_table(path, control)
+        assert path.read_bytes() == written
+        for data in (written, written.replace(b"\r\n", b"\n"), _table_bytes(domain.k, spelled),
+                     _table_bytes(domain.k, spelled, "\n")):
+            path.write_bytes(data)
+            ours, reference = _both_loaders(path, domain, tree)
+            assert isinstance(reference, list) and ours == reference, (seed, data[:80])
+        for data in (written, written.replace(b"\r\n", b"\n")):
+            taken += lq.io._node_order_values(data, domain.k, tree) is not None
+    assert taken == 120
+
+
+def test_node_order_reader_keeps_the_reference_refusals(tmp_path):
+    """A node-order file with one defect, whichever loader reads it, gives the
+    reference's message (or, where the reference accepts it, its values)."""
+    path = tmp_path / "control.csv"
+    domain = lq.ControlDomain.free(2)
+    tree = lq.build_tree(10, 1.0)
+    rng = np.random.default_rng(5)
+    levels = [domain.binary_vertices()[rng.integers(4, size=tree.num_nodes(m))]
               for m in range(tree.depth)]
-    levels[9][:4] = [[0.1 + 0.2, 5e-324], [-0.0, 1 - 2 ** -53], [1 - 2 ** -53, 0.0],
-                     [0.0, -0.0]]
-    relaxed = lq.ControlProcess.from_levels(domain, tree, levels, "relaxed")
-    for control in (binary, relaxed):
-        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-        lq.write_control_csv(ours, control)
-        _csv_module_table(reference, control)
-        assert ours.read_bytes() == reference.read_bytes()
-        back = lq.load_control_csv(ours, domain, tree, kind=control.kind)
-        for got, want in zip(back.levels, control.levels):
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    lq.write_control_csv(path, lq.ControlProcess.from_levels(domain, tree, levels))
+    good = path.read_bytes()
+    line = good.split(b"\r\n")[600]   # a row of level 9, past 8 KB
+    row = line.replace(b",", b" ,", 1)
+    cases = {
+        "space": row, "tab": line.replace(b",", b",\t", 1),
+        "quotes": line[:line.rindex(b",") + 1] + b'"' + line[line.rindex(b",") + 1:] + b'"',
+        "nan": line[:line.rindex(b",") + 1] + b"nan", "inf": line[:line.rindex(b",") + 1] + b"inf",
+        "1e400": line[:line.rindex(b",") + 1] + b"1e400", "1_0": line[:line.rindex(b",") + 1] + b"1_0",
+        "non-ASCII digit": line[:line.rindex(b",") + 1] + "\u0661".encode(),
+        "bad UTF-8": line[:line.rindex(b",") + 1] + b"\xff",
+        "extra field": line + b",0.0", "missing field": line[:line.rindex(b",")],
+        "empty field": line[:line.rindex(b",") + 1], "signed index": line.replace(b",", b",+", 1),
+        "zero-padded index": line.replace(b",", b",0", 1), "signed level": b"+" + line,
+        "wrong level": b"8" + line[1:], "wrong index": line.replace(b",", b",9", 1),
+        "membership": line[:line.rindex(b",") + 1] + b"0.5",
+    }
+    good_lines = good.split(b"\r\n")
+    files = {name: b"\r\n".join(good_lines[:600] + [bad] + good_lines[601:])
+             for name, bad in cases.items()}
+    files.update({
+        "blank line": good.replace(line + b"\r\n", line + b"\r\n\r\n"),
+        "lone CR": good.replace(line + b"\r\n", line + b"\r"),
+        "no final newline": good[:-2],
+        "rows out of order": b"\r\n".join(good_lines[:600] + good_lines[601:603][::-1]
+                                          + [line] + good_lines[603:]),
+        "duplicate row": good.replace(line, good_lines[599]),
+        "header only": good_lines[0] + b"\r\n", "empty": b"",
+        "header spaced": good.replace(b"level,index", b"level, index", 1),
+    })
+    accepted = set()
+    for name, data in files.items():
+        path.write_bytes(data)
+        ours, reference = _both_loaders(path, domain, tree)
+        assert ours == reference, name
+        if isinstance(reference, list):   # read by the other path: the header test sends
+            accepted.add(name)              # a spaced header there
+            assert name == "header spaced" or lq.io._node_order_values(data, 2, tree) is None
+    assert accepted == {"space", "tab", "quotes", "signed index", "zero-padded index",
+                        "signed level", "blank line", "lone CR", "no final newline",
+                        "rows out of order", "header spaced"}
+    # a relaxed file reads as the reference reads it
+    path.write_bytes(good)
+    ours, reference = _both_loaders(path, domain, tree, "relaxed")
+    assert ours == reference and isinstance(ours, list)
+
+
+def test_node_order_reader_checks_in_the_reference_order(tmp_path):
+    """Read errors come before the header, the header before the node
+    memory bound, and that bound before the rows."""
+    path = tmp_path / "control.csv"
+    deep = lq.build_tree(40, 1.0)
+    head = b"level,index,u1,u2\r\n"
+    for data in (head + b"0,0,1.0,\xff1.0\r\n", b"level,index,u1\r\n0,0,1.0\r\n",
+                 head + b"0,0,1.0,1.0\r\n"):
+        path.write_bytes(data)
+        ours, reference = _both_loaders(path, lq.ControlDomain.free(2), deep)
+        assert ours == reference and isinstance(ours, tuple), data
+
+
+def test_node_order_reader_peaks_below_the_reference(tmp_path):
+    """At depth 18 with k = 2 the byte-level loader's peak traced memory is no
+    higher than the reference loader's."""
+    domain = lq.ControlDomain.free(2)
+    tree = lq.build_tree(18, 1.0)
+    rng = np.random.default_rng(18)
+    levels = [domain.binary_vertices()[rng.integers(4, size=tree.num_nodes(m))]
+              for m in range(tree.depth)]
+    path = tmp_path / "control.csv"
+    lq.write_control_csv(path, lq.ControlProcess.from_levels(domain, tree, levels))
+    peaks = []
+    for load in (lq.load_control_csv, oracles.load_control_csv_reference):
+        tracemalloc.start()
+        try:
+            load(path, domain, tree)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_packaged_example_matches_builder(bench2, free1):

@@ -73,6 +73,27 @@ def test_instance_arrays_are_frozen():
         inst.Q[0, 0, 0] = 7.0
 
 
+def test_coefficient_views_are_copied_before_they_are_checked():
+    """A coefficient given as a view of a writable array is copied, so
+    writing to its base afterwards changes neither the instance nor its
+    digest (nor the symmetry the constructor checked)."""
+    base = {name: np.zeros(((3,) if per_level else ()) + shape)
+            for name, shape, per_level in model_mod.coefficient_shapes(2, 1)}
+    base["Q"] += np.eye(2)
+    base["R"] += 1.0
+    views = {name: value[...] for name, value in base.items()}
+    inst = lq.LQInstance(n=2, k=1, T=1.0, depth=3, **views)
+    domain = lq.ControlDomain.free(1)
+    stacks = {name: getattr(inst, name).copy() for name in COEFFICIENTS}
+    digest = lq.instance_digest(inst, domain)
+    for value in base.values():
+        value.flat[1] = 5.0   # Q and R become asymmetric, the others move
+    for name in COEFFICIENTS:
+        assert getattr(inst, name).tobytes() == stacks[name].tobytes(), name
+        assert views[name].flags.writeable   # the caller's view is left as it was
+    assert lq.instance_digest(inst, domain) == digest
+
+
 def test_constant_builder_defaults():
     # scalars broadcast to multiples of the identity on square blocks
     inst = lq.LQInstance.constant(depth=3, n=2, k=1, A=0.5, G=3.0)

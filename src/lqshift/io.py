@@ -266,7 +266,7 @@ def write_control_csv(path, control) -> None:
     """One ``level,index,u1..uk`` row per node, values as ``repr``, CRLF ends.
     Each distinct value (bit pattern: ``-0.0`` is not ``0.0``) and row is
     formatted once, into one byte array of NUL-padded fields, NULs dropped."""
-    values = np.concatenate(control.levels)
+    values = control.process.values
     first, inverse = _dedupe(values.view(np.int64).ravel())
     text = [repr(v) for v in values.ravel()[first].tolist()]
     inverse = inverse.reshape(values.shape)

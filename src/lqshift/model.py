@@ -248,42 +248,50 @@ class ControlDomain(_Memoized):
     def relaxed_vertices(self) -> np.ndarray:
         return self._memo("relaxed", lambda: relaxed_vertices(self))
 
+    def _membership(self, points, corner=None, tol: float = MEMBERSHIP_TOL):
+        """The membership rule: a per-coordinate test ``(..., k)`` and a
+        per-point halfspace test ``(...)`` over ``(..., k)`` points.
+
+        Relaxed: coordinates in ``[-tol, 1 + tol]``, halfspaces met within
+        ``tol``.  Binary, given ``corner``, the points' ``np.rint``: each
+        coordinate within ``tol`` (below 0.5) of the corner's, 0 or 1, and
+        the halfspaces met within ``tol`` at the corner.  With ``points``
+        None the corner's exact 0/1 values pass, and their test is None.
+        """
+        at = points if corner is None else corner
+        coords, cuts = None, np.ones(at.shape[:-1], bool)
+        with np.errstate(invalid="ignore", over="ignore"):  # a nan is not a member
+            if corner is None:
+                coords = (points >= -tol) & (points <= 1.0 + tol)
+            elif points is not None:
+                coords = (np.abs(points - corner) <= tol) & ((corner == 0.0) | (corner == 1.0))
+            for g, h in self.halfspaces:
+                cuts &= _flat_matmul(at, g) <= h + tol
+        return coords, cuts
+
     def contains_relaxed(self, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """Boolean mask over ``(..., k)`` points for relaxed membership."""
-        pts = np.asarray(points, dtype=float)
-        ok = np.all((pts >= -tol) & (pts <= 1.0 + tol), axis=-1)
-        for g, h in self.halfspaces:
-            ok &= _flat_matmul(pts, g) <= h + tol
-        return ok
+        coords, cuts = self._membership(np.asarray(points, dtype=float), tol=tol)
+        return coords.all(-1) & cuts
 
     def contains_binary(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over ``(..., k)`` points for membership in ``U``, up
-        to :data:`MEMBERSHIP_TOL` per coordinate.
-
-        That tolerance is below 0.5, so the only corner within it of a point
-        is the nearest one: a point belongs to U exactly when it lies within
-        the tolerance of its rounded corner and that corner is a binary
-        vertex.
-        """
+        to :data:`MEMBERSHIP_TOL` per coordinate."""
         pts = np.asarray(points, dtype=float)
-        corner = np.rint(pts)
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, hence not a member
-            near = np.abs(pts - corner) <= MEMBERSHIP_TOL
-        ok = np.all(near & ((corner == 0.0) | (corner == 1.0)), axis=-1)
-        corner[~ok] = 0.0  # keeps nan and inf out of the halfspace products
-        for g, h in self.halfspaces:
-            ok &= corner @ g <= h + MEMBERSHIP_TOL
-        return ok
+        coords, cuts = self._membership(pts, np.rint(pts))
+        return coords.all(-1) & cuts
 
 
 def enumerate_binary_vertices(domain: ControlDomain) -> np.ndarray:
-    """All points of ``{0,1}^k`` satisfying the halfspaces, in lexicographic order."""
+    """All points of ``{0,1}^k`` satisfying the halfspaces, in lexicographic
+    order: corner ``i`` holds the bits of ``i``, the first coordinate highest."""
     if domain.k > BINARY_VERTEX_CAP:
         raise VertexEnumerationError(
             f"k = {domain.k} exceeds the binary enumeration cap {BINARY_VERTEX_CAP}"
         )
-    corners = np.array(list(itertools.product((0.0, 1.0), repeat=domain.k)))
-    return corners[domain.contains_binary(corners)]
+    shifts = np.arange(domain.k - 1, -1, -1, dtype=np.uint32)
+    corners = ((np.arange(1 << domain.k, dtype=np.uint32)[:, None] >> shifts) & 1).astype(float)
+    return corners[domain._membership(None, corners)[1]] if domain.halfspaces else corners
 
 
 def relaxed_vertices(domain: ControlDomain) -> np.ndarray:
@@ -337,34 +345,15 @@ def relaxed_vertices(domain: ControlDomain) -> np.ndarray:
     return np.asarray(sorted(found[:count], key=tuple)).reshape(count, k)
 
 
-def _all_members(domain: ControlDomain, kind: str, values: np.ndarray,
-                 corner: np.ndarray | None = None) -> bool:
-    """Whether every row of the 2-D ``values`` lies in the ``kind`` set:
-    ``np.all`` of :meth:`ControlDomain.contains_binary` or
-    :meth:`ControlDomain.contains_relaxed`, tested elementwise over all
-    values at once instead of reduced node by node.  ``corner`` is
-    ``np.rint(values)``, needed for ``"binary"``."""
-    tol = MEMBERSHIP_TOL
-    if kind == "binary":
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, hence not a member
-            if not (np.abs(values - corner) <= tol).all():
-                return False
-        if not ((corner == 0.0) | (corner == 1.0)).all():
-            return False
-        values = corner
-    elif not ((values >= -tol) & (values <= 1.0 + tol)).all():
-        return False
-    return all(bool((values @ g <= h + tol).all()) for g, h in domain.halfspaces)
-
-
 @dataclass(frozen=True, eq=False)
 class ControlProcess:
     """An adapted control with a declared value set.
 
     ``kind`` is ``"binary"`` (every node value lies in ``U``) or
     ``"relaxed"`` (values lie in the relaxed polytope); membership is
-    verified node-wise on construction to :data:`MEMBERSHIP_TOL`.  A binary
-    value is then held as the vertex it lies within that tolerance of.
+    verified on construction by the domain's rule, to
+    :data:`MEMBERSHIP_TOL`.  A binary value is then held as the vertex it
+    lies within that tolerance of, the corner the rule tested.
     """
 
     process: AdaptedProcess
@@ -378,24 +367,22 @@ class ControlProcess:
             )
         if self.kind not in ("binary", "relaxed"):
             raise ValueError(f"kind must be 'binary' or 'relaxed', got {self.kind!r}")
-        values = np.concatenate(self.process.levels)
-        exact = np.rint(values) if self.kind == "binary" else None
-        if not _all_members(self.domain, self.kind, values, exact):
+        values = self.process.values
+        corner = np.rint(values) if self.kind == "binary" else None
+        coords, cuts = self.domain._membership(values, corner)
+        if not (coords.all() and cuts.all()):
             # name the first node outside, as the CSV reader does
-            check = (self.domain.contains_binary if self.kind == "binary"
-                     else self.domain.contains_relaxed)
-            with np.errstate(invalid="ignore"):  # a nan product is not a member
-                node = int(np.argmin(check(values)))
+            node = int(np.argmin(coords.all(-1) & cuts))
             m = (node + 1).bit_length() - 1
             raise ValueError(
                 f"control value {values[node]} at node ({m}, {node + 1 - (1 << m)}) "
                 f"is outside the {self.kind} control set"
             )
-        if self.kind == "binary":
-            exact += 0.0  # -0.0 becomes 0.0
-            if not np.array_equal(exact, values):
+        if corner is not None:
+            corner += 0.0  # -0.0 becomes 0.0
+            if not np.array_equal(corner, values):
                 object.__setattr__(self, "process", AdaptedProcess(self.tree, [
-                    exact[(1 << m) - 1:(2 << m) - 1] for m in range(self.tree.depth)]))
+                    corner[(1 << m) - 1:(2 << m) - 1] for m in range(self.tree.depth)]))
 
     @property
     def tree(self) -> ScenarioTree:

@@ -380,7 +380,7 @@ def msa_candidate_search(inst: LQInstance, domain: ControlDomain, mu: float, *,
     history = []
     it = 0
     for it in range(1, max_iter + 1):
-        key = np.packbits(np.concatenate(current.levels) != 0.0).tobytes()
+        key = np.packbits(current.process.values != 0.0).tobytes()
         if key in seen:
             status = "cycle"
             shifted, traj = best

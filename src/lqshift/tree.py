@@ -99,20 +99,16 @@ def build_tree(depth: int, horizon: float) -> ScenarioTree:
     return ScenarioTree(depth=depth, horizon=horizon)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 class AdaptedProcess:
     """A vector-valued process on the running levels ``0 .. N-1`` of a tree.
 
-    Values are stored per level as read-only ``(2**n, dim)`` arrays in
-    ``levels``; the class is a validated container with no arithmetic.
+    Values are stored once, in node order, as the read-only
+    ``(2**N - 1, dim)`` array ``values``: node ``(n, j)`` is row
+    ``2**n - 1 + j``.  ``levels`` holds its ``(2**n, dim)`` level views.
+    The class is a validated container with no arithmetic.
     """
 
-    __slots__ = ("tree", "dim", "levels")
+    __slots__ = ("tree", "dim", "values", "levels")
 
     def __init__(self, tree: ScenarioTree, levels):
         levels = list(levels)
@@ -121,7 +117,6 @@ class AdaptedProcess:
                 f"running process needs {tree.depth} level arrays, got {len(levels)}"
             )
         arrays = []
-        dim = None
         for n, arr in enumerate(levels):
             nodes = tree.num_nodes(n)
             a = np.asarray(arr, dtype=float)
@@ -131,14 +126,16 @@ class AdaptedProcess:
                 raise ValueError(
                     f"level array has shape {np.shape(arr)}, expected ({nodes}, dim)"
                 )
-            if dim is None:
-                dim = a.shape[1]
-            elif a.shape[1] != dim:
+            if arrays and a.shape[1] != arrays[0].shape[1]:
                 raise ValueError("level arrays disagree on the value dimension")
-            arrays.append(_freeze(a))
+            arrays.append(a)
+        values = np.concatenate(arrays)  # a copy: the caller's arrays may change
+        values.setflags(write=False)
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "levels", tuple(arrays))
+        object.__setattr__(self, "dim", values.shape[1])
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "levels", tuple(
+            values[(1 << n) - 1:(2 << n) - 1] for n in range(tree.depth)))
 
     def __setattr__(self, name, value):
         raise AttributeError("AdaptedProcess is immutable")

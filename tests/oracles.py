@@ -12,7 +12,11 @@ The binary enumeration keeps its plain form here too: every control
 decoded digit by digit and costed with ``cost_many``, the reference for
 the backward recursion of ``lqshift.oracle``.  So does the lambda_max search: plain
 bisection on the Riccati test, the reference for the secant search of
-``lqshift.spectral``.  And the relaxed vertices: every candidate system
+``lqshift.spectral``.  And the binary vertices: the corners listed by
+``itertools.product`` and kept by ``contains_binary``, the reference for the
+bit-built corners of ``enumerate_binary_vertices``; beside them, one point's
+membership in the binary or relaxed set as FORMAT.md defines it, in Python
+floats.  And the relaxed vertices: every candidate system
 solved on its own, the reference for the chunked, stacked solves of
 ``relaxed_vertices``.  And the second-order spike test: the per-vertex
 deficit ``delta . (g - 1/2 H delta)`` over a ``(nodes, V, k)`` array, the
@@ -47,6 +51,7 @@ from lqshift.errors import (BudgetExceededError, ControlFileError, DegenerateDom
                             LqshiftError)
 from lqshift.model import (
     COEFFICIENTS,
+    MEMBERSHIP_TOL,
     SYMMETRY_TOL,
     ControlDomain,
     ControlProcess,
@@ -431,6 +436,35 @@ def brute_force_reference(inst: LQInstance, domain: ControlDomain,
     result = OracleResult(control=control, cost=best, enumerated=total,
                           tie_count=tie_count)
     return result, max_penalty
+
+
+# -- binary vertices and membership -------------------------------------------
+
+
+def enumerate_binary_vertices_reference(domain: ControlDomain) -> np.ndarray:
+    """The points of ``{0,1}^k`` in ``itertools.product`` order, kept by
+    ``contains_binary``."""
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=domain.k)))
+    return corners[domain.contains_binary(corners)]
+
+
+def member_reference(domain: ControlDomain, point, kind: str) -> bool:
+    """One point's membership as FORMAT.md defines it, in Python floats.
+
+    Binary: each coordinate lies within ``MEMBERSHIP_TOL`` of 0 or 1, and
+    the rounded corner meets each halfspace within the tolerance.  Relaxed:
+    each coordinate lies in ``[-tol, 1 + tol]``, and each halfspace holds
+    within the tolerance at the point."""
+    tol = MEMBERSHIP_TOL
+    point = [float(x) for x in point]
+    if kind == "binary":
+        if not all(abs(x) <= tol or abs(x - 1.0) <= tol for x in point):
+            return False
+        point = [float(round(x)) for x in point]
+    elif not all(-tol <= x <= 1.0 + tol for x in point):
+        return False
+    return all(sum(float(a) * x for a, x in zip(g, point)) <= h + tol
+               for g, h in domain.halfspaces)
 
 
 # -- relaxed vertices --------------------------------------------------------

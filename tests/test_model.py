@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 
 import lqshift as lq
 import lqshift.model as model_mod
-from lqshift.model import (COEFFICIENTS, MEMBERSHIP_TOL, _all_members, _flat_matmul,
+from lqshift.model import (COEFFICIENTS, MEMBERSHIP_TOL, _flat_matmul,
                            _interleave, check_coefficient_memory, cost_constant)
 
 import oracles
@@ -339,9 +340,10 @@ def test_interleave_is_the_strided_merge_bit_for_bit():
 
 
 def test_membership_over_all_values_matches_the_node_masks():
-    """The elementwise test is the per-node mask's ``all()`` on nan, inf,
-    near-vertex, box-edge and halfspace points, and a failing control names
-    the mask's first node outside."""
+    """The binary and relaxed masks, and a control's acceptance or its
+    first node outside, agree with FORMAT.md's membership definition, in
+    Python floats, on nan, inf, signed-zero, near-vertex, box-edge and
+    halfspace values, on the free domain and two cut ones."""
     rng = np.random.default_rng(6)
     tol = MEMBERSHIP_TOL
     pool = np.array([0.0, -0.0, 1.0, tol, -tol, 1.0 + tol, 1.0 - tol, 2 * tol,
@@ -359,21 +361,21 @@ def test_membership_over_all_values_matches_the_node_masks():
         for node in rng.integers(0, 7, size=rng.integers(0, 3)):
             values[node] = pool[rng.integers(len(pool), size=2)]
         check = dom.contains_binary if kind == "binary" else dom.contains_relaxed
-        with np.errstate(invalid="ignore"):  # inf in a halfspace product
-            mask = check(values)
-            assert _all_members(dom, kind, values, np.rint(values)) == mask.all()
+        mask = check(values)
+        expected = [oracles.member_reference(dom, point, kind) for point in values]
+        assert mask.tolist() == expected
         levels = [values[(1 << m) - 1:(2 << m) - 1] for m in range(tree.depth)]
-        if mask.all():
+        if all(expected):
             lq.ControlProcess.from_levels(dom, tree, levels, kind)
             outcomes.add((kind, True))
             continue
-        node = int(np.argmin(mask))
+        node = expected.index(False)
         m = (node + 1).bit_length() - 1
-        expected = (f"control value {values[node]} at node ({m}, {node + 1 - (1 << m)}) "
-                    f"is outside the {kind} control set")
+        message = (f"control value {values[node]} at node ({m}, {node + 1 - (1 << m)}) "
+                   f"is outside the {kind} control set")
         with pytest.raises(ValueError) as excinfo:
             lq.ControlProcess.from_levels(dom, tree, levels, kind)
-        assert str(excinfo.value) == expected
+        assert str(excinfo.value) == message
         outcomes.add((kind, False))
     assert len(outcomes) == 4
 
@@ -450,6 +452,45 @@ def test_free_relaxed_vertices_are_the_binary_vertices():
         binary = dom.binary_vertices()
         assert binary.shape == (2 ** k, k)
         np.testing.assert_array_equal(dom.relaxed_vertices(), binary)
+
+
+def test_binary_vertices_match_the_itertools_reference():
+    """The bit-built corners, kept by the halfspace test alone, are the
+    product-listed corners kept by ``contains_binary``, byte for byte, for
+    k = 1 to 12 on free, integrally cut and fractionally cut domains; up
+    to k = 8, also those that FORMAT.md's definition keeps."""
+    rng = np.random.default_rng(18)
+    for k in range(1, 13):
+        first_last = np.zeros(k)
+        first_last[0], first_last[-1] = 1.0, -1.0
+        domains = [lq.ControlDomain.free(k),
+                   lq.ControlDomain(k=k, halfspaces=((np.ones(k), k // 2), (first_last, 0.0))),
+                   lq.ControlDomain(k=k, halfspaces=(
+                       (np.round(rng.uniform(-1.0, 1.0, k), 1), 0.5),
+                       (np.ones(k), k - 0.5)))]
+        for dom in domains:
+            got = model_mod.enumerate_binary_vertices(dom)
+            want = oracles.enumerate_binary_vertices_reference(dom)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, dom)
+            if k <= 8:  # and the corners the per-point definition keeps
+                corners = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+                keep = [oracles.member_reference(dom, c, "binary") for c in corners]
+                assert got.tobytes() == corners[keep].tobytes(), (k, dom)
+
+
+def test_binary_vertex_enumeration_peaks_near_its_output():
+    """At k = 18, cut by sum u <= 17.5, the corners and the kept copy of
+    them: the peak stays within 2.5 times the returned array, where the
+    product-listed corners took 4 times it."""
+    dom = lq.ControlDomain(k=18, halfspaces=((np.ones(18), 17.5),))
+    tracemalloc.start()
+    try:
+        got = model_mod.enumerate_binary_vertices(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2 ** 18 - 1, 18)
+    assert peak <= 2.5 * got.nbytes, peak / got.nbytes
 
 
 def test_binary_membership_matches_the_vertex_distance():

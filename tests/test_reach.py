@@ -34,6 +34,9 @@ UNREACHED = {
         "example5 takes the all-ones cost from model.cost_constant",
     "model.sample_relaxed_levels":
         "relaxed sampler, a test oracle that the benchmark tracer rebinds",
+    "model.ControlDomain.contains_binary":
+        "the binary mask, a library call; the commands test membership through "
+        "ControlDomain._membership, whose two parts it combines",
     "tree.AdaptedProcess.__setattr__": "the immutability guard, which nothing trips",
 }
 

@@ -94,6 +94,40 @@ def test_adapted_process_is_immutable():
     assert proc2.levels[0][0, 0] == 1.0
 
 
+def test_adapted_process_holds_one_node_order_array():
+    """``values`` is one read-only node-order copy, each level a view of
+    its rows; a binary control given near its vertices and as -0.0 holds
+    the vertices' exact bytes."""
+    rng = np.random.default_rng(3)
+    for depth in range(1, 6):
+        tree = lq.build_tree(depth, 1.0)
+        for dim in range(1, 4):
+            given = [rng.normal(size=(1 << m, dim)) for m in range(depth)]
+            want = np.concatenate(given)
+            proc = lq.AdaptedProcess(tree, given)
+            assert proc.values.shape == ((1 << depth) - 1, dim)
+            assert not proc.values.flags.writeable
+            with pytest.raises(ValueError):
+                proc.values[0, 0] = 1.0
+            for m, level in enumerate(proc.levels):
+                rows = proc.values[(1 << m) - 1:(2 << m) - 1]
+                assert np.shares_memory(level, rows) and level.tobytes() == rows.tobytes()
+            for arr in given:
+                arr[...] = 7.0
+            assert proc.values.tobytes() == want.tobytes()
+
+            # one value off its vertex at least, so the control is snapped
+            vertex = rng.integers(0, 2, size=want.shape).astype(float)
+            vertex[-1, 0] = 1.0
+            near = np.where(vertex == 1.0, 1.0000000004, -0.0)
+            control = lq.ControlProcess.from_levels(
+                lq.ControlDomain.free(dim), tree,
+                [near[(1 << m) - 1:(2 << m) - 1] for m in range(depth)], "binary")
+            assert control.process.values.tobytes() == vertex.tobytes()
+            assert all(np.shares_memory(level, control.process.values)
+                       for level in control.levels)
+
+
 def test_conditional_expectation_and_martingale_split():
     vals = np.array([[3.0], [1.0]])
     mean, slope = lq.martingale_representation(vals, dt=0.5)

@@ -31,11 +31,7 @@ from .tree import NODE_BYTES_BOUND, AdaptedProcess, ScenarioTree, build_tree, ch
 SYMMETRY_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 BINARY_VERTEX_CAP = 20
-RELAXED_VERTEX_DIM_CAP = 12
 RELAXED_SYSTEM_CAP = 100_000
-# candidate systems solved per stacked call: a (chunk, k, k) stack is at
-# most 1.2 MB at the dimension cap
-RELAXED_SYSTEM_CHUNK = 1024
 # levels per cost_constant batch: four (chunk, n + 1, n + 1) stacks, 128 KB at n = 1
 COST_LEVEL_CHUNK = 1024
 
@@ -123,7 +119,9 @@ class _Memoized:
     def _memo(self, key, compute):
         cache = self.__dict__.setdefault("_cache", {})
         if key not in cache:
-            cache[key] = compute()
+            cache[key] = value = compute()
+            if isinstance(value, np.ndarray):  # every later caller reads the same array
+                value.setflags(write=False)
         return cache[key]
 
 
@@ -282,67 +280,71 @@ class ControlDomain(_Memoized):
         return coords.all(-1) & cuts
 
 
+def _corners(k: int, codes: np.ndarray) -> np.ndarray:
+    """The points of {0,1}^k with the bits of uint32 ``codes``, the first highest."""
+    return ((codes[:, None] >> np.arange(k - 1, -1, -1, dtype=np.uint32)) & 1).astype(float)
+
+
 def enumerate_binary_vertices(domain: ControlDomain) -> np.ndarray:
     """All points of ``{0,1}^k`` satisfying the halfspaces, in lexicographic
-    order: corner ``i`` holds the bits of ``i``, the first coordinate highest."""
-    if domain.k > BINARY_VERTEX_CAP:
+    order: corner ``i`` holds the bits of ``i``."""
+    k = domain.k
+    if k > BINARY_VERTEX_CAP:
         raise VertexEnumerationError(
-            f"k = {domain.k} exceeds the binary enumeration cap {BINARY_VERTEX_CAP}"
+            f"k = {k} exceeds the binary enumeration cap {BINARY_VERTEX_CAP}"
         )
-    shifts = np.arange(domain.k - 1, -1, -1, dtype=np.uint32)
-    corners = ((np.arange(1 << domain.k, dtype=np.uint32)[:, None] >> shifts) & 1).astype(float)
-    return corners[domain._membership(None, corners)[1]] if domain.halfspaces else corners
+    codes = np.arange(1 << k, dtype=np.uint32)
+    if domain.halfspaces:  # tested 2**16 corners at a time; only the kept ones are built
+        codes = np.concatenate([c[domain._membership(None, _corners(k, c))[1]] for c in
+                                (codes[lo:lo + (1 << 16)] for lo in range(0, 1 << k, 1 << 16))])
+    return _corners(k, codes)
 
 
 def relaxed_vertices(domain: ControlDomain) -> np.ndarray:
-    """Extreme points of the relaxed set (unit box cut by the halfspaces).
-
-    Without halfspaces these are the box corners, the binary vertices.  With
-    halfspaces the vertices are enumerated by solving every ``k``-subset of
-    the active constraint candidates, which is adequate at the dimensions
-    this package targets.  The subsets are taken in
-    ``itertools.combinations`` order, :data:`RELAXED_SYSTEM_CHUNK` at a
-    time: one stacked determinant, one stacked solve of the nonsingular
-    systems and one membership test per chunk.  A solution within 1e-9 of
-    one found earlier is dropped.
-    """
+    """Extreme points of the relaxed set (unit box cut by the halfspaces),
+    in lexicographic order: the basic solutions of a bounded-variable LP,
+    whose ``s`` coordinates ``F`` in (0, 1) solve ``s`` cuts ``S`` with
+    ``G[S, F]`` nonsingular, the others 0 or 1.  Each ``(S, F)`` and corner
+    is one candidate point, all solved in one stack per ``s``, and counted
+    against :data:`RELAXED_SYSTEM_CAP` first; ``s = 0`` is the binary set."""
     if not domain.halfspaces:
         return domain.binary_vertices()
-    k = domain.k
-    if k > RELAXED_VERTEX_DIM_CAP:
-        raise VertexEnumerationError(
-            f"k = {k} exceeds the relaxed vertex enumeration cap {RELAXED_VERTEX_DIM_CAP}"
-        )
-    # u_i = 0 and u_i = 1 for each i, then <g, u> = h for each halfspace
-    rows = np.concatenate([np.repeat(np.eye(k), 2, axis=0), [g for g, _ in domain.halfspaces]])
-    rhs = np.array([0.0, 1.0] * k + [h for _, h in domain.halfspaces])
-    total = math.comb(len(rows), k)
+    k, m, tol = domain.k, len(domain.halfspaces), MEMBERSHIP_TOL
+    total = sum(math.comb(m, s) * math.comb(k, s) << (k - s) for s in range(min(m, k) + 1))
     if total > RELAXED_SYSTEM_CAP:
         raise VertexEnumerationError(
-            f"vertex enumeration needs {total} candidate systems; too many"
+            f"vertex enumeration needs {total} candidate points; too many"
         )
-    subsets = itertools.combinations(range(len(rows)), k)
-    found, count, seen = np.zeros((0, k)), 0, set()
-    for _ in range(0, total, RELAXED_SYSTEM_CHUNK):
-        chunk = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(subsets, RELAXED_SYSTEM_CHUNK)), dtype=np.intp).reshape(-1, k)
-        systems = rows[chunk]
-        solvable = ~(np.abs(np.linalg.det(systems)) < 1e-12)
-        chunk = chunk[solvable]
-        v = np.linalg.solve(systems[solvable], rhs[chunk][..., None])[..., 0]
-        v = v[domain.contains_relaxed(v)]
-        # room for every solution of the chunk after the vertices kept so far
-        found = np.concatenate([found[:count], v])
-        for w, key in zip(v, map(tuple, v.tolist())):
-            # an exact repeat lies as near a kept vertex as its first copy
-            # does, or at 0 from it: either way it is dropped
-            if key in seen:
-                continue
-            seen.add(key)
-            if not (np.max(np.abs(found[:count] - w), axis=1) <= 1e-9).any():
-                found[count] = w
-                count += 1
-    return np.asarray(sorted(found[:count], key=tuple)).reshape(count, k)
+    G, h = (np.array(part) for part in zip(*domain.halfspaces))
+    found = [domain.binary_vertices()]
+    for s in range(1, min(m, k) + 1):
+        cuts, fixed = (np.array(list(itertools.combinations(range(n), s))) for n in (m, k))
+        free = np.array([[j for j in range(k) if j not in F] for F in fixed.tolist()],
+                        dtype=np.intp).reshape(len(fixed), k - s)
+        systems = G[cuts[None, :, :, None], fixed[:, None, None, :]]  # (F, S, s, s)
+        pair_f, pair_s = np.nonzero(~(np.abs(np.linalg.det(systems)) < 1e-12))
+        corners = _corners(k - s, np.arange(1 << (k - s), dtype=np.uint32))
+        rhs = (h[cuts[pair_s]][:, :, None]
+               - G[cuts[pair_s][:, :, None], free[pair_f][:, None, :]] @ corners.T)
+        u = np.linalg.solve(systems[pair_f, pair_s], rhs)  # (pairs, s, corners)
+        corner, pair = np.nonzero(((u > tol) & (u < 1.0 - tol)).all(axis=1).T)
+        points, at = np.empty((len(pair), k)), np.arange(len(pair))[:, None]
+        points[at, fixed[pair_f[pair]]] = u[pair, :, corner]
+        points[at, free[pair_f[pair]]] = corners[corner]
+        keep = domain.contains_relaxed(points)
+        # A vertex on more than s cuts is solved once per cut set.  Only the
+        # run with its corner and F, in (corner, F, S) order, can repeat it:
+        # drop each point within 1e-9 (max norm) of one kept before it there.
+        group, points = (corner * len(fixed) + pair_f[pair])[keep], points[keep]
+        rank = np.arange(len(group)) - np.searchsorted(group, group)  # place in its run
+        kept = np.ones(len(group), bool)
+        for r in range(1, int(rank.max(initial=0)) + 1):
+            j = np.flatnonzero(rank == r)
+            for q in range(1, r + 1):
+                kept[j] &= ~kept[j - q] | (np.abs(points[j] - points[j - q]).max(1) > 1e-9)
+        found.append(points[kept])
+    found = np.concatenate(found)
+    return found[np.lexsort(found.T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)

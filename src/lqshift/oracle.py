@@ -277,7 +277,7 @@ def equivalence_check(inst: LQInstance, domain: ControlDomain, *,
 
     rv = domain.relaxed_vertices()
     relaxed_min = oracle.cost
-    if np.any(np.abs(rv * (rv - 1.0)) > 1e-12):
+    if len(rv) > len(verts):  # the relaxed vertices hold the binary ones, exactly
         levels = _vertex_minimum(inst, rv, budget, mu_val * np.sum(rv * (rv - 1.0), axis=-1),
                                  "vertex-valued")[0]
         relaxed_min = float(shifted_cost_many(inst, [lvl[None] for lvl in levels], mu_val)[0])

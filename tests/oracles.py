@@ -16,9 +16,9 @@ bisection on the Riccati test, the reference for the secant search of
 ``itertools.product`` and kept by ``contains_binary``, the reference for the
 bit-built corners of ``enumerate_binary_vertices``; beside them, one point's
 membership in the binary or relaxed set as FORMAT.md defines it, in Python
-floats.  And the relaxed vertices: every candidate system
-solved on its own, the reference for the chunked, stacked solves of
-``relaxed_vertices``.  And the second-order spike test: the per-vertex
+floats.  And the relaxed vertices: every k-subset of the bound and cut
+equations solved on its own, the reference for the enumeration of
+``relaxed_vertices`` by fractional support.  And the second-order spike test: the per-vertex
 deficit ``delta . (g - 1/2 H delta)`` over a ``(nodes, V, k)`` array, the
 reference for the vertex-pair tables of ``lqshift.optimality``.  And the
 two-pass relaxed sampler, which tests membership over the whole draw once

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import tracemalloc
 from importlib import resources
@@ -445,13 +446,25 @@ def test_free_domain_vertices():
 
 
 def test_free_relaxed_vertices_are_the_binary_vertices():
-    """Without cuts the relaxed vertices are the binary ones, past the
-    relaxed enumeration's dimension cap of 12 too."""
+    """Without cuts the relaxed vertices are the binary ones, the same
+    array, with no candidate points counted."""
     for k in range(1, 14):
         dom = lq.ControlDomain.free(k)
         binary = dom.binary_vertices()
         assert binary.shape == (2 ** k, k)
-        np.testing.assert_array_equal(dom.relaxed_vertices(), binary)
+        assert dom.relaxed_vertices() is binary
+
+
+def test_vertex_memos_are_read_only():
+    """A write into a memoized vertex array is refused, so a later check,
+    MSA step or oracle on the domain reads the vertices it was built with."""
+    for dom in (lq.ControlDomain.free(2),
+                lq.ControlDomain(k=2, halfspaces=((np.array([1.0, 1.0]), 1.5),))):
+        for verts in (dom.binary_vertices, dom.relaxed_vertices):
+            before = verts().tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                verts()[0, 0] = 7.0
+            assert verts().tobytes() == before
 
 
 def test_binary_vertices_match_the_itertools_reference():
@@ -479,9 +492,10 @@ def test_binary_vertices_match_the_itertools_reference():
 
 
 def test_binary_vertex_enumeration_peaks_near_its_output():
-    """At k = 18, cut by sum u <= 17.5, the corners and the kept copy of
-    them: the peak stays within 2.5 times the returned array, where the
-    product-listed corners took 4 times it."""
+    """At k = 18, cut by sum u <= 17.5: the halfspaces are tested on
+    chunks of corners and only the kept corners are built, so the peak
+    stays within 1.6 times the returned array.  Testing every corner at
+    once, then keeping a copy, took 2.06 times it; product-listed corners 4."""
     dom = lq.ControlDomain(k=18, halfspaces=((np.ones(18), 17.5),))
     tracemalloc.start()
     try:
@@ -490,7 +504,7 @@ def test_binary_vertex_enumeration_peaks_near_its_output():
     finally:
         tracemalloc.stop()
     assert got.shape == (2 ** 18 - 1, 18)
-    assert peak <= 2.5 * got.nbytes, peak / got.nbytes
+    assert peak <= 1.6 * got.nbytes, peak / got.nbytes
 
 
 def test_binary_membership_matches_the_vertex_distance():
@@ -555,13 +569,33 @@ def _seeded_cut_domains(count):
         yield lq.ControlDomain(k=k, halfspaces=tuple(halfspaces))
 
 
-def test_relaxed_vertices_match_the_reference_bit_for_bit():
-    """The chunked, stacked solves give the vertices of the one-system-at-a-
-    time reference, bytes and order, on 480 seeded domains."""
+def _integer_cut_domains(count):
+    """Domains with k from 1 to 7 and 1 to 3 cuts, integer normals in
+    [-3, 3] and right sides ending in .0, .25 or .5."""
+    for seed in range(count):
+        rng = np.random.default_rng([seed, 31])
+        k, cuts = 1 + seed % 7, 1 + seed // 7 % 3
+        yield lq.ControlDomain(k=k, halfspaces=tuple(
+            (rng.integers(-3, 4, size=k).astype(float),
+             float(rng.integers(-1, k + 1)) + float(rng.choice([0.0, 0.25, 0.5])))
+            for _ in range(cuts)))
+
+
+def test_relaxed_vertices_match_the_reference():
+    """The vertices from their fractional support are the set of the
+    one-system-at-a-time reference, within 1e-12, on 1,080 domains: unique,
+    in lexicographic order, and with every box coordinate exactly 0 or 1,
+    where the reference's solves leave rounding there."""
     shapes = {"empty": 0, "fractional": 0, "degenerate": 0}
-    for dom in _seeded_cut_domains(480):
+    for dom in itertools.chain(_seeded_cut_domains(480), _integer_cut_domains(600)):
         got, want = dom.relaxed_vertices(), oracles.relaxed_vertices_reference(dom)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), dom
+        assert got.shape == want.shape, dom
+        if len(got):
+            dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=-1)
+            assert dist.min(axis=0).max() <= 1e-12 and dist.min(axis=1).max() <= 1e-12, dom
+        assert all(tuple(a) < tuple(b) for a, b in zip(got.tolist(), got.tolist()[1:])), dom
+        box = np.abs(got - np.round(got)) <= 1e-9
+        np.testing.assert_array_equal(got[box], np.round(got[box]))
         shapes["empty"] += len(want) == 0
         shapes["fractional"] += bool(np.any(want != np.round(want)))
         # a cut through a box corner: more than k equations hold there
@@ -571,26 +605,48 @@ def test_relaxed_vertices_match_the_reference_bit_for_bit():
     assert min(shapes.values()) >= 20, shapes
 
 
+def test_relaxed_vertices_under_one_sum_cut_in_closed_form():
+    """Under sum u <= j + 1/2, the binary vertices hold at most j ones, and
+    the fractional ones j ones and exactly one 0.5: sum_{i <= j} C(k, i)
+    and C(k, j) (k - j) of them, for k = 10 to 13, past the k-subset
+    solver's reach."""
+    for k in range(10, 14):
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+        ones = corners.sum(axis=1)
+        for j in (1, 2, k // 2, k - 2):
+            got = lq.ControlDomain(k=k, halfspaces=((np.ones(k), j + 0.5),)).relaxed_vertices()
+            at_j = corners[ones == j]
+            halves = [c + 0.5 * np.eye(k)[i] for c in at_j for i in np.flatnonzero(c == 0.0)]
+            want = np.concatenate([corners[ones <= j], halves])
+            want = want[np.lexsort(want.T[::-1])]
+            binary = sum(math.comb(k, i) for i in range(j + 1))
+            assert len(want) == binary + math.comb(k, j) * (k - j)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, j)
+    for h, count in ((2.5, 739), (5.5, 7130)):
+        dom = lq.ControlDomain(k=12, halfspaces=((np.ones(12), h),))
+        assert len(dom.relaxed_vertices()) == count
+
+
 def test_relaxed_vertex_refusals(monkeypatch):
-    """Past the dimension cap the refusal names the cap, without counting
-    the systems; below it, past 100,000 candidate systems, it names their
-    number."""
-    cut = ((np.ones(13), 2.5),)
-    monkeypatch.setattr(model_mod.math, "comb", None)  # never reached at k = 13
+    """The candidate points are counted before any solve: k = 13 under one
+    cut, 61,440 of them, is enumerated; k = 14, 16,384 + 14 * 8,192 =
+    131,072, is refused past 100,000 by naming that number."""
+    cut = ((np.ones(13), 6.5),)
+    assert lq.ControlDomain(k=13, halfspaces=cut).relaxed_vertices().shape == (16108, 13)
+    monkeypatch.setattr(np.linalg, "solve", None)  # never reached at k = 14
     with pytest.raises(lq.VertexEnumerationError,
-                       match=r"^k = 13 exceeds the relaxed vertex enumeration cap 12$"):
-        lq.ControlDomain(k=13, halfspaces=cut).relaxed_vertices()
-    monkeypatch.undo()
-    with pytest.raises(lq.VertexEnumerationError,
-                       match=r"^vertex enumeration needs 352716 candidate systems; too many$"):
-        lq.ControlDomain(k=10, halfspaces=((np.ones(10), 2.5),)).relaxed_vertices()
-    with pytest.raises(lq.VertexEnumerationError, match="needs 5200300 candidate systems"):
-        lq.ControlDomain(k=12, halfspaces=((np.ones(12), 2.5),)).relaxed_vertices()
+                       match=r"^vertex enumeration needs 131072 candidate points; too many$"):
+        lq.ControlDomain(k=14, halfspaces=((np.ones(14), 2.5),)).relaxed_vertices()
+    # two cuts at k = 12: 4,096 + 2 * 12 * 2,048 + 66 * 1,024
+    two = ((np.ones(12), 2.5), (np.arange(12.0), 30.0))
+    with pytest.raises(lq.VertexEnumerationError, match="needs 120832 candidate points"):
+        lq.ControlDomain(k=12, halfspaces=two).relaxed_vertices()
 
 
-def test_relaxed_vertices_hold_memory_to_a_chunk():
-    """At k = 9 with the cut sum u <= 2.5, 92,378 candidate systems: one
-    stacked batch of them all would take 60 MB, the chunks under 8 MiB."""
+def test_relaxed_vertices_hold_memory_under_8_mib():
+    """At k = 9 with the cut sum u <= 2.5: 2,816 candidate points, solved
+    as one stack for the fractional coordinate, peak under 8 MiB, where
+    one stacked batch of the 92,378 k-subset systems took 60 MB."""
     dom = lq.ControlDomain(k=9, halfspaces=((np.ones(9), 2.5),))
     tracemalloc.start()
     try:
